@@ -1,17 +1,13 @@
 #!/usr/bin/env python
-"""Concurrency static analysis runner (rules CC000–CC004).
+"""The repo's static-analysis driver: HQ boundary rules and CC rules.
 
-Builds the :mod:`repro.analysis.concurrency` call graph over
-``src/repro``, infers thread roles (reactor / worker), runs the
-lock-discipline rules, and writes a JSON report.  CI runs this and
-fails on any error-severity finding, so an attribute newly shared
-across thread roles (or a blocking call wired into a reactor callback
-three helpers deep) breaks the build instead of a soak test.
-
-Suppressions must be justified — a bare ``hq: allow(...)`` or
-``@thread_safe`` without a reason string is itself reported (CC000)
-and does not suppress.  The report records every honored suppression
-with its justification for review.
+Parses ``src/repro`` once into the concurrency call-graph index, runs the
+HQ rules (:mod:`repro.analysis.boundaries`) and the CC thread-role and
+lock-discipline rules over it, and writes one JSON report.  CI fails on
+any error-severity finding; style is ruff's job (``ruff check .``).
+A bare ``hq: allow(...)`` or ``@thread_safe`` without a reason string
+does not suppress and is itself reported (CC000); the report records
+every honored suppression with its justification.
 
 Usage::
 
@@ -31,6 +27,7 @@ _ROOT = Path(__file__).resolve().parent.parent
 if str(_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(_ROOT / "src"))
 
+from repro.analysis.boundaries import check_index  # noqa: E402
 from repro.analysis.concurrency.checker import check_tree  # noqa: E402
 from repro.analysis.framework import Severity  # noqa: E402
 
@@ -55,6 +52,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     checker = check_tree(args.root)
+    boundaries = check_index(checker.index)
+    checker.findings += boundaries.findings
+    checker.suppressed += boundaries.suppressed
     report = checker.report()
     report["tool"] = "concheck"
 
@@ -75,13 +75,14 @@ def main(argv: list[str] | None = None) -> int:
     args.output.write_text(json.dumps(report, indent=2) + "\n")
 
     counts = report["counts"]
+    hq = sum(f.code.startswith("HQ") for f in checker.findings)
     print(
         f"concheck: {report['functions']} functions in "
         f"{report['modules']} modules "
         f"({report['role_counts']['reactor']} reactor, "
         f"{report['role_counts']['worker']} worker), "
-        f"{len(checker.findings)} finding(s) "
-        f"({counts.get('error', 0)} error, {counts.get('warning', 0)} "
+        f"{len(checker.findings)} finding(s) ({hq} HQ, "
+        f"{counts.get('error', 0)} error, {counts.get('warning', 0)} "
         f"warning), {len(checker.suppressed)} justified suppression(s) "
         f"-> {args.output}"
     )

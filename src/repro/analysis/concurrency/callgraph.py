@@ -75,8 +75,10 @@ STRUCTURAL_SEEDS = (
 GUARD_NAME_RE = re.compile(r"lock|cond|sem|concurrency|mutex", re.IGNORECASE)
 
 #: ``# hq: guarded-by(self._lock) reason`` / ``# hq: allow(CC004) reason``
+#: (``allow`` covers the HQ boundary rules too: ``# hq: allow(HQ002) reason``)
 PRAGMA_RE = re.compile(
-    r"#\s*hq:\s*(?:guarded-by\((?P<guard>[^)]+)\)|allow\((?P<code>CC\d{3})\))"
+    r"#\s*hq:\s*(?:guarded-by\((?P<guard>[^)]+)\)"
+    r"|allow\((?P<code>(?:CC|HQ)\d{3})\))"
     r"\s*(?:[-—–:]\s*)?(?P<reason>.*)$"
 )
 
@@ -143,6 +145,20 @@ class ModuleInfo:
     #: line -> Pragma (allow pragmas on arbitrary lines)
     pragmas: dict = field(default_factory=dict)
 
+    def allow_reason(self, code: str, *lines: int) -> str | None:
+        """The justification of an ``allow(code)`` pragma on any of
+        ``lines``; None when there is none (a bare pragma never counts)."""
+        for line in lines:
+            pragma = self.pragmas.get(line)
+            if (
+                pragma is not None
+                and pragma.kind == "allow"
+                and pragma.value == code
+                and pragma.reason
+            ):
+                return pragma.reason
+        return None
+
 
 @dataclass
 class Index:
@@ -153,6 +169,8 @@ class Index:
     classes: dict = field(default_factory=dict)  # qualname -> ClassInfo
     #: method name -> [FunctionInfo] for DISPATCH_METHODS resolution
     by_method: dict = field(default_factory=dict)
+    #: (path, SyntaxError) for files that did not parse (and are not indexed)
+    unparsed: list = field(default_factory=list)
 
     def function_class(self, fn: FunctionInfo):
         if fn.class_name is None:
@@ -228,7 +246,7 @@ def _scan_pragmas(source_lines) -> dict:
 # -- indexing ---------------------------------------------------------------
 
 
-def _module_name(root: Path, package: str, path: Path) -> str:
+def module_name(root: Path, package: str, path: Path) -> str:
     rel = path.relative_to(root).with_suffix("")
     parts = list(rel.parts)
     if parts[-1] == "__init__":
@@ -342,27 +360,35 @@ def _attr_guard_pragmas(cls: ClassInfo, node, pragmas: dict) -> None:
                 )
 
 
+def load_module(path: Path, name: str) -> ModuleInfo:
+    """Parse one source file with its imports and pragmas (raises
+    :class:`SyntaxError` when it does not parse)."""
+    source = path.read_text()
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    return ModuleInfo(
+        name=name,
+        path=path,
+        tree=tree,
+        source_lines=lines,
+        imports=_collect_imports(tree),
+        pragmas=_scan_pragmas(lines),
+    )
+
+
 def build_index(root: Path, package: str | None = None) -> Index:
     """Index every ``*.py`` under ``root`` (the package directory)."""
     root = Path(root)
     package = package or root.name
     index = Index(root=root, package=package)
     for path in sorted(root.rglob("*.py")):
-        source = path.read_text()
         try:
-            tree = ast.parse(source)
-        except SyntaxError:
+            mod = load_module(path, module_name(root, package, path))
+        except SyntaxError as exc:
+            index.unparsed.append((path, exc))
             continue
-        mod = ModuleInfo(
-            name=_module_name(root, package, path),
-            path=path,
-            tree=tree,
-            source_lines=source.splitlines(),
-        )
-        mod.imports = _collect_imports(tree)
-        mod.pragmas = _scan_pragmas(mod.source_lines)
         index.modules[mod.name] = mod
-        for node in tree.body:
+        for node in mod.tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 fn = _index_function(index, mod, node, None, mod.name)
                 mod.functions[node.name] = fn

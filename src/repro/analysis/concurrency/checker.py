@@ -15,7 +15,7 @@ Runs over the index built by
   intentional.
 * **CC004** (error) — a blocking call (``time.sleep``, socket
   round-trips, ``queue.get``, ``Event.wait`` …) reachable from reactor
-  context.  This generalizes the per-module HQ006 regex to call-graph
+  context.  This generalizes the per-module HQ006 boundary to call-graph
   reachability: the hazard HQ006 cannot see is a clean-looking helper
   three calls away from ``data_received``.
 
@@ -53,7 +53,7 @@ BLOCKING_ATTRS = {
     "makefile",
     "create_connection",
     "getaddrinfo",
-    "recv_exact",
+    "fill",  # BufferedSocketReader.fill: one blocking recv
     "wait",
     "wait_for",
 }
@@ -146,7 +146,7 @@ class _BodyScan:
     def _classify_call(self, call) -> None:
         func = call.func
         if isinstance(func, ast.Name):
-            if func.id in ("sleep", "recv_exact"):
+            if func.id == "sleep":
                 self.blocking.append((f"{func.id}()", call.lineno))
             return
         if not isinstance(func, ast.Attribute):
@@ -196,15 +196,9 @@ class ConcurrencyChecker:
         mod = self.index.modules[fn.module]
         # trailing comment, a standalone pragma line just above, or the
         # enclosing def line all cover the finding
-        for where in (lineno, lineno - 1, fn.lineno):
-            pragma = mod.pragmas.get(where)
-            if (
-                pragma is not None
-                and pragma.kind == "allow"
-                and pragma.value == code
-                and pragma.reason
-            ):
-                return f"allow pragma: {pragma.reason}"
+        reason = mod.allow_reason(code, lineno, lineno - 1, fn.lineno)
+        if reason is not None:
+            return f"allow pragma: {reason}"
         if fn.thread_safe:
             return f"@thread_safe: {fn.thread_safe}"
         cls = self.index.function_class(fn)

@@ -6,7 +6,7 @@ bind/serialize — or as a behavioral divergence at the backend.  qcheck
 vets the Q AST *before* binding: each :class:`Rule` walks one top-level
 statement and reports :class:`Finding` records without executing
 anything.  The same ``Finding`` shape is shared with the repo-level lint
-rules (``scripts/lint_rules/``) so Q-level and Python-level diagnostics
+rules (:mod:`repro.analysis.boundaries`) so Q-level and Python-level diagnostics
 render and aggregate identically.
 
 Rules register themselves with :func:`register` at import time — the same

@@ -365,9 +365,6 @@ class ShardingConfig:
     #: seconds a shard may lag before an idempotent read is hedged
     #: against its replica (0 disables hedging even when replicas exist)
     hedge_delay: float = 0.05
-    #: rows below which a gathered merge input is considered "small"
-    #: (diagnostics only; the planner never samples data)
-    small_table_rows: int = 10_000
     #: crashed worker processes a shard may respawn before the failure is
     #: surfaced as permanent (SQLSTATE 58000, not retried)
     max_respawns: int = 3
@@ -425,8 +422,6 @@ class HyperQConfig:
     temp_table_prefix: str = "hq_temp_"
     #: prefix for views backing logical materialization
     view_prefix: str = "hq_view_"
-    #: verbose error messages (the paper touts these as a UX improvement)
-    verbose_errors: bool = True
     #: maximum concurrent queries a server executes; 0 = unlimited.  The
     #: case study lists "configurable concurrency" among the areas where
     #: Hyper-Q enhances the kdb+ experience (kdb+ is strictly serial)

@@ -16,7 +16,7 @@ first-class:
   backend catalog version, and the Xformer configuration — repeat
   statements skip parse/bind/xform/serialize entirely.
 
-Layering rule (enforced by ``scripts/mini_lint.py``, rule HQ001): the
+Layering rule (enforced by ``scripts/concheck.py``, rule HQ001): the
 pipeline is the only production module allowed to construct a
 :class:`~repro.core.algebrizer.binder.Binder` or a
 :class:`~repro.core.serializer.Serializer` — every other layer goes

@@ -2,7 +2,7 @@
 
 Every family name passed to :func:`repro.obs.metrics.counter` / ``gauge`` /
 ``histogram`` anywhere under ``src/`` must be declared here.  The lint rule
-HQ003 (``scripts/lint_rules/layering.py``) enforces the invariant, which
+HQ003 (``repro/analysis/boundaries.py``) enforces the invariant, which
 turns metric-name typos — the classic "dashboard silently shows zero"
 failure — into lint errors.
 

@@ -14,7 +14,7 @@ from repro.errors import ProtocolError
 from repro.obs import metrics
 from repro.pgwire import kernels
 from repro.pgwire import messages as m
-from repro.server.common import BufferedSocketReader
+from repro.server.common import MAX_FRAME_BYTES, BufferedSocketReader
 
 #: PG v3 wire telemetry: bytes and messages by direction (out = encoded
 #: by this process, in = read off the socket) and type byte
@@ -231,28 +231,6 @@ def encode_data_rows(rows) -> bytes:
 # -- stream reading ---------------------------------------------------------------
 
 
-def read_message(recv_exact, decoder):
-    """Read one typed message: ``decoder(type_byte, body) -> message``."""
-    type_byte = recv_exact(1)
-    (length,) = struct.unpack(">I", recv_exact(4))
-    if length < 4:
-        raise ProtocolError(f"PG message declares bad length {length}")
-    body = recv_exact(length - 4)
-    PGWIRE_BYTES.inc(length + 1, direction="in")
-    PGWIRE_MESSAGES.inc(type=type_byte.decode("ascii"), direction="in")
-    return decoder(type_byte, body)
-
-
-def read_startup(recv_exact) -> m.StartupMessage:
-    (length,) = struct.unpack(">I", recv_exact(4))
-    if length < 8:
-        raise ProtocolError("startup message too short")
-    body = recv_exact(length - 4)
-    PGWIRE_BYTES.inc(length, direction="in")
-    PGWIRE_MESSAGES.inc(type="startup", direction="in")
-    return decode_startup(body)
-
-
 class _InboundStats:
     """Per-frame wire telemetry, batched until a flush point.
 
@@ -285,6 +263,13 @@ class _InboundStats:
 _HEADER = struct.Struct(">cI")
 
 
+def _check_size(length: int, max_bytes: int) -> None:
+    if length > max_bytes:
+        raise ProtocolError(
+            f"PG message of {length} bytes exceeds the {max_bytes} limit"
+        )
+
+
 class PgFrameStream:
     """Buffered PG v3 frame source over one connection.
 
@@ -315,15 +300,19 @@ class PgFrameStream:
     def feed(self, data: bytes) -> None:
         self.reader.feed(data)
 
-    def poll_frame(self) -> tuple[bytes, bytes] | None:
+    def poll_frame(
+        self, max_bytes: int = MAX_FRAME_BYTES
+    ) -> tuple[bytes, bytes] | None:
         """One raw ``(type_byte, body)`` frame if fully buffered, else
-        None.  Never touches the socket."""
+        None.  Never touches the socket; a length over ``max_bytes``
+        raises before any of the body is waited for."""
         header = self.reader.peek(5)
         if header is None:
             return None
         type_byte, length = _HEADER.unpack(header)
         if length < 4:
             raise ProtocolError(f"PG message declares bad length {length}")
+        _check_size(length, max_bytes)
         if self.reader.buffered() < length + 1:
             return None
         self.reader.take(5)
@@ -333,7 +322,7 @@ class PgFrameStream:
             self._stats.flush()
         return type_byte, body
 
-    def poll_startup(self):
+    def poll_startup(self, max_bytes: int = MAX_FRAME_BYTES):
         """One decoded startup message if fully buffered, else None."""
         header = self.reader.peek(4)
         if header is None:
@@ -341,6 +330,7 @@ class PgFrameStream:
         (length,) = struct.unpack(">I", header)
         if length < 8:
             raise ProtocolError("startup message too short")
+        _check_size(length, max_bytes)
         if self.reader.buffered() < length:
             return None
         self.reader.take(4)
@@ -351,30 +341,16 @@ class PgFrameStream:
         return decode_startup(body)
 
     def read_frame(self) -> tuple[bytes, bytes]:
-        """One raw ``(type_byte, body)`` frame."""
-        type_byte, length = _HEADER.unpack(self.reader.take(5))
-        if length < 4:
-            raise ProtocolError(f"PG message declares bad length {length}")
-        body = self.reader.take(length - 4)
-        self._stats.note(type_byte.decode("ascii"), length + 1)
-        if not self.reader.buffered():
-            self._stats.flush()
-        return type_byte, body
+        """One raw ``(type_byte, body)`` frame: poll, filling from the
+        socket until the frame is complete."""
+        while (frame := self.poll_frame()) is None:
+            self.reader.fill()
+        return frame
 
     def read_message(self, decoder):
         """One decoded message: ``decoder(type_byte, body) -> message``."""
         type_byte, body = self.read_frame()
         return decoder(type_byte, body)
-
-    def read_startup(self) -> m.StartupMessage:
-        (length,) = struct.unpack(">I", self.reader.take(4))
-        if length < 8:
-            raise ProtocolError("startup message too short")
-        body = self.reader.take(length - 4)
-        self._stats.note("startup", length)
-        if not self.reader.buffered():
-            self._stats.flush()
-        return decode_startup(body)
 
     def flush(self) -> None:
         """Flush batched telemetry (end of a result set / statement)."""

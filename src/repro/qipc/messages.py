@@ -24,6 +24,7 @@ from enum import IntEnum
 
 from repro.errors import ProtocolError
 from repro.obs import metrics
+from repro.server.common import MAX_FRAME_BYTES
 
 #: QIPC wire telemetry: bytes and messages by direction (out = framed by
 #: this process, in = unframed), plus the compression win on large
@@ -107,22 +108,11 @@ def unframe(data: bytes) -> QipcMessage:
     return QipcMessage(parsed_type, payload, compressed=bool(compressed_flag))
 
 
-def read_message(recv_exact) -> QipcMessage:
-    """Read one framed message using ``recv_exact(n) -> bytes``."""
-    header = recv_exact(HEADER_SIZE)
-    __, __, __, __, total = struct.unpack("<BBBBI", header)
-    if total < HEADER_SIZE:
-        raise ProtocolError(f"QIPC header declares bad length {total}")
-    rest = recv_exact(total - HEADER_SIZE)
-    return unframe(header + rest)
-
-
-def poll_message(
-    reader, max_bytes: int = 64 * 1024 * 1024
-) -> QipcMessage | None:
-    """One framed message from a fed :class:`BufferedSocketReader`, or
-    None until the frame is complete.  Never touches a socket — the
-    event-loop side of :func:`read_message`."""
+def poll_message(reader, max_bytes: int = MAX_FRAME_BYTES) -> QipcMessage | None:
+    """One framed message from a :class:`BufferedSocketReader`, or None
+    until the frame is complete.  Never touches a socket; a length field
+    over ``max_bytes`` raises :class:`ProtocolError` before any of the
+    body is waited for."""
     header = reader.peek(HEADER_SIZE)
     if header is None:
         return None

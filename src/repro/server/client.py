@@ -14,7 +14,7 @@ from repro.errors import AuthenticationError, ProtocolError
 from repro.qipc.decode import decode_value
 from repro.qipc.encode import encode_value
 from repro.qipc.handshake import Credentials, client_hello
-from repro.qipc.messages import MessageType, QipcMessage, frame, read_message
+from repro.qipc.messages import MessageType, QipcMessage, frame, poll_message
 from repro.qlang.qtypes import QType
 from repro.qlang.values import QValue, QVector
 from repro.server.common import BufferedSocketReader
@@ -89,7 +89,8 @@ class QConnection:
                 self._sock.sendall(
                     frame(QipcMessage(MessageType.SYNC, payload))
                 )
-                response = read_message(self._reader.recv_exact)
+                while (response := poll_message(self._reader)) is None:
+                    self._reader.fill()
             finally:
                 if timeout is not None and self._sock is not None:
                     self._sock.settimeout(self.read_timeout)

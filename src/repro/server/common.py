@@ -6,47 +6,33 @@ import socket
 
 from repro.errors import ProtocolError
 
-
-def recv_exact(sock: socket.socket, n: int) -> bytes:
-    """Read exactly ``n`` bytes or raise (connection closed mid-message)."""
-    chunks: list[bytes] = []
-    remaining = n
-    while remaining > 0:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            raise ConnectionError("peer closed the connection")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
 #: how much BufferedSocketReader asks the kernel for per recv(); large
 #: enough to drain hundreds of small DataRow frames per syscall
 DEFAULT_RECV_SIZE = 64 * 1024
+
+#: largest frame a client-side reader accepts from a peer's length field
+#: (QIPC and PG v3); servers pass ``ServerConfig.max_message_bytes``
+MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 
 class BufferedSocketReader:
     """Exact-length reads served from large ``recv()`` chunks.
 
-    The per-message ``recv_exact(1)`` / ``recv_exact(4)`` pattern costs
-    three syscalls per protocol frame; on a 100k-row result that is
-    300k syscalls for a few megabytes of data.  This reader drains the
-    socket in :data:`DEFAULT_RECV_SIZE` chunks into a reusable
-    ``bytearray`` and slices complete frames out of it, so many frames
-    ride on one syscall.
+    The reader drains the socket in :data:`DEFAULT_RECV_SIZE` chunks into
+    a reusable ``bytearray`` and slices complete frames out of it, so many
+    frames ride on one syscall instead of three syscalls per frame.
 
-    Timeout semantics are unchanged from bare ``recv``: the reader never
+    There is one way to read a frame: the non-blocking :meth:`peek` /
+    :meth:`poll` / :meth:`poll_until` units carve it out of the buffer or
+    return None.  The event-loop connection core runs them on a
+    *detached* reader (:meth:`detached`) that it :meth:`feed`\\ s with
+    whatever the kernel had ready; a blocking client loops "one
+    :meth:`fill` from the socket, then poll" until the frame is complete.
+
+    Timeout semantics are those of bare ``recv``: the reader never
     touches the socket while buffered bytes satisfy a request, and a
     ``socket.timeout`` raised mid-fill leaves already-received bytes in
-    the buffer (the caller owns connection disposal, exactly as with
-    ``recv_exact``).
-
-    The reader also works *detached* from any socket (:meth:`detached`):
-    the event-loop connection core reads whatever the kernel has ready,
-    pushes it in with :meth:`feed`, and carves complete frames back out
-    with the non-blocking :meth:`peek` / :meth:`poll` / :meth:`poll_until`
-    — the feed-bytes/poll-frame half of the same buffer, never touching a
-    socket.
+    the buffer (the caller owns connection disposal).
     """
 
     __slots__ = ("_sock", "_buf", "_pos", "recv_size")
@@ -75,20 +61,17 @@ class BufferedSocketReader:
             del self._buf[: self._pos]
             self._pos = 0
 
-    def _grow(self, hint: int) -> None:
-        """One recv() into the buffer (at least ``hint`` bytes wanted)."""
+    def fill(self) -> None:
+        """One blocking recv() from the socket into the buffer."""
         if self._sock is None:
             raise ProtocolError(
                 "detached reader has no socket to block on — use "
                 "feed()/poll() from the event loop"
             )
-        self._compact()
-        chunk = self._sock.recv(max(self.recv_size, hint))
+        chunk = self._sock.recv(self.recv_size)
         if not chunk:
             raise ConnectionError("peer closed the connection")
-        self._buf += chunk
-
-    # -- non-blocking half (the event-loop connection core) ----------------
+        self.feed(chunk)
 
     def feed(self, data: bytes) -> None:
         """Append bytes received elsewhere (the reactor's recv)."""
@@ -131,29 +114,8 @@ class BufferedSocketReader:
         return chunk
 
     def take(self, n: int) -> bytes:
-        """Exactly ``n`` bytes, blocking on the socket only when the
-        buffer cannot satisfy the request."""
-        while self.buffered() < n:
-            self._grow(n - self.buffered())
-        start = self._pos
-        self._pos = start + n
-        return bytes(self._buf[start : self._pos])
-
-    #: drop-in replacement for functools.partial(recv_exact, sock)
-    recv_exact = take
-
-    def take_until(self, delimiter: bytes, limit: int = 1024) -> bytes:
-        """Bytes up to and including ``delimiter`` (for the QIPC hello,
-        which is NUL-terminated rather than length-prefixed)."""
-        while True:
-            index = self._buf.find(delimiter, self._pos)
-            if index != -1:
-                end = index + len(delimiter)
-                chunk = bytes(self._buf[self._pos : end])
-                self._pos = end
-                return chunk
-            if self.buffered() > limit:
-                raise ConnectionError(
-                    f"delimiter not found in the first {limit} bytes"
-                )
-            self._grow(1)
+        """Exactly ``n`` bytes: poll, filling from the socket only when
+        the buffer cannot satisfy the request."""
+        while (chunk := self.poll(n)) is None:
+            self.fill()
+        return chunk

@@ -113,18 +113,19 @@ class PgProtocol(Protocol):
         self._pump()
 
     def _pump(self) -> None:
+        max_bytes = self.server.server_config.max_message_bytes
         while True:
             state = self.fsm.state
             if state == "closed" or self.transport.closed:
                 return
             if state == "startup":
-                startup = self.stream.poll_startup()
+                startup = self.stream.poll_startup(max_bytes)
                 if startup is None:
                     return
                 self.ctx = AuthContext(startup.user)
                 self.fsm.fire("started")
                 continue
-            pending = self.stream.poll_frame()
+            pending = self.stream.poll_frame(max_bytes)
             if pending is None:
                 return
             message = decode_frontend(*pending)

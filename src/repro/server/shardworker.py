@@ -68,7 +68,7 @@ class ShardWorkerHandler(ConnectionHandler):
     def execute(self, query: str) -> QValue | None:
         try:
             return self._dispatch(json.loads(query))
-        except Exception as exc:  # noqa: HQ002 - crosses the wire as data
+        except Exception as exc:  # crosses the wire as data
             return encode_exception(exc)
 
     def _dispatch(self, envelope: dict) -> QValue | None:

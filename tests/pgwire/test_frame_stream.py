@@ -2,8 +2,9 @@
 
 Covers the PR's wire-path invariants:
 
-* :class:`PgFrameStream` decodes the same messages as the legacy
-  ``read_message``/``read_startup`` pair over the same bytes;
+* :class:`PgFrameStream`'s blocking reads (fill, then poll) decode the
+  same messages as the event loop's detached ``feed``/``poll_*`` path
+  over the same bytes — one frame reader, two drivers;
 * batched telemetry (``_InboundStats`` and :func:`encode_data_rows`)
   produces *identical* counter totals to the per-message path;
 * :func:`encode_data_rows` output is byte-for-byte what per-row
@@ -27,8 +28,6 @@ from repro.pgwire.codec import (
     encode_data_rows,
     encode_frontend,
     encode_startup,
-    read_message,
-    read_startup,
 )
 BACKEND_SCRIPT = [
     m.AuthenticationRequest(0),
@@ -64,20 +63,24 @@ class TestFrameStreamDecoding:
         stream = PgFrameStream.over(left)
         streamed = [
             stream.read_message(decode_backend)
+            for __ in range(2 * len(BACKEND_SCRIPT))
+        ]
+        detached = PgFrameStream.detached()
+        detached.feed(b"".join(encode_backend(msg) for msg in BACKEND_SCRIPT))
+        polled = [
+            decode_backend(*detached.poll_frame())
             for __ in range(len(BACKEND_SCRIPT))
         ]
-        legacy = [
-            read_message(stream.reader.recv_exact, decode_backend)
-            for __ in range(len(BACKEND_SCRIPT))
-        ]
-        assert streamed == BACKEND_SCRIPT
-        assert legacy == BACKEND_SCRIPT
+        assert streamed == BACKEND_SCRIPT * 2
+        assert polled == BACKEND_SCRIPT
 
     def test_startup_roundtrip(self, pair):
         left, right = pair
         startup = m.StartupMessage("alice", "analytics", {"app": "test"})
         right.sendall(encode_startup(startup))
-        decoded = PgFrameStream.over(left).read_startup()
+        stream = PgFrameStream.over(left)
+        while (decoded := stream.poll_startup()) is None:
+            stream.reader.fill()
         assert decoded == startup
 
     def test_startup_matches_legacy(self, pair):
@@ -86,8 +89,12 @@ class TestFrameStreamDecoding:
         right.sendall(encode_startup(startup))
         right.sendall(encode_startup(startup))
         stream = PgFrameStream.over(left)
-        assert stream.read_startup() == startup
-        assert read_startup(stream.reader.recv_exact) == startup
+        decoded = []
+        for __ in range(2):
+            while (message := stream.poll_startup()) is None:
+                stream.reader.fill()
+            decoded.append(message)
+        assert decoded == [startup, startup]
 
     def test_frontend_messages(self, pair):
         left, right = pair
@@ -181,14 +188,15 @@ class TestMetricsBatching:
         ]
 
         before = self._totals()
-        rx = stream.reader.recv_exact
+        detached = PgFrameStream.detached()
+        detached.feed(wire)
         for __ in range(len(script)):
-            read_message(rx, decode_backend)
-        legacy_delta = [
+            detached.poll_frame()
+        polled_delta = [
             after - b for after, b in zip(self._totals(), before)
         ]
 
-        assert batched_delta == legacy_delta
+        assert batched_delta == polled_delta
         assert batched_delta[0] == len(wire)
         assert batched_delta[1] == 3  # three DataRow frames
 

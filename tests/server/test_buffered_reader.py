@@ -1,8 +1,9 @@
 """Tests for :class:`repro.server.common.BufferedSocketReader`.
 
 The buffered reader is the substrate of the streaming data plane: both
-PG-wire sides and the QIPC endpoints read through it, so its blocking,
-timeout, and close semantics must match bare ``recv_exact`` exactly.
+PG-wire sides and the QIPC endpoints read through it, so its blocking
+("fill, then poll"), timeout, and close semantics must match a bare
+``recv`` loop exactly.
 """
 
 import socket
@@ -10,7 +11,7 @@ import threading
 
 import pytest
 
-from repro.server.common import BufferedSocketReader, recv_exact
+from repro.server.common import BufferedSocketReader
 
 
 @pytest.fixture()
@@ -63,13 +64,6 @@ class TestTake:
         with pytest.raises(ConnectionError):
             reader.take(10)
 
-    def test_recv_exact_alias_is_drop_in(self, pair):
-        left, right = pair
-        right.sendall(b"xyz")
-        reader = BufferedSocketReader(left)
-        # same calling convention as functools.partial(recv_exact, sock)
-        assert reader.recv_exact(3) == b"xyz"
-
     def test_matches_bare_recv_exact(self, pair):
         left, right = pair
         right.sendall(b"0123456789")
@@ -78,7 +72,7 @@ class TestTake:
         # remaining bytes are in the reader's buffer, not the socket
         assert reader.take(6) == b"456789"
         right.sendall(b"tail")
-        assert recv_exact(left, 4) == b"tail"
+        assert left.recv(4) == b"tail"
 
 
 class TestTimeouts:
@@ -107,11 +101,16 @@ class TestTimeouts:
 
 
 class TestTakeUntil:
+    """Delimiter framing (the QIPC hello) over a live socket: fill, then
+    ``poll_until`` — the same units the event loop runs detached."""
+
     def test_includes_delimiter(self, pair):
         left, right = pair
         right.sendall(b"user:pw\x03\x00rest")
         reader = BufferedSocketReader(left)
-        assert reader.take_until(b"\x00") == b"user:pw\x03\x00"
+        while (hello := reader.poll_until(b"\x00")) is None:
+            reader.fill()
+        assert hello == b"user:pw\x03\x00"
         assert reader.take(4) == b"rest"
 
     def test_limit_enforced(self, pair):
@@ -119,4 +118,5 @@ class TestTakeUntil:
         right.sendall(b"a" * 2048)
         reader = BufferedSocketReader(left, recv_size=4096)
         with pytest.raises(ConnectionError):
-            reader.take_until(b"\x00", limit=1024)
+            while reader.poll_until(b"\x00", limit=1024) is None:
+                reader.fill()

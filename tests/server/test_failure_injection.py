@@ -57,8 +57,8 @@ class TestEndpointResilience:
         from repro.qipc.encode import encode_value
         from repro.qipc.messages import MessageType, QipcMessage, frame
         from repro.qipc.decode import decode_value
-        from repro.server.common import recv_exact
-        from repro.qipc.messages import read_message
+        from repro.qipc.messages import poll_message
+        from repro.server.common import BufferedSocketReader
 
         with make_server() as server:
             raw = socket.create_connection(server.address, timeout=5)
@@ -67,7 +67,9 @@ class TestEndpointResilience:
             # send a long atom instead of the expected query string
             payload = encode_value(QAtom(QType.LONG, 42))
             raw.sendall(frame(QipcMessage(MessageType.SYNC, payload)))
-            response = read_message(lambda n: recv_exact(raw, n))
+            reader = BufferedSocketReader(raw)
+            while (response := poll_message(reader)) is None:
+                reader.fill()
             with pytest.raises(QError):
                 decode_value(response.payload)
             raw.close()
