@@ -64,7 +64,7 @@ def _within(module: str, homes: str) -> bool:
 _SERVING = "repro.server repro.core"
 _PROTOCOLS = "repro.server.endpoint repro.server.pgserver repro.server.hyperq_server"
 _ROUTERS = "repro.core.sharded repro.core.xformer.distributed repro.core.metadata"
-_SPAWNERS = "repro.core.procshard repro.server.shardworker"
+_SPAWNERS = "repro.core.procshard"
 _OS_SPAWN = "os.fork* os.spawn* os.exec* os.posix_spawn*"
 _SPAWN_WHY = (
     "child processes escape WLM admission, lockcheck and the reactor's "

@@ -346,9 +346,10 @@ class WlmConfig:
 class ShardingConfig:
     """The sharded scatter-gather backend (docs/ARCHITECTURE.md).
 
-    Governs :class:`repro.core.sharded.ShardedBackend`: how many worker
-    threads fan subplans out, and when a hedged read is sent to a shard
-    replica.  The partition layout itself lives in a
+    Governs :class:`repro.core.sharded.ShardedBackend`: what hosts each
+    shard, when a hedged read is sent to a shard replica, and how often a
+    crashed worker process is respawned.  The scatter pool has one thread
+    per shard.  The partition layout itself lives in a
     :class:`repro.core.metadata.PartitionMap`, not here — the map is part
     of the topology (and of the translation-cache key), the knobs below
     are deployment tuning.
@@ -356,26 +357,15 @@ class ShardingConfig:
 
     #: shard execution substrate: ``"thread"`` hosts every shard engine
     #: in-process (one core, GIL-bound arithmetic); ``"process"`` spawns
-    #: one worker process per shard behind a QIPC endpoint
+    #: one worker process per shard, reached over an inherited socketpair
     #: (:mod:`repro.core.procshard`) for true multi-core scatter
     mode: str = "thread"
-    #: threads fanning subplans out to shards (the scatter boundary);
-    #: 0 sizes the pool to the shard count
-    max_parallel: int = 0
     #: seconds a shard may lag before an idempotent read is hedged
     #: against its replica (0 disables hedging even when replicas exist)
     hedge_delay: float = 0.05
     #: crashed worker processes a shard may respawn before the failure is
     #: surfaced as permanent (SQLSTATE 58000, not retried)
     max_respawns: int = 3
-    #: seconds to wait for a worker process to print its readiness line
-    #: and accept the QIPC handshake on (re)spawn
-    worker_startup_timeout: float = 20.0
-    #: socket timeout for worker health pings
-    worker_ping_timeout: float = 2.0
-    #: seconds ``close()`` waits for a worker to drain after the graceful
-    #: shutdown message before escalating to terminate/kill
-    worker_drain_timeout: float = 3.0
 
 
 @dataclass

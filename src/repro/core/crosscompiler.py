@@ -4,9 +4,8 @@ The XC couples two components:
 
 * the **Query Translator (QT)** drives Q statements through the staged
   pipeline — bind (Algebrizer), transform (Xformer), serialize — which
-  now lives in :mod:`repro.core.pipeline` as an explicit pass manager;
-  :class:`QueryTranslator` here is the thin per-session facade over it
-  (built once; the active scope is passed per call);
+  lives in :mod:`repro.core.pipeline` as an explicit pass manager (one
+  per session; the active scope is passed per call);
 * the **Protocol Translator (PT)** turns backend row sets back into the
   column-oriented values a Q application expects (Figure 5's pivot),
   buffering the full result before forming the QIPC message.  The PT is
@@ -23,11 +22,9 @@ from repro.core.fsm import Fsm
 from repro.core.pipeline import (
     STAGE_SECONDS,
     StageTimings,
-    TranslationPipeline,
     TranslationResult,
     stage_span,
 )
-from repro.core.scopes import Scope
 from repro.errors import TranslationError
 from repro.obs import tracing
 from repro.qlang.qtypes import QType
@@ -45,28 +42,11 @@ from repro.sqlengine.types import SqlType
 __all__ = [
     "STAGE_SECONDS",
     "ProtocolTranslator",
-    "QueryTranslator",
     "StageTimings",
     "TranslationResult",
     "pivot_result",
     "stage_span",
 ]
-
-
-class QueryTranslator:
-    """QT: facade over the pass pipeline (one per session)."""
-
-    def __init__(self, pipeline: TranslationPipeline):
-        self.pipeline = pipeline
-
-    def translate(
-        self, ast_node, scope: Scope, timings: StageTimings
-    ) -> TranslationResult:
-        return self.pipeline.translate(ast_node, scope, timings).to_result()
-
-    def bound_for(self, ast_node, scope: Scope):
-        """Bind without serializing (used by materialization)."""
-        return self.pipeline.bind(ast_node, scope)
 
 
 # ---------------------------------------------------------------------------

@@ -1,61 +1,46 @@
-"""Process-based shard workers: true multi-core scatter parallelism.
+"""Process shards: each partition engine in its own worker process.
 
-The thread-mode :class:`~repro.core.sharded.ShardedBackend` hosts every
-shard engine in this process, so parallel scatter arithmetic serializes
-on the GIL — PR 7's scatter group-by "speedup" had to ship ungated.
-This module moves each shard into its own spawned child process (the
-paper's per-unit-of-work Erlang process, at OS granularity):
+Thread-mode shards share this process and its GIL, so scatter arithmetic
+runs on one core.  Here every shard is a spawned child (the paper's
+per-unit-of-work process, at OS granularity), and this module owns both
+ends of the hop: :func:`serve` is the worker (``python -m
+repro.core.procshard <fd>``), :class:`ProcessShardBackend` the
+coordinator-side ``ExecutionBackend`` that ``ShardHandle`` wraps in the
+usual retries, breakers and hedging, and :func:`spawn_process_shards`
+warm-starts a pool (launch all, then barrier on each ready tuple).
 
-* :func:`spawn_process_shards` warm-starts a pool of workers — every
-  child is launched first, then a handshake barrier waits for each one's
-  readiness line and QIPC hello, so boot cost is paid in parallel;
-* each worker (:mod:`repro.server.shardworker`) hosts a partition
-  :class:`~repro.sqlengine.engine.Engine` behind a minimal
-  :class:`~repro.server.endpoint.QipcEndpoint`;
-* :class:`ProcessShardBackend` implements the
-  :class:`~repro.core.backends.ExecutionBackend` protocol over the
-  existing QIPC client (:class:`~repro.server.client.QConnection`:
-  ``BufferedSocketReader`` framing, batched pack kernels, transparent
-  large-payload compression), so per-shard resilience — retries,
-  breakers, hedging — composes unchanged through ``ShardHandle``.
+The child inherits one end of a ``socket.socketpair()`` and listens on
+no port, so only the coordinator can reach it.  Both ends wrap their
+socket in a ``multiprocessing.connection.Connection`` and exchange
+tuples pickled by the stdlib: ``(seq, op, *args)`` -> ``(seq, "ok" |
+"err", value)``.  Pickle keeps NaN, ``Decimal``, ``None`` and bool vs int
+exact, so results are byte-identical to thread mode; errors cross as
+``(class, message, SQLSTATE)`` and are rebuilt for the retry layer.
 
-Lifecycle: partition loads are chunked (:func:`iter_load_chunks`, so a
-wide fact-table partition never nears the endpoint's frame limit) and
-journaled coordinator-side; a crashed
-worker is detected by its broken socket, respawned (bounded by
-``ShardingConfig.max_respawns``) and its partition + replicated writes
-replayed, while the statement that noticed surfaces as a transient
-``ConnectionError`` the retry layer absorbs.  The active request
-deadline crosses the process boundary twice: as a remaining-budget
-field the worker re-arms, and as a socket read timeout on the
-coordinator.  ``close()`` drains gracefully (async shutdown message,
-bounded wait, then terminate/kill).
-
-Wire codec: results cross as a tagged QIPC envelope.  Uniform long /
-float / boolean / symbol columns ride native QIPC vectors (exact
-round-trip, batched kernels); anything else — NULL-bearing, mixed,
-Decimal — falls back to a pickled byte vector, so process-mode results
-are *byte-identical* to thread-mode ones.  Errors cross with their
-class name and SQLSTATE so breaker/retry classification is preserved.
-
-Process spawning is confined to this module and the worker entrypoint
-(lint rule HQ010).
+A worker that dies (EOF on the pipe) is respawned, bounded by
+``ShardingConfig.max_respawns``, and its journaled partition and writes
+are replayed; the statement that noticed raises a transient
+``ConnectionError``.  A deadline crosses as the remaining budget, which
+the worker re-arms and which caps the coordinator's wait; a reply that
+comes after its wait expired is dropped by ``seq``.  ``close()`` sends a
+shutdown op, waits, then terminates or kills.  EOF is also the worker's
+orphan signal.  Only this module may spawn processes (lint rule HQ010).
 """
 
 from __future__ import annotations
 
-import base64
-import json
 import os
-import pickle
-import selectors
+import socket
 import subprocess
 import sys
 import time
+from multiprocessing.connection import Connection
 
+from repro import errors
 from repro.analysis.concurrency.locks import make_lock
 from repro.config import ShardingConfig
-from repro.core.backends import ExecutionBackend
+from repro.core.backends import TRANSPORT_ERRORS, ExecutionBackend
+from repro.core.sharded import is_write
 from repro.errors import (
     BackendSqlError,
     DeadlineExceededError,
@@ -63,13 +48,9 @@ from repro.errors import (
     ReproError,
 )
 from repro.obs import get_logger, metrics
-from repro.qlang.qtypes import QType
-from repro.qlang.values import QList, QValue, QVector
-from repro.server.client import QConnection
-from repro.sqlengine.catalog import Column
+from repro.sqlengine.engine import Engine
 from repro.sqlengine.executor import ResultSet
-from repro.sqlengine.types import SqlType
-from repro.wlm.deadline import current_deadline
+from repro.wlm.deadline import Deadline, current_deadline, request_scope
 
 _log = get_logger("core.procshard")
 
@@ -80,101 +61,75 @@ SHARD_PROC_RESTARTS = metrics.counter(
     "shard_proc_restarts_total", "Shard worker processes respawned after a crash"
 )
 
-#: readiness line a worker prints once its endpoint accepts connections
-READY_PREFIX = "HQ-SHARD-READY"
-
 #: SQLSTATE surfaced when the respawn budget is exhausted (class 58 —
 #: system error — is deliberately *not* transient for the retry layer)
 RESPAWN_EXHAUSTED_SQLSTATE = "58000"
 
-#: int64 range natively representable by a QIPC long vector
-_I64_MIN, _I64_MAX = -(2 ** 63), 2 ** 63 - 1
-
-#: statements journaled for replay onto a respawned worker
-_WRITE_VERBS = ("create", "drop", "alter", "insert", "update", "delete",
-                "truncate")
-
-
-# ---------------------------------------------------------------------------
-# Result / error envelope codec (shared by coordinator and worker)
-# ---------------------------------------------------------------------------
+#: seconds a (re)spawned worker has to send its ready tuple
+STARTUP_TIMEOUT = 20.0
+#: seconds a health ping waits for its reply
+PING_TIMEOUT = 2.0
+#: seconds ``close()`` waits for a worker to exit after the shutdown op
+#: before escalating to terminate/kill
+DRAIN_TIMEOUT = 3.0
 
 
-def _chars(text: str) -> QVector:
-    return QVector(QType.CHAR, list(text))
-
-
-def _text(value: QValue) -> str:
-    if isinstance(value, QVector) and value.qtype == QType.CHAR:
-        return "".join(value.items)
-    raise ProtocolError("malformed shard envelope: expected a char vector")
-
-
-def _tag_column(values: list) -> tuple[str, QValue]:
-    """Pick the densest exact wire representation for one column.
-
-    Uniform primitive columns ride native QIPC vectors (one batched
-    ``struct.pack`` per column); anything else pickles.  Tags must be
-    *exact*: a value that would not round-trip bit-identically (bools
-    inside a long column, NaN payloads aside — floats round-trip via
-    the ``d`` format) falls through to the pickle tag.
-    """
-    if values and all(
-        type(v) is int and _I64_MIN <= v <= _I64_MAX for v in values
-    ):
-        return "j", QVector(QType.LONG, values)
-    if values and all(type(v) is float for v in values):
-        return "f", QVector(QType.FLOAT, values)
-    if values and all(type(v) is bool for v in values):
-        return "b", QVector(QType.BOOLEAN, values)
-    if values and all(type(v) is str and "\x00" not in v for v in values):
-        return "s", QVector(QType.SYMBOL, values)
-    blob = pickle.dumps(values, protocol=pickle.HIGHEST_PROTOCOL)
-    return "p", QVector(QType.BYTE, list(blob))
-
-
-def _untag_column(tag: str, payload: QValue) -> list:
-    if tag == "p":
-        return pickle.loads(bytes(payload.items))
-    return list(payload.items)
-
-
-def encode_result(result: ResultSet) -> QList:
-    """``ResultSet`` -> QIPC envelope (exact round-trip)."""
-    columns = []
-    for column, data in zip(result.columns, result.column_data):
-        tag, payload = _tag_column(list(data))
-        columns.append(QList([
-            _chars(column.name),
-            _chars(column.sql_type.value),
-            _chars(column.type_text),
-            _chars(tag),
-            payload,
-        ]))
-    return QList([
-        _chars("result"), _chars(result.command), QList(columns),
-    ])
-
-
-def encode_exception(exc: Exception) -> QList:
-    """Exception -> envelope carrying class, message and SQLSTATE."""
-    code = getattr(exc, "code", "") or ""
+def _describe(exc: Exception) -> tuple[str, str, str]:
+    """Exception -> ``(class name, message, SQLSTATE)`` for the reply."""
+    code = getattr(exc, "code", "")
     message = (
-        exc.backend_message
-        if isinstance(exc, BackendSqlError)
-        else str(exc)
+        exc.backend_message if isinstance(exc, BackendSqlError) else str(exc)
     )
-    return QList([
-        _chars("error"),
-        _chars(type(exc).__name__),
-        _chars(message),
-        _chars(code if isinstance(code, str) else ""),
-    ])
+    return type(exc).__name__, message, code if isinstance(code, str) else ""
 
 
-def encode_scalar(value) -> QList:
-    """JSON-representable scalar -> envelope (ping/version replies)."""
-    return QList([_chars("value"), _chars(json.dumps(value))])
+def _execute(engine: Engine, sql: str, deadline_ms: float | None) -> tuple:
+    """Run one statement, re-arming the coordinator's remaining budget so
+    a worker-side overrun raises the ``DeadlineExceededError`` a
+    thread-mode shard would."""
+    if deadline_ms is None:
+        result = engine.execute(sql)
+    else:
+        deadline = Deadline.after(max(deadline_ms, 0.0) / 1000.0)
+        with request_scope(deadline):
+            deadline.check("procshard.worker")
+            result = engine.execute(sql)
+    return result.columns, result.column_data, result.command
+
+
+def _load(engine: Engine, table: str, columns: list, rows: list) -> str:
+    engine.catalog.drop(table, if_exists=True)
+    engine.create_table_from_columns(table, columns, rows)
+    return "loaded"
+
+
+#: the worker's request handlers, each called as ``handler(engine, *args)``
+_OPS = {
+    "sql": _execute,
+    "load": _load,
+    "ping": lambda engine: "pong",
+    "version": lambda engine: engine.catalog.version,
+}
+
+
+def serve(conn: Connection) -> None:
+    """The worker loop: send the ready tuple, then answer each request
+    until a ``shutdown`` op or EOF.  Every exception a request raises is
+    caught here and crosses the pipe as data."""
+    engine = Engine()
+    reply = (0, "ok", "ready")
+    try:
+        while True:
+            conn.send(reply)
+            seq, op, *args = conn.recv()
+            if op == "shutdown":
+                return
+            try:
+                reply = (seq, "ok", _OPS[op](engine, *args))
+            except Exception as exc:  # crosses the pipe as data
+                reply = (seq, "err", _describe(exc))
+    except (EOFError, OSError):
+        return  # the coordinator's end is closed: nobody is left to answer
 
 
 def _rebuild_exception(class_name: str, message: str, code: str) -> Exception:
@@ -187,9 +142,7 @@ def _rebuild_exception(class_name: str, message: str, code: str) -> Exception:
     """
     if class_name == "BackendSqlError":
         return BackendSqlError(message, code=code or "XX000")
-    from repro import errors as _errors
-
-    klass = getattr(_errors, class_name, None)
+    klass = getattr(errors, class_name, None)
     if isinstance(klass, type) and issubclass(klass, ReproError):
         try:
             return klass(message)
@@ -198,75 +151,29 @@ def _rebuild_exception(class_name: str, message: str, code: str) -> Exception:
     return BackendSqlError(f"{class_name}: {message}", code=code or "XX000")
 
 
-def decode_reply(value: QValue):
-    """Envelope -> ``ResultSet`` / scalar, or raise the carried error."""
-    if not isinstance(value, QList) or not value.items:
-        raise ProtocolError("malformed shard worker reply")
-    kind = _text(value.items[0])
-    if kind == "error":
-        raise _rebuild_exception(
-            _text(value.items[1]), _text(value.items[2]),
-            _text(value.items[3]),
+def _await_reply(conn: Connection, seq: int, timeout: float | None) -> tuple:
+    """``(status, value)`` replied to request ``seq``.
+
+    Replies to earlier requests whose wait expired are dropped; the wait
+    raises ``TimeoutError`` when ``timeout`` runs out first."""
+    expires = None if timeout is None else time.monotonic() + timeout
+    while True:
+        remaining = (
+            None if expires is None else max(expires - time.monotonic(), 0.0)
         )
-    if kind == "value":
-        return json.loads(_text(value.items[1]))
-    if kind != "result":
-        raise ProtocolError(f"unknown shard envelope kind {kind!r}")
-    command = _text(value.items[1])
-    columns: list[Column] = []
-    data: list[list] = []
-    for entry in value.items[2].items:
-        name = _text(entry.items[0])
-        sql_type = SqlType(_text(entry.items[1]))
-        type_text = _text(entry.items[2])
-        tag = _text(entry.items[3])
-        columns.append(Column(name, sql_type, type_text))
-        data.append(_untag_column(tag, entry.items[4]))
-    return ResultSet.from_columns(columns, data, command=command)
+        if not conn.poll(remaining):
+            raise TimeoutError(f"no reply to request {seq} in time")
+        got, status, value = conn.recv()
+        if got == seq:
+            return status, value
 
 
-def pack_load(columns: list[Column], rows: list) -> str:
-    """Bulk-load payload: pickled columns+rows as base85 text (rides the
-    JSON op envelope; QIPC framing compresses large payloads itself)."""
-    blob = pickle.dumps(
-        (columns, [list(r) for r in rows]),
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
-    return base64.b85encode(blob).decode("ascii")
-
-
-def unpack_load(text: str) -> tuple[list[Column], list[list]]:
-    return pickle.loads(base64.b85decode(text.encode("ascii")))
-
-
-#: per-chunk payload target for partition loads — far under the worker
-#: endpoint's ``max_message_bytes`` (64 MiB), because a single frame
-#: holding a wide partition (the workload's 600-column fact table tops
-#: 80 MB at bench scale) would trip the reactor's frame limit and get
-#: the connection fatally closed mid-load
-LOAD_CHUNK_BYTES = 8 * 1024 * 1024
-
-
-def iter_load_chunks(
-    columns: list[Column], rows: list, target_bytes: int | None = None
-):
-    """Pack a partition as one or more load blobs, each sized near
-    ``target_bytes``.  The row split is estimated from the whole-table
-    blob (uniform row cost is a good fit for columnar fact tables); the
-    safety margin to the frame limit absorbs the estimate's skew."""
-    target = target_bytes or LOAD_CHUNK_BYTES
-    blob = pack_load(columns, rows)
-    if len(blob) <= target or len(rows) <= 1:
-        yield blob
-        return
-    per_chunk = max(1, (len(rows) * target) // len(blob))
-    for start in range(0, len(rows), per_chunk):
-        yield pack_load(columns, rows[start:start + per_chunk])
-
-
-# ---------------------------------------------------------------------------
-# The coordinator-side backend
-# ---------------------------------------------------------------------------
+def _unwrap(reply: tuple):
+    """The replied value, or the worker's error rebuilt and raised."""
+    status, value = reply
+    if status == "err":
+        raise _rebuild_exception(*value)
+    return value
 
 
 def _read_rss_kb(pid: int) -> int:
@@ -284,27 +191,31 @@ def _read_rss_kb(pid: int) -> int:
 class ProcessShardBackend(ExecutionBackend):
     """One shard partition hosted in a spawned worker process.
 
-    Implements ``ExecutionBackend`` over a QIPC connection to the
-    worker.  Transport failures trigger a bounded respawn (with
-    partition reload and write replay) and then surface as
-    ``ConnectionError`` — a transient the per-shard
-    :class:`~repro.wlm.retry.ResilientBackend` retries; a worker that
-    outlives its deadline surfaces as ``DeadlineExceededError`` without
-    being killed.
+    Transport failures trigger a bounded respawn (with partition reload
+    and write replay) and then surface as ``ConnectionError`` — a
+    transient the per-shard :class:`~repro.wlm.retry.ResilientBackend`
+    retries; a worker that outlives its deadline surfaces as
+    ``DeadlineExceededError`` and keeps running.
     """
 
     def __init__(self, index: int, config: ShardingConfig | None = None):
         self.index = index
         self.config = config or ShardingConfig()
         self.name = f"procshard{index}"
+        #: lifecycle: spawn, handshake, respawn, close and the journals
         self._lock = make_lock("core.procshard")
+        #: one request/reply exchange on the pipe at a time (taken after
+        #: ``_lock`` when both are held)
+        self._io = make_lock("core.procshard.transport")
         self._proc: subprocess.Popen | None = None
-        self._conn: QConnection | None = None
+        self._conn: Connection | None = None
+        self._ready = False
+        self._seq = 0
         self._generation = 0
         self.restarts = 0
         self._closed = False
         #: partition journal: table -> (columns, rows) for crash reload
-        self._tables: dict[str, tuple[list[Column], list]] = {}
+        self._tables: dict[str, tuple[list, list]] = {}
         #: replicated writes (broadcast DDL/DML) replayed after reload
         self._writes: list[str] = []
         #: test hook — SIGKILL the worker when the next statement arrives
@@ -318,109 +229,68 @@ class ProcessShardBackend(ExecutionBackend):
         shard first, then barrier on :meth:`await_ready`)."""
         with self._lock:
             if self._proc is None:
-                self._proc = self._spawn_locked()
+                self._spawn_locked()
 
     def await_ready(self) -> None:
-        """Block until the launched worker accepts QIPC connections."""
+        """Block until the launched worker has sent its ready tuple."""
         with self._lock:
-            if self._conn is None:
-                self._connect_locked()
+            self._ensure_ready_locked()
 
     def start(self) -> None:
         self.launch()
         self.await_ready()
 
-    def _spawn_locked(self) -> subprocess.Popen:
+    def _spawn_locked(self) -> None:
         import repro
 
-        env = dict(os.environ)
-        package_root = os.path.dirname(
-            os.path.dirname(os.path.abspath(repro.__file__))
-        )
-        existing = env.get("PYTHONPATH", "")
-        env["PYTHONPATH"] = (
-            package_root + (os.pathsep + existing if existing else "")
-        )
-        SHARD_PROC_SPAWNS.inc(shard=str(self.index))
-        proc = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro.server.shardworker",
-                "--shard", str(self.index),
-                "--parent", str(os.getpid()),
-            ],
-            stdout=subprocess.PIPE,
-            env=env,
-        )
-        _log.info("shard_worker_spawned", shard=self.index, pid=proc.pid)
-        return proc
-
-    def _connect_locked(self) -> None:
-        proc = self._proc
-        if proc is None:
-            proc = self._proc = self._spawn_locked()
-        port = self._read_ready_port(proc)
-        conn = QConnection(
-            "127.0.0.1", port,
-            connect_timeout=self.config.worker_startup_timeout,
-        )
-        conn.connect()
-        self._conn = conn
-        # reload the journaled partition + replayed writes (no-ops on a
-        # first boot: both journals are empty)
-        for table, (columns, rows) in self._tables.items():
-            self._send_load_locked(table, columns, rows)
-        for sql in self._writes:
-            try:
-                self._exchange_locked({"op": "sql", "sql": sql})
-            except ReproError as exc:
-                _log.warning(
-                    "shard_replay_failed", shard=self.index,
-                    sql=sql[:80], error=str(exc),
-                )
-
-    def _read_ready_port(self, proc: subprocess.Popen) -> int:
-        """Parse ``HQ-SHARD-READY <port>`` off the worker's stdout, with
-        the startup timeout as the handshake barrier."""
-        timeout = self.config.worker_startup_timeout
-        expires = time.monotonic() + timeout
-        stream = proc.stdout
-        assert stream is not None
-        selector = selectors.DefaultSelector()
-        selector.register(stream, selectors.EVENT_READ)
-        buffer = b""
-        try:
-            while b"\n" not in buffer:
-                if proc.poll() is not None:
-                    raise ProtocolError(
-                        f"shard {self.index} worker exited with "
-                        f"{proc.returncode} before becoming ready"
-                    )
-                remaining = expires - time.monotonic()
-                if remaining <= 0:
-                    raise ProtocolError(
-                        f"shard {self.index} worker not ready within "
-                        f"{timeout:.1f}s"
-                    )
-                if selector.select(min(remaining, 0.25)):
-                    chunk = os.read(stream.fileno(), 4096)
-                    if not chunk:
-                        raise ProtocolError(
-                            f"shard {self.index} worker closed stdout "
-                            f"before becoming ready"
-                        )
-                    buffer += chunk
-        finally:
-            selector.close()
-        line = buffer.split(b"\n", 1)[0].decode("ascii", "replace").strip()
-        prefix, _, port_text = line.partition(" ")
-        if prefix != READY_PREFIX:
-            raise ProtocolError(
-                f"shard {self.index} worker printed {line!r}, expected "
-                f"'{READY_PREFIX} <port>'"
+        root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        path = os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH"))))
+        ours, theirs = socket.socketpair()
+        with theirs:
+            fd = theirs.fileno()
+            self._proc = subprocess.Popen(
+                [sys.executable, "-m", "repro.core.procshard", str(fd)],
+                pass_fds=(fd,), env={**os.environ, "PYTHONPATH": path},
             )
-        return int(port_text)
+        self._conn = Connection(ours.detach())
+        self._ready = False
+        SHARD_PROC_SPAWNS.inc(shard=str(self.index))
+        _log.info("shard_worker_spawned", shard=self.index, pid=self._proc.pid)
 
-    # -- respawn -----------------------------------------------------------
+    def _ensure_ready_locked(self) -> None:
+        """The handshake barrier: wait for the ready tuple, then reload the
+        journaled partition and replay journaled writes (both empty on a
+        first boot)."""
+        if self._closed:
+            raise ProtocolError(f"shard {self.index} worker backend is closed")
+        if self._proc is None:
+            self._spawn_locked()
+        if self._ready:
+            return
+        with self._io:
+            try:
+                _await_reply(self._conn, 0, STARTUP_TIMEOUT)
+            except TimeoutError:
+                raise ProtocolError(
+                    f"shard {self.index} worker not ready within "
+                    f"{STARTUP_TIMEOUT:.0f}s"
+                ) from None
+            except EOFError:
+                raise ProtocolError(
+                    f"shard {self.index} worker exited before becoming "
+                    f"ready (status {self._proc.poll()})"
+                ) from None
+            self._ready = True
+            for table, (columns, rows) in self._tables.items():
+                _unwrap(self._exchange(self._conn, "load", (table, columns, rows)))
+            for sql in self._writes:
+                try:
+                    _unwrap(self._exchange(self._conn, "sql", (sql, None)))
+                except ReproError as exc:
+                    _log.warning(
+                        "shard_replay_failed", shard=self.index,
+                        sql=sql[:80], error=str(exc),
+                    )
 
     def _respawn(self, generation: int, cause: str) -> None:
         """Bounded automatic respawn; a concurrent statement that already
@@ -442,180 +312,124 @@ class ProcessShardBackend(ExecutionBackend):
                 restarts=self.restarts, cause=cause[:120],
             )
             self._teardown_locked(graceful=False)
-            self._connect_locked()
-
-    def _reconnect(self, generation: int) -> None:
-        """Fresh socket to a *live* worker (the old stream is desynced
-        after an abandoned read); never respawns."""
-        with self._lock:
-            if self._closed or generation != self._generation:
-                return
-            self._generation += 1
-            conn, self._conn = self._conn, None
-            if conn is not None:
-                conn.close()
-            self._connect_locked()
+            self._ensure_ready_locked()
 
     def _teardown_locked(self, graceful: bool) -> None:
-        conn, self._conn = self._conn, None
-        proc, self._proc = self._proc, None
-        if conn is not None:
-            if graceful:
+        conn, proc = self._conn, self._proc
+        self._conn, self._proc, self._ready = None, None, False
+        if proc is not None:
+            if graceful and self._io.acquire(timeout=DRAIN_TIMEOUT):
                 try:
-                    conn.query_async(json.dumps({"op": "shutdown"}))
-                except TRANSPORT_FAILURES:
+                    conn.send((0, "shutdown"))
+                except TRANSPORT_ERRORS:
                     pass  # already dead: nothing to drain
-            conn.close()
-        if proc is None:
-            return
-        if proc.stdout is not None:
-            proc.stdout.close()
-        try:
-            proc.wait(
-                timeout=self.config.worker_drain_timeout if graceful else 0
-            )
-        except subprocess.TimeoutExpired:
-            proc.terminate()
+                finally:
+                    self._io.release()
             try:
-                proc.wait(timeout=self.config.worker_drain_timeout)
+                proc.wait(timeout=DRAIN_TIMEOUT if graceful else 0)
             except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
+                proc.terminate()
+                try:
+                    proc.wait(timeout=DRAIN_TIMEOUT)
+                except subprocess.TimeoutExpired:
+                    proc.kill()
+                    proc.wait()
+        if conn is not None:
+            # the worker is gone, so a reader blocked on this pipe has
+            # seen EOF and is about to release the transport lock
+            with self._io:
+                conn.close()
 
-    # -- request plumbing --------------------------------------------------
+    def _exchange(self, conn: Connection, op: str, args: tuple,
+                  timeout: float | None = None) -> tuple:
+        """One request/reply exchange; the caller holds ``_io``."""
+        self._seq += 1
+        conn.send((self._seq, op, *args))
+        return _await_reply(conn, self._seq, timeout)
 
-    def _exchange_locked(self, envelope: dict, timeout: float | None = None):
-        reply = self._conn.query(json.dumps(envelope), timeout=timeout)
-        return decode_reply(reply)
-
-    def _request(self, envelope: dict, timeout: float | None = None):
+    def _call(self, op: str, *args, timeout: float | None = None):
+        """One exchange with the worker, respawning it if the pipe broke;
+        an error the worker *replied* is rebuilt outside the transport
+        handling, so it never costs a respawn."""
         with self._lock:
-            if self._closed:
-                raise ProtocolError(
-                    f"shard {self.index} worker backend is closed"
-                )
-            if self._conn is None:
-                self._connect_locked()
-            generation = self._generation
-            conn, proc = self._conn, self._proc
-        if (
-            self.kill_next_request
-            and proc is not None
-            and envelope.get("op") == "sql"
-        ):
-            # deterministic crash injection: the worker dies exactly as
-            # this statement reaches it (mid-scatter for fanout plans)
-            self.kill_next_request = False
-            proc.kill()
+            self._ensure_ready_locked()
+            generation, conn, proc = self._generation, self._conn, self._proc
+            if self.kill_next_request and op == "sql":
+                # deterministic crash injection: the worker dies exactly
+                # as this statement reaches it (mid-scatter for fanouts)
+                self.kill_next_request = False
+                proc.kill()
         try:
-            reply = conn.query(json.dumps(envelope), timeout=timeout)
-        except TimeoutError:
-            if proc is not None and proc.poll() is None:
-                self._reconnect(generation)
+            with self._io:
+                reply = self._exchange(conn, op, args, timeout)
+        except TRANSPORT_ERRORS as exc:  # TimeoutError is an OSError
+            if isinstance(exc, TimeoutError) and proc.poll() is None:
+                # the late reply is dropped by seq on the next exchange
                 raise DeadlineExceededError(
                     f"shard {self.index} worker read timed out",
                     what=f"procshard{self.index}.recv",
                 ) from None
-            self._respawn(generation, "worker died during a timed read")
-            raise ConnectionError(
-                f"shard {self.index} worker died mid-statement; respawned"
-            ) from None
-        except TRANSPORT_FAILURES as exc:
-            self._respawn(generation, str(exc))
+            self._respawn(generation, f"{type(exc).__name__}: {exc}")
             raise ConnectionError(
                 f"shard {self.index} worker connection failed "
                 f"({type(exc).__name__}: {exc}); worker respawned"
             ) from exc
-        return decode_reply(reply)
+        return _unwrap(reply)
 
     # -- ExecutionBackend --------------------------------------------------
 
     def run_sql(self, sql: str) -> ResultSet:
         deadline = current_deadline()
-        envelope: dict = {"op": "sql", "sql": sql}
-        timeout = None
+        deadline_ms = timeout = None
         if deadline is not None:
             deadline.check(f"procshard{self.index}.send")
-            remaining = max(deadline.remaining(), 0.001)
-            envelope["deadline_ms"] = remaining * 1000.0
-            timeout = remaining
-        result = self._request(envelope, timeout=timeout)
-        if self._is_write(sql):
+            timeout = max(deadline.remaining(), 0.001)
+            deadline_ms = timeout * 1000.0
+        columns, data, command = self._call(
+            "sql", sql, deadline_ms, timeout=timeout
+        )
+        if is_write(sql):
             with self._lock:
                 self._writes.append(sql)
-        return result
-
-    @staticmethod
-    def _is_write(sql: str) -> bool:
-        return sql.lstrip().lower().startswith(_WRITE_VERBS)
+        return ResultSet.from_columns(columns, data, command=command)
 
     def catalog_version(self) -> int:
         try:
-            return int(self._request({"op": "version"}))
+            return int(self._call("version"))
         except ConnectionError:
             # the failed probe already triggered a respawn; version reads
             # are idempotent and sit on the metadata path, which has no
             # retry layer above it, so ask the fresh worker directly
-            return int(self._request({"op": "version"}))
+            return int(self._call("version"))
 
     def ping(self) -> bool:
         with self._lock:
-            if self._closed or self._proc is None:
-                return False
-            if self._proc.poll() is not None:
+            if not self._ready or self._proc.poll() is not None:
                 return False
             conn = self._conn
-        if conn is None:
-            return False
         try:
-            reply = conn.query(
-                json.dumps({"op": "ping"}),
-                timeout=self.config.worker_ping_timeout,
-            )
-            return decode_reply(reply) == "pong"
-        except (TimeoutError, *TRANSPORT_FAILURES):
+            with self._io:
+                reply = self._exchange(conn, "ping", (), PING_TIMEOUT)
+        except TRANSPORT_ERRORS:
             return False
+        return reply == ("ok", "pong")
 
     def close(self) -> None:
-        """Graceful drain: shutdown message, bounded wait, escalate."""
+        """Graceful drain: shutdown op, bounded wait, escalate."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
             self._teardown_locked(graceful=True)
 
-    # -- data plane --------------------------------------------------------
-
-    def load_columns(
-        self, name: str, columns: list[Column], rows: list
-    ) -> None:
+    def load_columns(self, name: str, columns: list, rows: list) -> None:
         """Bulk-load hook ``ShardHandle.load_table`` discovers; the load
-        is journaled so a respawn can restore the partition."""
+        crosses as one message and is journaled so a respawn can restore
+        the partition."""
+        columns, rows = list(columns), [list(r) for r in rows]
+        self._call("load", name, columns, rows)
         with self._lock:
-            if self._closed:
-                raise ProtocolError(
-                    f"shard {self.index} worker backend is closed"
-                )
-            if self._conn is None:
-                self._connect_locked()
-            self._send_load_locked(name, columns, rows)
-            self._tables[name] = (list(columns), [list(r) for r in rows])
-
-    def _send_load_locked(
-        self, name: str, columns: list[Column], rows: list
-    ) -> None:
-        try:
-            for seq, blob in enumerate(iter_load_chunks(columns, rows)):
-                self._exchange_locked({
-                    "op": "load", "table": name, "blob": blob, "seq": seq,
-                })
-        except TRANSPORT_FAILURES as exc:
-            raise ConnectionError(
-                f"shard {self.index} worker lost during partition load of "
-                f"{name!r} ({type(exc).__name__}: {exc})"
-            ) from exc
-
-    # -- admin -------------------------------------------------------------
+            self._tables[name] = (columns, rows)
 
     def process_info(self) -> dict:
         """Row payload for the ``shards[]`` admin command."""
@@ -631,18 +445,14 @@ class ProcessShardBackend(ExecutionBackend):
         }
 
 
-#: transport failures that mean "the worker (or its socket) is gone"
-TRANSPORT_FAILURES = (OSError, ConnectionError, EOFError, ProtocolError)
-
-
 def spawn_process_shards(
     count: int, config: ShardingConfig | None = None
 ) -> list[ProcessShardBackend]:
     """Warm-start a pool of ``count`` shard workers.
 
     Every child is launched before any is awaited (parallel boot), then
-    the handshake barrier confirms each worker accepts QIPC connections.
-    A partial failure tears the whole pool down.
+    the handshake barrier waits for each worker's ready tuple.  A partial
+    failure tears the whole pool down.
     """
     config = config or ShardingConfig()
     shards = [ProcessShardBackend(i, config) for i in range(count)]
@@ -655,10 +465,14 @@ def spawn_process_shards(
         for shard in shards:
             try:
                 shard.close()
-            except TRANSPORT_FAILURES as exc:
+            except TRANSPORT_ERRORS as exc:
                 _log.warning(
                     "shard_pool_cleanup_failed", shard=shard.index,
                     error=str(exc),
                 )
         raise
     return shards
+
+
+if __name__ == "__main__":
+    serve(Connection(int(sys.argv[1])))

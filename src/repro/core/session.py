@@ -521,7 +521,7 @@ class HyperQSession:
         One row per shard: breaker state, statements executed, failures,
         hedged reads fired, mean statement latency in milliseconds, plus
         the shard transport — ``mode`` is ``thread`` for in-process
-        engines and ``process`` for spawned QIPC workers, in which case
+        engines and ``process`` for spawned worker processes, in which case
         pid/restarts/rss_kb describe the worker process.  An empty table
         means the backend is not sharded.
         """

@@ -82,6 +82,13 @@ SHARD_MIRROR = metrics.counter(
 _WRITE_VERBS = ("create", "drop", "alter", "insert", "update", "delete",
                 "truncate")
 
+
+def is_write(sql: str) -> bool:
+    """Whether ``sql`` is DDL/DML: broadcast by the coordinator, and
+    journaled for replay by a process shard."""
+    return sql.lstrip().lower().startswith(_WRITE_VERBS)
+
+
 _CTAS_RE = re.compile(
     r'^\s*create\s+(?:temp(?:orary)?\s+)?table\s+'
     r'(?:"(?P<quoted>(?:[^"]|"")+)"|(?P<plain>\w+))\s+as\s+(?P<select>.+)$',
@@ -298,8 +305,7 @@ class ShardedBackend(ExecutionBackend):
             )
             for i, child in enumerate(children)
         ]
-        size = self.config.max_parallel or len(children)
-        self._pool = WorkerPool(size, label=name)
+        self._pool = WorkerPool(len(children), label=name)
         # mirror fallback state: a coordinator engine lazily populated
         # with full copies of backend tables, rebuilt when DDL moves the
         # topology-wide catalog version
@@ -600,7 +606,7 @@ class ShardedBackend(ExecutionBackend):
             # catalog probes: schemas are identical on every shard
             return self._execute_on_shard(self._shards[0], body)
         referenced = self._referenced_partitioned(body)
-        if self._is_write(lowered):
+        if is_write(body):
             if referenced:
                 ctas = _CTAS_RE.match(body)
                 if ctas is None:
@@ -615,11 +621,6 @@ class ShardedBackend(ExecutionBackend):
         if not referenced:
             return self._execute_on_shard(self._shards[0], body)
         return self._mirror(body)
-
-    @staticmethod
-    def _is_write(lowered: str) -> bool:
-        stripped = lowered.lstrip()
-        return stripped.startswith(_WRITE_VERBS)
 
     def _referenced_partitioned(self, body: str) -> set[str]:
         found = set()

@@ -74,7 +74,7 @@ def build_sharded_platform(
 
     ``config.sharding.mode`` selects the shard transport: ``"thread"``
     hosts every partition engine in this process, ``"process"`` spawns
-    one QIPC-connected worker process per shard
+    one pipe-connected worker process per shard
     (:func:`repro.core.procshard.spawn_process_shards`) for true
     multi-core scatter parallelism.  Replicas stay in-process either
     way — a hedged read is a fallback path, not a parallelism lever.

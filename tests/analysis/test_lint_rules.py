@@ -687,12 +687,14 @@ class TestHQ010ProcessSpawn:
         )
         assert "HQ010" not in lint_codes(path)
 
-    def test_shardworker_home_exempt(self, tmp_path):
+    def test_server_modules_not_exempt(self, tmp_path):
+        # the shard worker lives in procshard.py, so no server module
+        # is a spawning home
         path = _write(
             tmp_path, "src/repro/server/shardworker.py",
             "import multiprocessing\n",
         )
-        assert "HQ010" not in lint_codes(path)
+        assert "HQ010" in lint_codes(path)
 
     def test_outside_src_exempt(self, tmp_path):
         # scripts and tests spawn freely (concheck's own test shells out)

@@ -1,29 +1,24 @@
 """Unit tests for the process-shard transport (``repro.core.procshard``).
 
-Codec round-trips need no child process; the lifecycle tests spawn a
-single worker (spawn cost dominates, so shard counts stay minimal and
-the worker is shared per class where state allows).
+Every test talks to a live worker process, so values, errors and loads
+cross the real pipe.  Spawn cost dominates: most tests share one
+module-scoped worker, and the crash tests spawn their own.
 """
 
 import math
 import os
+import pickle
+import socket
+import struct
 import subprocess
 import sys
+from decimal import Decimal
+from multiprocessing.connection import Connection
 
 import pytest
 
 from repro.config import ShardingConfig
-from repro.core.procshard import (
-    ProcessShardBackend,
-    decode_reply,
-    encode_exception,
-    encode_result,
-    encode_scalar,
-    iter_load_chunks,
-    pack_load,
-    spawn_process_shards,
-    unpack_load,
-)
+from repro.core.procshard import ProcessShardBackend, spawn_process_shards
 from repro.errors import (
     BackendSqlError,
     DeadlineExceededError,
@@ -31,148 +26,10 @@ from repro.errors import (
     SqlExecutionError,
 )
 from repro.sqlengine.catalog import Column
-from repro.sqlengine.executor import ResultSet
+from repro.sqlengine.engine import Engine
 from repro.sqlengine.types import SqlType
 from repro.wlm.deadline import Deadline, request_scope
-
-
-def _roundtrip(result: ResultSet) -> ResultSet:
-    return decode_reply(encode_result(result))
-
-
-class TestCodec:
-    def test_uniform_primitive_columns_roundtrip(self):
-        result = ResultSet.from_columns(
-            [
-                Column("n", SqlType.BIGINT),
-                Column("x", SqlType.DOUBLE),
-                Column("ok", SqlType.BOOLEAN),
-                Column("sym", SqlType.VARCHAR),
-            ],
-            [
-                [1, -(2 ** 63), 2 ** 63 - 1],
-                [0.5, -1.25, 3.0],
-                [True, False, True],
-                ["a", "", "hello world"],
-            ],
-        )
-        back = _roundtrip(result)
-        assert back.column_data == result.column_data
-        assert back.command == "SELECT"
-        assert [
-            (c.name, c.sql_type, c.type_text) for c in back.columns
-        ] == [(c.name, c.sql_type, c.type_text) for c in result.columns]
-
-    def test_nan_roundtrips_bit_exact(self):
-        back = _roundtrip(ResultSet.from_columns(
-            [Column("x", SqlType.DOUBLE)], [[float("nan"), 1.5]]
-        ))
-        assert math.isnan(back.column_data[0][0])
-        assert back.column_data[0][1] == 1.5
-
-    def test_null_and_mixed_columns_take_pickle_path(self):
-        from decimal import Decimal
-
-        result = ResultSet.from_columns(
-            [
-                Column("a", SqlType.BIGINT),
-                Column("b", SqlType.NUMERIC),
-                Column("c", SqlType.VARCHAR),
-            ],
-            [
-                [1, None, 3],
-                [Decimal("1.50"), Decimal("-2"), None],
-                ["x", None, "y\x00z"],
-            ],
-        )
-        back = _roundtrip(result)
-        assert back.column_data == result.column_data
-        assert type(back.column_data[1][0]) is Decimal
-
-    def test_bools_do_not_masquerade_as_longs(self):
-        # bool is an int subclass; the long tag must reject it or the
-        # round-trip would return 1 where the engine produced True
-        back = _roundtrip(ResultSet.from_columns(
-            [Column("v", SqlType.BIGINT)], [[True, 2]]
-        ))
-        assert back.column_data[0] == [True, 2]
-        assert type(back.column_data[0][0]) is bool
-
-    def test_empty_result_roundtrips(self):
-        back = _roundtrip(ResultSet.from_columns(
-            [Column("n", SqlType.BIGINT)], [[]], command="SELECT"
-        ))
-        assert back.column_data == [[]]
-        assert back.rows == []
-
-    def test_scalar_envelope(self):
-        assert decode_reply(encode_scalar("pong")) == "pong"
-        assert decode_reply(encode_scalar(7)) == 7
-
-    def test_error_envelope_preserves_class_and_sqlstate(self):
-        err = BackendSqlError("boom", code="53300")
-        with pytest.raises(BackendSqlError) as excinfo:
-            decode_reply(encode_exception(err))
-        assert excinfo.value.code == "53300"
-        assert excinfo.value.backend_message == "boom"
-
-    def test_error_envelope_rebuilds_repro_classes(self):
-        with pytest.raises(SqlExecutionError):
-            decode_reply(encode_exception(SqlExecutionError("div by zero")))
-        with pytest.raises(DeadlineExceededError):
-            decode_reply(encode_exception(DeadlineExceededError("late")))
-
-    def test_unknown_error_class_degrades_to_backend_error(self):
-        class Weird(Exception):
-            pass
-
-        with pytest.raises(BackendSqlError) as excinfo:
-            decode_reply(encode_exception(Weird("odd")))
-        assert "Weird" in str(excinfo.value)
-
-    def test_load_blob_roundtrip(self):
-        columns = [Column("id", SqlType.BIGINT), Column("s", SqlType.TEXT)]
-        rows = [[1, "a"], [2, None]]
-        got_columns, got_rows = unpack_load(pack_load(columns, rows))
-        assert [(c.name, c.sql_type) for c in got_columns] == [
-            ("id", SqlType.BIGINT), ("s", SqlType.TEXT)
-        ]
-        assert got_rows == rows
-
-    def test_load_chunks_split_and_reassemble(self):
-        # wide partitions must split into bounded frames: a single-frame
-        # load of the 600-column fact table trips the endpoint's
-        # max_message_bytes and gets the connection fatally closed
-        columns = [Column("id", SqlType.BIGINT), Column("s", SqlType.TEXT)]
-        rows = [[i, "x" * 50] for i in range(400)]
-        target = 4096
-        blobs = list(iter_load_chunks(columns, rows, target_bytes=target))
-        assert len(blobs) > 1
-        reassembled = []
-        for seq, blob in enumerate(blobs):
-            # the estimate may overshoot the target, but never by the
-            # 8x margin that separates the default from the frame limit
-            assert len(blob) < target * 8
-            got_columns, got_rows = unpack_load(blob)
-            assert [c.name for c in got_columns] == ["id", "s"]
-            reassembled.extend(got_rows)
-        assert reassembled == rows
-
-    def test_small_load_stays_single_chunk(self):
-        columns = [Column("id", SqlType.BIGINT)]
-        rows = [[1], [2]]
-        blobs = list(iter_load_chunks(columns, rows))
-        assert len(blobs) == 1
-        assert unpack_load(blobs[0])[1] == rows
-
-    def test_malformed_reply_raises_protocol_error(self):
-        from repro.qlang.qtypes import QType
-        from repro.qlang.values import QList, QVector
-
-        with pytest.raises(ProtocolError):
-            decode_reply(QList([]))
-        with pytest.raises(ProtocolError):
-            decode_reply(QVector(QType.LONG, [1]))
+from repro.wlm.retry import is_transient
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +44,142 @@ def worker():
     )
     yield shard
     shard.close()
+
+
+def _roundtrip(worker, columns, rows, sql="SELECT * FROM rt"):
+    """``sql`` over the same table in the worker and in an in-process
+    engine — the thread-mode answer the worker's must equal."""
+    worker.load_columns("rt", columns, rows)
+    local = Engine()
+    local.create_table_from_columns("rt", columns, rows)
+    return worker.run_sql(sql), local.execute(sql)
+
+
+def _assert_same(got, want):
+    assert got.command == want.command
+    assert [(c.name, c.sql_type, c.type_text) for c in got.columns] == [
+        (c.name, c.sql_type, c.type_text) for c in want.columns
+    ]
+    assert got.column_data == want.column_data
+    assert [list(map(type, col)) for col in got.column_data] == [
+        list(map(type, col)) for col in want.column_data
+    ]
+
+
+class _InWorker:
+    """Unpickles as ``exec(source)``: whatever rides the pipe runs inside
+    the worker, which is why no other process may reach it."""
+
+    def __init__(self, source: str):
+        self.source = source
+
+    def __reduce__(self):
+        return exec, (self.source, {})
+
+
+def _raise_in_worker(worker, error: str):
+    """Send a statement whose execution in the worker raises ``error``
+    (an expression over :mod:`repro.errors`); later statements run
+    normally."""
+    patch = _InWorker(
+        "from repro.errors import *\n"
+        "from repro.sqlengine.engine import Engine\n"
+        "original = Engine.execute\n"
+        "def execute(self, sql):\n"
+        "    Engine.execute = original\n"
+        f"    raise {error}\n"
+        "Engine.execute = execute\n"
+    )
+    worker._call("sql", patch, None)
+
+
+class TestCodec:
+    def test_uniform_primitive_columns_roundtrip(self, worker):
+        columns = [
+            Column("n", SqlType.BIGINT),
+            Column("x", SqlType.DOUBLE),
+            Column("ok", SqlType.BOOLEAN),
+            Column("sym", SqlType.VARCHAR),
+        ]
+        rows = [
+            [1, 0.5, True, "a"],
+            [-(2 ** 63), -1.25, False, ""],
+            [2 ** 63 - 1, 3.0, True, "hello world"],
+        ]
+        _assert_same(*_roundtrip(worker, columns, rows))
+
+    def test_nan_roundtrips_bit_exact(self, worker):
+        nan = float("nan")
+        got, __ = _roundtrip(
+            worker, [Column("x", SqlType.DOUBLE)], [[nan], [1.5]]
+        )
+        assert struct.pack("<d", got.column_data[0][0]) == struct.pack(
+            "<d", nan
+        )
+        assert got.column_data[0][1] == 1.5
+
+    def test_null_and_mixed_columns_take_pickle_path(self, worker):
+        columns = [
+            Column("a", SqlType.BIGINT),
+            Column("b", SqlType.NUMERIC),
+            Column("c", SqlType.VARCHAR),
+        ]
+        rows = [
+            [1, Decimal("1.50"), "x"],
+            [None, Decimal("-2"), None],
+            [3, None, "y\x00z"],
+        ]
+        got, want = _roundtrip(worker, columns, rows)
+        _assert_same(got, want)
+        assert type(got.column_data[1][0]) is Decimal
+
+    def test_bools_do_not_masquerade_as_longs(self, worker):
+        # bool is an int subclass: True must come back as True, not 1
+        got, want = _roundtrip(
+            worker, [Column("v", SqlType.BIGINT)], [[True], [2]]
+        )
+        _assert_same(got, want)
+        assert got.column_data == [[True, 2]]
+        assert type(got.column_data[0][0]) is bool
+
+    def test_empty_result_roundtrips(self, worker):
+        got, want = _roundtrip(
+            worker, [Column("n", SqlType.BIGINT)], [[1]],
+            "SELECT n FROM rt WHERE n > 1",
+        )
+        _assert_same(got, want)
+        assert got.column_data == [[]]
+        assert got.rows == []
+
+    def test_scalar_envelope(self, worker):
+        assert worker._call("ping") == "pong"
+        assert type(worker._call("version")) is int
+
+    def test_load_blob_roundtrip(self, worker):
+        columns = [Column("id", SqlType.BIGINT), Column("s", SqlType.TEXT)]
+        _assert_same(*_roundtrip(worker, columns, [[1, "a"], [2, None]]))
+
+    def test_error_envelope_preserves_class_and_sqlstate(self, worker):
+        with pytest.raises(BackendSqlError) as excinfo:
+            _raise_in_worker(
+                worker, "BackendSqlError('out of slots', code='53300')"
+            )
+        assert excinfo.value.code == "53300"
+        assert excinfo.value.backend_message == "out of slots"
+        assert is_transient(excinfo.value)
+        assert worker.restarts == 0
+
+    def test_error_envelope_rebuilds_repro_classes(self, worker):
+        with pytest.raises(SqlExecutionError):
+            _raise_in_worker(worker, "SqlExecutionError('div by zero')")
+        # a budget already spent when the statement reaches the worker
+        with pytest.raises(DeadlineExceededError):
+            worker._call("sql", "SELECT 1", 0.0)
+
+    def test_unknown_error_class_degrades_to_backend_error(self, worker):
+        with pytest.raises(BackendSqlError) as excinfo:
+            _raise_in_worker(worker, "type('Weird', (Exception,), {})('odd')")
+        assert "Weird: odd" in str(excinfo.value)
 
 
 class TestWorkerLifecycle:
@@ -215,6 +208,20 @@ class TestWorkerLifecycle:
             result = worker.run_sql("SELECT count(*) AS n FROM t")
         assert result.rows == [(3,)]
 
+    def test_timed_out_read_keeps_the_worker(self, worker):
+        worker.load_columns(
+            "slow", [Column("id", SqlType.BIGINT)], [[i] for i in range(60)]
+        )
+        with request_scope(deadline=Deadline.after(0.1)):
+            with pytest.raises(DeadlineExceededError):
+                worker.run_sql(
+                    "SELECT count(*) AS n FROM slow a, slow b, slow c"
+                    " WHERE a.id + b.id + c.id >= 0"
+                )
+        assert worker.restarts == 0
+        # the late 216 000-row count is dropped; this statement gets its own
+        assert worker.run_sql("SELECT count(*) AS n FROM slow").rows == [(60,)]
+
     def test_process_info_reports_worker(self, worker):
         info = worker.process_info()
         assert info["mode"] == "process"
@@ -223,18 +230,54 @@ class TestWorkerLifecycle:
         # rss comes from procfs; tolerate platforms without it
         assert info["rss_kb"] >= 0
 
-    def test_chunked_load_over_the_wire(self, worker, monkeypatch):
-        import repro.core.procshard as procshard_module
-
-        monkeypatch.setattr(procshard_module, "LOAD_CHUNK_BYTES", 2048)
+    def test_large_load_is_one_message(self, worker):
         columns = [Column("id", SqlType.BIGINT), Column("s", SqlType.TEXT)]
-        rows = [[i, "v" * 40] for i in range(300)]
-        worker.load_columns("chunked", columns, rows)
+        rows = [[i, f"{i:06d}" + "v" * 1000] for i in range(10_000)]
+        # a wide partition crosses in one message, whatever its size
+        assert len(pickle.dumps(rows)) > 8 * 1024 * 1024
+        worker.load_columns("big", columns, rows)
         result = worker.run_sql(
-            "SELECT count(*) AS n, min(id) AS lo, max(id) AS hi"
-            " FROM chunked"
+            "SELECT count(*) AS n, min(id) AS lo, max(id) AS hi, max(s) AS s"
+            " FROM big"
         )
-        assert result.rows == [(300, 0, 299)]
+        assert result.rows == [(10_000, 0, 9_999, rows[-1][1])]
+
+
+def _listening_inodes() -> set[str]:
+    """Socket inodes in state LISTEN (``0A``) in this network namespace."""
+    inodes = set()
+    for table in ("/proc/net/tcp", "/proc/net/tcp6"):
+        if not os.path.exists(table):
+            continue
+        with open(table, encoding="ascii") as handle:
+            next(handle)
+            for line in handle:
+                fields = line.split()
+                if fields[3] == "0A":
+                    inodes.add(fields[9])
+    return inodes
+
+
+def _socket_inodes(pid: int) -> set[str]:
+    inodes = set()
+    for fd in os.listdir(f"/proc/{pid}/fd"):
+        try:
+            target = os.readlink(f"/proc/{pid}/fd/{fd}")
+        except OSError:
+            continue
+        if target.startswith("socket:["):
+            inodes.add(target[len("socket:["):-1])
+    return inodes
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+class TestIsolation:
+    def test_worker_owns_no_listening_socket(self, worker):
+        # anything that can reach a worker can run SQL on its partition and
+        # replace its tables, so only the coordinator may hold a way in
+        sockets = _socket_inodes(worker.process_info()["pid"])
+        assert sockets, "the worker's pipe end should show up as a socket"
+        assert not sockets & _listening_inodes()
 
 
 class TestCrashRespawn:
@@ -306,10 +349,9 @@ class TestPool:
 
 class TestOrphanWatchdog:
     def test_worker_exits_when_declared_parent_is_gone(self):
-        # --parent declares a coordinator pid that is not this process;
-        # the worker's ppid watchdog must notice and exit on its own —
-        # the same comparison fires when a real coordinator dies
-        # ungracefully (SIGKILL, OOM) and the worker is reparented
+        # the coordinator's end closing without a shutdown op — what a
+        # coordinator that dies ungracefully (SIGKILL, OOM) leaves
+        # behind — must make the worker exit on its own
         import repro
 
         package_root = os.path.dirname(
@@ -320,14 +362,21 @@ class TestOrphanWatchdog:
         env["PYTHONPATH"] = (
             package_root + (os.pathsep + existing if existing else "")
         )
-        proc = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro.server.shardworker",
-                "--shard", "0", "--parent", "1",
-            ],
-            stdout=subprocess.DEVNULL,
-            env=env,
-        )
+        ours, theirs = socket.socketpair()
+        with theirs:
+            proc = subprocess.Popen(
+                [
+                    sys.executable, "-m", "repro.core.procshard",
+                    str(theirs.fileno()),
+                ],
+                pass_fds=(theirs.fileno(),),
+                env=env,
+            )
+        conn = Connection(ours.detach())
+        try:
+            assert conn.poll(30) and conn.recv() == (0, "ok", "ready")
+        finally:
+            conn.close()
         try:
             proc.wait(timeout=30)
         except subprocess.TimeoutExpired:
