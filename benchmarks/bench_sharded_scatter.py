@@ -12,10 +12,9 @@ drill-down traffic pins them) and gates on ``SPEEDUP_GATE``.
 
 Three honesty guards keep the figures meaningful:
 
-* every slice query must carry a distribute-pass plan (a query that fell
-  back to the coordinator mirror would *copy the whole table per run*
-  and measure the wrong thing), and at 4 shards must prune to at most
-  one target shard;
+* every slice query must carry a distribute-pass plan (the backend
+  refuses an unplanned read of a partitioned table), and at 4 shards
+  must prune to at most one target shard;
 * every platform is built with the result cache *disabled*: the timing
   loop re-issues identical statements, which is exactly the traffic the
   cache absorbs — with it on, every pass after the warm-up measures a
@@ -170,7 +169,7 @@ def test_sharded_scatter_speedup():
             audits.extend(plans)
             unplanned = [a for a in plans if a["mode"] is None]
             assert not unplanned, (
-                f"mirror fallback would distort the figure: {unplanned}"
+                f"slice queries left without a plan: {unplanned}"
             )
             unpruned = [
                 a
@@ -259,7 +258,7 @@ def test_process_scatter_speedup():
             # honesty guards: full fanout through the distribute pass, on
             # process-backed shards, with the result cache out of the loop
             assert all(a["mode"] is not None for a in plans), (
-                f"mirror fallback would serialize the fanout: {plans}"
+                f"slice queries left without a plan: {plans}"
             )
             if shard_count == SCALE_SHARDS:
                 assert all(

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from repro.analysis.concurrency.locks import make_lock
 from repro.config import TempTierConfig
 from repro.core.metadata import TableMeta
+from repro.core.xformer.distributed import extract_plan
 from repro.obs import metrics
 from repro.sqlengine.catalog import Column
 from repro.sqlengine.executor import ResultSet
@@ -446,6 +447,9 @@ class TempDataTier:
         """
         if not self.config.enabled:
             return None
+        # the matcher reads plain SQL; a sharded plan annotation is a
+        # leading comment
+        __, sql = extract_plan(sql)
         matched = match_tier_sql(sql)
         if matched is None:
             return None
@@ -534,20 +538,14 @@ class TempDataTier:
         if handle is None or handle.state != LAZY:
             return
         rows = [list(row) for row in zip(*handle.column_data)]
-        loader = _find_loader(backend)
-        if loader is not None:
-            # sharded topology: replicate like _broadcast_ctas does
-            loader(relation, list(handle.columns), rows)
-        else:
-            engine = _find_engine(backend)
-            if engine is not None:
-                engine.create_table_from_columns(
-                    relation, list(handle.columns), rows, temporary=True
-                )
-            else:
-                # remote backend without a data plane: replay the DDL
-                # (only divergent if DML raced the assignment window)
-                backend.run_sql(handle.ddl_sql)
+        try:
+            backend.load_columns(
+                relation, list(handle.columns), rows, temporary=True
+            )
+        except NotImplementedError:
+            # remote backend without a data plane: replay the DDL
+            # (only divergent if DML raced the assignment window)
+            backend.run_sql(handle.ddl_sql)
         handle.state = MATERIALIZED
         handle.column_data = []
         handle.map = None
@@ -595,20 +593,3 @@ def _matches(value, op: str, literal) -> bool:
         return False
     return False
 
-
-def _find_loader(backend):
-    """``load_table`` bound method of a sharded backend, unwrapped."""
-    node = backend
-    for __ in range(8):
-        if node is None:
-            return None
-        if getattr(node, "is_sharded", False):
-            return node.load_table
-        node = getattr(node, "inner", None)
-    return None
-
-
-def _find_engine(backend):
-    from repro.core.sharded import _find_engine as find
-
-    return find(backend)

@@ -74,6 +74,22 @@ class ExecutionBackend(BackendPort):
         """Release any held resources; idempotent."""
         return None
 
+    def load_columns(
+        self, name: str, columns: list, rows: list, temporary: bool = False
+    ) -> None:
+        """Bulk-load ``rows`` as table ``name``, replacing any previous
+        table of that name.  Backends without a data plane raise
+        :class:`NotImplementedError`; callers then fall back to SQL."""
+        raise NotImplementedError(f"{self.name} has no bulk-load path")
+
+    def process_info(self) -> dict:
+        """Transport fields of a ``shards[]`` row."""
+        return {"mode": "thread", "pid": 0, "restarts": 0, "rss_kb": 0}
+
+    def shard_snapshot(self) -> list[dict]:
+        """Per-shard health rows (``shards[]``); empty when unsharded."""
+        return []
+
 
 class PooledBackend(ExecutionBackend):
     """A bounded pool of backend connections behind one ``run_sql``.

@@ -23,6 +23,7 @@ from repro.core.algebrizer.binder import BoundTable
 from repro.core.metadata import ColumnMeta, MetadataInterface, TableMeta
 from repro.core.scopes import Scope, VarKind, VariableDef
 from repro.core.serializer import Serializer, quote_ident
+from repro.core.xformer.distributed import distribute_sql
 from repro.obs import metrics
 
 #: materialization decisions, labelled kind=temp_table|view (physical vs
@@ -40,8 +41,9 @@ class MaterializationStep:
     sql: str
     relation: str
     kind: str  # 'temp_table' | 'view'
-    #: the defining SELECT inside the DDL — the temp-data tier runs it
-    #: directly to snapshot the assignment without the backend write
+    #: the defining SELECT inside the DDL (plan-annotated on a sharded
+    #: backend) — the temp-data tier runs it directly to snapshot the
+    #: assignment without the backend write
     inner_sql: str = ""
     #: catalog description of the relation the DDL would create
     meta: TableMeta | None = None
@@ -75,7 +77,14 @@ class Materializer:
         variable definition in ``scope``.  The caller executes the DDL
         (or not, in translate-only mode)."""
         mode = mode or self.config.materialization
-        inner_sql = self.serializer.serialize(bound.op)
+        # planned like any other read, so a sharded backend runs the
+        # defining SELECT through its distributed plan
+        inner_sql = distribute_sql(
+            bound,
+            self.serializer.serialize(bound.op),
+            self.mdi.partition_map,
+            self.serializer,
+        )
         if mode == MaterializationMode.PHYSICAL:
             relation = f"{self.config.temp_table_prefix}{next(self._temp_counter)}"
             sql = (

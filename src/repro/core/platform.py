@@ -46,6 +46,14 @@ class DirectGateway(ExecutionBackend):
     def catalog_version(self) -> int:
         return self.engine.catalog.version
 
+    def load_columns(
+        self, name: str, columns: list, rows: list, temporary: bool = False
+    ) -> None:
+        self.engine.catalog.drop(name, if_exists=True)
+        self.engine.create_table_from_columns(
+            name, columns, rows, temporary=temporary
+        )
+
 
 class HyperQ:
     """The data virtualization platform: Q in, PG-compatible SQL out."""

@@ -97,9 +97,11 @@ def _execute(engine: Engine, sql: str, deadline_ms: float | None) -> tuple:
     return result.columns, result.column_data, result.command
 
 
-def _load(engine: Engine, table: str, columns: list, rows: list) -> str:
+def _load(
+    engine: Engine, table: str, columns: list, rows: list, temporary: bool
+) -> str:
     engine.catalog.drop(table, if_exists=True)
-    engine.create_table_from_columns(table, columns, rows)
+    engine.create_table_from_columns(table, columns, rows, temporary)
     return "loaded"
 
 
@@ -214,8 +216,9 @@ class ProcessShardBackend(ExecutionBackend):
         self._generation = 0
         self.restarts = 0
         self._closed = False
-        #: partition journal: table -> (columns, rows) for crash reload
-        self._tables: dict[str, tuple[list, list]] = {}
+        #: partition journal: table -> (columns, rows, temporary) for
+        #: crash reload
+        self._tables: dict[str, tuple[list, list, bool]] = {}
         #: replicated writes (broadcast DDL/DML) replayed after reload
         self._writes: list[str] = []
         #: test hook — SIGKILL the worker when the next statement arrives
@@ -281,8 +284,8 @@ class ProcessShardBackend(ExecutionBackend):
                     f"ready (status {self._proc.poll()})"
                 ) from None
             self._ready = True
-            for table, (columns, rows) in self._tables.items():
-                _unwrap(self._exchange(self._conn, "load", (table, columns, rows)))
+            for table, loaded in self._tables.items():
+                _unwrap(self._exchange(self._conn, "load", (table, *loaded)))
             for sql in self._writes:
                 try:
                     _unwrap(self._exchange(self._conn, "sql", (sql, None)))
@@ -422,14 +425,15 @@ class ProcessShardBackend(ExecutionBackend):
             self._closed = True
             self._teardown_locked(graceful=True)
 
-    def load_columns(self, name: str, columns: list, rows: list) -> None:
-        """Bulk-load hook ``ShardHandle.load_table`` discovers; the load
-        crosses as one message and is journaled so a respawn can restore
-        the partition."""
+    def load_columns(
+        self, name: str, columns: list, rows: list, temporary: bool = False
+    ) -> None:
+        """The load crosses as one message and is journaled so a respawn
+        can restore the partition."""
         columns, rows = list(columns), [list(r) for r in rows]
-        self._call("load", name, columns, rows)
+        self._call("load", name, columns, rows, temporary)
         with self._lock:
-            self._tables[name] = (columns, rows)
+            self._tables[name] = (columns, rows, temporary)
 
     def process_info(self) -> dict:
         """Row payload for the ``shards[]`` admin command."""

@@ -528,16 +528,6 @@ class HyperQSession:
         from repro.core.admin import admin_table
         from repro.qlang.qtypes import QType
 
-        snapshot_fn = None
-        node = self.backend
-        for __ in range(8):  # unwrap resilience layers to the backend
-            if node is None:
-                break
-            snapshot_fn = getattr(node, "shard_snapshot", None)
-            if snapshot_fn is not None:
-                break
-            node = getattr(node, "inner", None)
-        snapshot = snapshot_fn() if snapshot_fn is not None else []
         return admin_table(
             [
                 ("shard", QType.LONG), ("state", QType.SYMBOL),
@@ -548,10 +538,9 @@ class HyperQSession:
             ],
             [
                 (r["shard"], r["state"], r["queries"], r["errors"],
-                 r["hedges"], r["mean_ms"], r.get("mode", "thread"),
-                 r.get("pid", 0), r.get("restarts", 0),
-                 r.get("rss_kb", 0))
-                for r in snapshot
+                 r["hedges"], r["mean_ms"], r["mode"], r["pid"],
+                 r["restarts"], r["rss_kb"])
+                for r in self.backend.shard_snapshot()
             ],
         )
 

@@ -22,11 +22,12 @@ wins), and the active request deadline propagates into every worker so
 one slow shard surfaces as a named ``DeadlineExceededError`` instead of a
 silently blown budget.
 
-Statements without a plan annotation (metadata probes, DDL, anything the
-planner could not split) take conservative routes: catalog reads go to
-shard 0, DDL broadcasts, and reads touching partitioned tables run
-against a lazily-populated coordinator *mirror* — slow, but always
-correct.
+Statements without a plan annotation take conservative routes: catalog
+reads and reads of replicated tables go to shard 0, writes on replicated
+state broadcast, and ``CREATE TABLE ... AS <planned SELECT>`` runs its
+SELECT through the plan and replicates the result.  Any other statement
+touching a partitioned table is refused with SQLSTATE 0A000: every such
+read the pipeline issues carries a plan.
 
 Layering (lint rule HQ007): partition-key routing lives here and in the
 distributed-rewrite pass only.
@@ -75,9 +76,6 @@ SHARD_HEDGES = metrics.counter(
 SHARD_MERGE_ROWS = metrics.counter(
     "shard_merge_rows_total", "Rows flowing through coordinator merges"
 )
-SHARD_MIRROR = metrics.counter(
-    "shard_mirror_total", "Unplanned statements served by the mirror fallback"
-)
 
 _WRITE_VERBS = ("create", "drop", "alter", "insert", "update", "delete",
                 "truncate")
@@ -89,13 +87,20 @@ def is_write(sql: str) -> bool:
     return sql.lstrip().lower().startswith(_WRITE_VERBS)
 
 
+def is_catalog_probe(sql: str) -> bool:
+    """Whether ``sql`` reads the system catalog (the MDI's probes)."""
+    lowered = sql.lower()
+    return any(
+        name in lowered
+        for name in ("information_schema", "pg_tables", "pg_catalog")
+    )
+
+
 _CTAS_RE = re.compile(
     r'^\s*create\s+(?:temp(?:orary)?\s+)?table\s+'
     r'(?:"(?P<quoted>(?:[^"]|"")+)"|(?P<plain>\w+))\s+as\s+(?P<select>.+)$',
     re.IGNORECASE | re.DOTALL,
 )
-
-_MISSING_RELATION_RE = re.compile(r'relation "([^"]+)" does not exist')
 
 
 # ---------------------------------------------------------------------------
@@ -132,19 +137,6 @@ class _Future:
 
     def wait(self, timeout: float | None) -> bool:
         return self._done.wait(timeout)
-
-
-def _find_engine(backend) -> Engine | None:
-    """Unwrap resilience layers to a direct in-process engine, if any."""
-    seen = 0
-    node = backend
-    while node is not None and seen < 8:
-        engine = getattr(node, "engine", None)
-        if isinstance(engine, Engine):
-            return engine
-        node = getattr(node, "inner", None)
-        seen += 1
-    return None
 
 
 class ShardHandle:
@@ -193,50 +185,19 @@ class ShardHandle:
         with self._stats_lock:
             self.hedges += 1
 
-    def load_table(self, name: str, columns: list[Column], rows: list) -> None:
+    def load_columns(
+        self, name: str, columns: list[Column], rows: list, temporary: bool
+    ) -> None:
         """Data-plane load of one table onto primary (and replica)."""
         for target in (self.primary, self.replica):
-            if target is None:
-                continue
-            engine = _find_engine(target)
-            if engine is not None:
-                if engine.catalog.exists(name):
-                    engine.catalog.drop(name)
-                engine.create_table_from_columns(
-                    name, columns, [list(r) for r in rows]
-                )
-                continue
-            loader = None
-            node = target
-            for __ in range(8):
-                loader = getattr(node, "load_columns", None)
-                if loader is not None or node is None:
-                    break
-                node = getattr(node, "inner", None)
-            if loader is None:
-                raise BackendSqlError(
-                    f"shard {self.index} backend has no bulk-load path"
-                )
-            loader(name, columns, rows)
-
-    def _process_info(self) -> dict:
-        """Transport-level row fields: a process-backed shard reports its
-        worker pid/restarts/rss; an in-process shard reports thread mode."""
-        node = self.primary
-        for __ in range(8):
-            if node is None:
-                break
-            probe = getattr(node, "process_info", None)
-            if probe is not None:
-                return probe()
-            node = getattr(node, "inner", None)
-        return {"mode": "thread", "pid": 0, "restarts": 0, "rss_kb": 0}
+            if target is not None:
+                target.load_columns(name, columns, rows, temporary)
 
     def snapshot(self) -> dict:
         with self._stats_lock:
             queries, errors = self.queries, self.errors
             hedges, latency = self.hedges, self.latency_total
-        info = self._process_info()
+        info = self.primary.process_info()
         return {
             "shard": self.index,
             "state": self.primary.breaker.snapshot()["state"],
@@ -244,24 +205,22 @@ class ShardHandle:
             "errors": errors,
             "hedges": hedges,
             "mean_ms": (latency / queries * 1000.0) if queries else 0.0,
-            "mode": info.get("mode", "thread"),
-            "pid": int(info.get("pid", 0)),
-            "restarts": int(info.get("restarts", 0)),
-            "rss_kb": int(info.get("rss_kb", 0)),
+            "mode": info["mode"],
+            "pid": info["pid"],
+            "restarts": info["restarts"],
+            "rss_kb": info["rss_kb"],
         }
 
     def close(self) -> None:
         for target in (self.primary, self.replica):
             if target is None:
                 continue
-            close = getattr(target.inner, "close", None)
-            if close is not None:
-                try:
-                    close()
-                except Exception as exc:
-                    _log.warning(
-                        "shard_close_failed", shard=self.index, error=str(exc)
-                    )
+            try:
+                target.close()
+            except Exception as exc:
+                _log.warning(
+                    "shard_close_failed", shard=self.index, error=str(exc)
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -306,13 +265,6 @@ class ShardedBackend(ExecutionBackend):
             for i, child in enumerate(children)
         ]
         self._pool = WorkerPool(len(children), label=name)
-        # mirror fallback state: a coordinator engine lazily populated
-        # with full copies of backend tables, rebuilt when DDL moves the
-        # topology-wide catalog version
-        self._mirror_lock = make_lock("shard.mirror")
-        self._mirror_engine: Engine | None = None
-        self._mirror_version: int | None = None
-        self._mirrored: set[str] = set()
         self._closed = False
 
     # -- ExecutionBackend ------------------------------------------------------
@@ -329,7 +281,7 @@ class ShardedBackend(ExecutionBackend):
 
     def catalog_version(self) -> int:
         """Sum of child versions: monotone, and DDL on *any* shard moves
-        it, so cached translations and the mirror invalidate correctly."""
+        it, so cached translations invalidate correctly."""
         total = 0
         for shard in self._shards:
             version = shard.primary.inner.catalog_version()
@@ -377,10 +329,13 @@ class ShardedBackend(ExecutionBackend):
             buckets[spec.shard_for(row[key_index], count)].append(row)
         return buckets
 
-    def load_table(self, name: str, columns: list[Column], rows: list) -> None:
+    def load_columns(
+        self, name: str, columns: list[Column], rows: list,
+        temporary: bool = False,
+    ) -> None:
         """Load one table across the topology (partitioned or replicated)."""
         for shard, bucket in zip(self._shards, self.route_rows(name, columns, rows)):
-            shard.load_table(name, columns, bucket)
+            shard.load_columns(name, columns, bucket, temporary)
 
     # -- plan execution --------------------------------------------------------
 
@@ -599,28 +554,23 @@ class ShardedBackend(ExecutionBackend):
     # -- unplanned statements --------------------------------------------------
 
     def _run_unplanned(self, body: str):
-        lowered = body.lower()
-        if "information_schema" in lowered or "pg_tables" in lowered or (
-            "pg_catalog" in lowered
-        ):
-            # catalog probes: schemas are identical on every shard
+        if is_catalog_probe(body):
+            # schemas are identical on every shard
             return self._execute_on_shard(self._shards[0], body)
         referenced = self._referenced_partitioned(body)
-        if is_write(body):
-            if referenced:
-                ctas = _CTAS_RE.match(body)
-                if ctas is None:
-                    raise BackendSqlError(
-                        "writes touching partitioned tables "
-                        f"({', '.join(sorted(referenced))}) must go through "
-                        "the sharded load path",
-                        code="0A000",
-                    )
-                return self._broadcast_ctas(ctas)
-            return self._broadcast(body)
         if not referenced:
+            if is_write(body):
+                return self._broadcast(body)
             return self._execute_on_shard(self._shards[0], body)
-        return self._mirror(body)
+        ctas = _CTAS_RE.match(body)
+        if ctas is not None:
+            return self._broadcast_ctas(ctas)
+        raise BackendSqlError(
+            "statements touching partitioned tables "
+            f"({', '.join(sorted(referenced))}) need a distribution plan; "
+            "writes go through the sharded load path",
+            code="0A000",
+        )
 
     def _referenced_partitioned(self, body: str) -> set[str]:
         found = set()
@@ -634,77 +584,17 @@ class ShardedBackend(ExecutionBackend):
         result = None
         for shard in self._shards:
             result = self._execute_on_shard(shard, body)
-        # DML (INSERT/UPDATE/DELETE on a replicated table) does not move
-        # the catalog version, so the mirror's version check alone would
-        # keep serving pre-write copies: drop the mirror outright
-        self._invalidate_mirror()
         return result
 
-    def _invalidate_mirror(self) -> None:
-        with self._mirror_lock:
-            self._mirror_engine = None
-            self._mirror_version = None
-            self._mirrored = set()
-
     def _broadcast_ctas(self, match: re.Match):
-        """CREATE TABLE ... AS over partitioned inputs: compute the
-        global result once on the mirror, then replicate it everywhere
-        (the materialized table behaves as a broadcast dimension)."""
+        """CREATE TABLE ... AS over partitioned inputs: run the (planned)
+        SELECT once across the topology, then replicate the result
+        everywhere (the materialized table behaves as a broadcast
+        dimension)."""
         name = match.group("quoted") or match.group("plain")
         name = name.replace('""', '"')
-        selected = self._mirror(match.group("select"))
-        columns = list(selected.columns)
-        self.load_table(name, columns, [list(r) for r in selected.rows])
+        selected = self.run_sql(match.group("select"))
+        self.load_columns(
+            name, list(selected.columns), [list(r) for r in selected.rows]
+        )
         return ResultSet([], [], command="CREATE TABLE")
-
-    # -- mirror fallback -------------------------------------------------------
-
-    def _mirror(self, body: str) -> ResultSet:
-        """Execute against a coordinator engine holding full table copies.
-
-        Tables are copied lazily on first reference (detected via the
-        engine's missing-relation error) and kept until DDL moves the
-        topology catalog version.  Partitioned tables are gathered from
-        all shards and restored to global ``ordcol`` order, so results
-        are byte-identical to a single-node run.
-        """
-        SHARD_MIRROR.inc()
-        with self._mirror_lock:
-            version = self.catalog_version()
-            if self._mirror_engine is None or self._mirror_version != version:
-                self._mirror_engine = Engine()
-                self._mirror_version = version
-                self._mirrored = set()
-            engine = self._mirror_engine
-            for __ in range(32):  # bounded lazy-copy loop
-                try:
-                    return engine.execute(body)
-                except Exception as exc:
-                    missing = self._missing_relation(exc)
-                    if missing is None or missing in self._mirrored:
-                        raise
-                    self._copy_to_mirror(engine, missing)
-                    self._mirrored.add(missing)
-            raise BackendSqlError("mirror fallback did not converge")
-
-    @staticmethod
-    def _missing_relation(exc: Exception) -> str | None:
-        match = _MISSING_RELATION_RE.search(str(exc))
-        return match.group(1) if match else None
-
-    def _copy_to_mirror(self, engine: Engine, table: str) -> None:
-        quoted = '"' + table.replace('"', '""') + '"'
-        sql = f"SELECT * FROM {quoted}"
-        if self.partition_map.is_partitioned(table):
-            results = self._fanout(list(range(self.shard_count)), sql)
-        else:
-            results = [self._execute_on_shard(self._shards[0], sql)]
-        columns = list(results[0].columns)
-        names = [c.name for c in columns]
-        rows: list = []
-        for result in results:
-            rows.extend(list(r) for r in result.rows)
-        if "ordcol" in names:
-            order_index = names.index("ordcol")
-            rows.sort(key=lambda row: row[order_index])
-        engine.create_table_from_columns(table, columns, rows)

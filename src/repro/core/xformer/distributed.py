@@ -33,7 +33,8 @@ Plan modes, in decreasing order of preference:
   executes the remainder of the tree over the gathered rows.
 
 Statements the planner cannot handle are left unannotated; the backend
-falls back to a full mirror execution (slow, always correct).
+refuses an unannotated read of a partitioned table (SQLSTATE 0A000)
+rather than guess at its distribution.
 
 Layering (lint rule HQ007): partition-key routing logic lives here and in
 ``repro/core/sharded.py`` only — servers and serializers never inspect
@@ -551,7 +552,7 @@ def plan_distribution(
     op: XtraOp, pmap: PartitionMap, serializer
 ) -> dict | None:
     """Produce the distributed plan for one serialized statement, or None
-    when the statement must fall back to mirror execution."""
+    when the planner cannot split it."""
     locality = analyze_locality(op, pmap)
 
     if locality.kind == REPLICATED:
@@ -738,37 +739,46 @@ def _plan_gather(
 # ---------------------------------------------------------------------------
 
 
+def distribute_sql(bound, sql: str, pmap: PartitionMap | None, serializer) -> str:
+    """``sql`` (the serialization of ``bound``) prefixed with its
+    distributed plan; unchanged without a partition map.
+
+    Shared by the pipeline pass and the materializer's defining SELECT.
+    Planner failures are logged and leave the SQL unannotated, which the
+    sharded backend refuses for reads of partitioned tables (0A000).
+    """
+    if pmap is None:
+        return sql
+    if isinstance(bound, BoundScalar):
+        # scalar statements reference no relations: any shard answers
+        return annotate_sql({"mode": "single", "shard": 0}, sql)
+    try:
+        plan = plan_distribution(bound.op, pmap, serializer)
+    except Exception as exc:  # planner bug: the backend refuses, loudly
+        _log.warning("shard_plan_failed", error=str(exc))
+        plan = None
+    if plan is None:
+        SHARD_PLANS.inc(mode="error")
+        return sql
+    SHARD_PLANS.inc(mode=plan["mode"])
+    return annotate_sql(plan, sql)
+
+
 class DistributePass(Pass):
     """Annotate serialized SQL with a distributed execution plan.
 
     A no-op unless the MDI exposes a partition map.  Never modifies the
     bound tree (the XTRA invariant checker re-verifies the unchanged tree
-    after this pass).  Planner failures are logged and leave the SQL
-    unannotated — the sharded backend's mirror fallback stays correct.
+    after this pass).
     """
 
     name = "distribute"
     stage = "optimize"
 
     def run(self, unit: TranslationUnit, pipeline: TranslationPipeline) -> None:
-        pmap = pipeline.mdi.partition_map
-        if pmap is None or unit.sql is None:
+        if unit.sql is None or unit.bound is None:
             return
-        bound = unit.bound
-        if bound is None:
-            return
-        if isinstance(bound, BoundScalar):
-            # scalar statements reference no relations: any shard answers
-            unit.sql = annotate_sql({"mode": "single", "shard": 0}, unit.sql)
-            return
-        try:
-            plan = plan_distribution(bound.op, pmap, pipeline.serializer)
-        except Exception as exc:  # planner bug: fall back, never fail the query
-            _log.warning("shard_plan_failed", error=str(exc))
-            SHARD_PLANS.inc(mode="error")
-            return
-        if plan is None:
-            SHARD_PLANS.inc(mode="mirror")
-            return
-        SHARD_PLANS.inc(mode=plan["mode"])
-        unit.sql = annotate_sql(plan, unit.sql)
+        unit.sql = distribute_sql(
+            unit.bound, unit.sql, pipeline.mdi.partition_map,
+            pipeline.serializer,
+        )

@@ -103,7 +103,6 @@ SHARD_ERRORS_TOTAL = "shard_errors_total"
 SHARD_LATENCY_SECONDS = "shard_latency_seconds"
 SHARD_HEDGES_TOTAL = "shard_hedges_total"
 SHARD_MERGE_ROWS_TOTAL = "shard_merge_rows_total"
-SHARD_MIRROR_TOTAL = "shard_mirror_total"
 
 # --- process shard workers (repro/core/procshard) -----------------------
 SHARD_PROC_SPAWNS_TOTAL = "shard_proc_spawns_total"

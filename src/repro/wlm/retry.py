@@ -399,3 +399,14 @@ class ResilientBackend(ExecutionBackend):
         close = getattr(self.inner, "close", None)
         if close is not None:
             close()
+
+    def load_columns(
+        self, name: str, columns: list, rows: list, temporary: bool = False
+    ) -> None:
+        self.inner.load_columns(name, columns, rows, temporary)
+
+    def process_info(self) -> dict:
+        return self.inner.process_info()
+
+    def shard_snapshot(self) -> list[dict]:
+        return self.inner.shard_snapshot()

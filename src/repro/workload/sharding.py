@@ -6,7 +6,7 @@ symbol — the dominant join key — while the keyed dimension table
 (``instruments``) is replicated to every shard, so fact-dimension joins
 never move fact rows.
 
-Row routing itself happens inside :meth:`ShardedBackend.load_table`
+Row routing itself happens inside :meth:`ShardedBackend.load_columns`
 (lint rule HQ007: loaders hand over whole tables and never inspect
 partition keys).
 """
@@ -50,7 +50,7 @@ def load_sharded_workload(
     workload = workload or generate(config)
     for name, table in workload.tables.items():
         keys, columns, rows = qtable_to_columns(table)
-        backend.load_table(name, columns, rows)
+        backend.load_columns(name, columns, rows)
         if mdi is not None:
             if keys:
                 mdi.annotate_keys(name, keys)

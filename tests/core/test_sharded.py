@@ -61,7 +61,7 @@ def build_sharded(
     interp.eval_text(MARKET_SOURCE)
     for name in ("trades", "ratings"):
         keys, columns, rows = qtable_to_columns(interp.get_global(name))
-        backend.load_table(name, columns, rows)
+        backend.load_columns(name, columns, rows)
         if keys:
             platform.mdi.annotate_keys(name, keys)
     return platform, backend
@@ -268,12 +268,13 @@ class TestUnplannedStatements:
         )
         assert len(result.rows) > 0
 
-    def test_reads_over_partitioned_tables_fall_back_to_mirror(self, sharded):
+    def test_unplanned_read_of_partitioned_table_is_refused(self, sharded):
         __, backend = sharded
-        result = backend.run_sql(
-            'SELECT "Symbol", "Size" FROM "trades" ORDER BY "ordcol"'
-        )
-        assert [r[1] for r in result.rows] == [10, 20, 30, 40, 50, 60]
+        with pytest.raises(BackendSqlError) as excinfo:
+            backend.run_sql(
+                'SELECT "Symbol", "Size" FROM "trades" ORDER BY "ordcol"'
+            )
+        assert excinfo.value.code == "0A000"
 
     def test_writes_not_touching_partitioned_tables_broadcast(self, sharded):
         __, backend = sharded
@@ -282,30 +283,61 @@ class TestUnplannedStatements:
             result = shard.primary.run_sql("SELECT count(*) FROM side_note")
             assert result.rows[0][0] == 0
 
-    def test_mirror_sees_broadcast_dml_writes(self, sharded):
-        # DML on a replicated table moves no catalog version, so the
-        # mirror cannot rely on version checks alone: a broadcast write
-        # must invalidate it or reads keep serving pre-write copies
-        __, backend = sharded
-        join = (
-            'SELECT count(*) FROM "trades" t JOIN "ratings" r '
-            'ON t."Symbol" = r."Symbol"'
-        )
-        assert backend.run_sql(join).rows[0][0] == 6
+    def test_planned_join_sees_broadcast_dml_writes(self, sharded):
+        # the join scatters, each shard joining its trades partition to
+        # its own ratings copy: the DELETE must reach every copy
+        platform, backend = sharded
+        join = "select from trades ij ratings"
+        assert len(platform.q(join)) == 6
         backend.run_sql('DELETE FROM "ratings" WHERE "Symbol" = \'GOOG\'')
-        assert backend.run_sql(join).rows[0][0] == 3
+        # the raw DELETE bypassed the executor, so the result cache
+        # cannot know it happened
+        platform.result_cache.clear()
+        assert len(platform.q(join)) == 3
 
     def test_insert_into_partitioned_table_is_rejected(self, sharded):
         __, backend = sharded
         with pytest.raises(BackendSqlError):
             backend.run_sql('INSERT INTO "trades" VALUES (1)')
 
+    def test_q_insert_into_partitioned_table_fails_before_any_work(
+        self, sharded, monkeypatch
+    ):
+        platform, backend = sharded
+        platform.q("select from trades")  # warm the metadata cache
+
+        def counts():
+            return [
+                shard.primary.run_sql('SELECT count(*) FROM "trades"').scalar()
+                for shard in backend._shards
+            ]
+
+        before = counts()
+        arrived = []
+        original = backend.run_sql
+
+        def spy(sql):
+            arrived.append(sql)
+            return original(sql)
+
+        monkeypatch.setattr(backend, "run_sql", spy)
+        with pytest.raises(BackendSqlError) as excinfo:
+            platform.q(
+                "`trades insert ([] Symbol: enlist `GOOG; "
+                "Price: enlist 1.0; Size: enlist 5)"
+            )
+        assert excinfo.value.code == "0A000"
+        assert len(arrived) == 1
+        monkeypatch.undo()
+        assert counts() == before
+
     def test_ctas_over_partitioned_input_replicates_the_result(self, sharded):
-        __, backend = sharded
-        backend.run_sql(
-            'CREATE TABLE big_trades AS SELECT * FROM "trades" '
-            'WHERE "Size" > 25'
-        )
+        platform, backend = sharded
+        select = platform.translate(
+            "select from trades where Size > 25"
+        ).sql_statements[-1]
+        assert extract_plan(select)[0] is not None
+        backend.run_sql(f"CREATE TABLE big_trades AS {select}")
         for shard in backend._shards:
             result = shard.primary.run_sql(
                 'SELECT count(*) FROM big_trades'
@@ -328,6 +360,15 @@ class _SlowGateway(DirectGateway):
         return super().run_sql(sql)
 
 
+#: an annotated scatter of trades.Size over both shards
+SCATTER_SIZES = (
+    '/*hq-shard:v1 {"mode":"scatter","targets":[0,1],'
+    '"sql":"SELECT \\"Size\\", \\"ordcol\\" FROM \\"trades\\"",'
+    '"columns":[["Size","bigint",false],["ordcol","bigint",true]],'
+    '"merge_keys":[["ordcol",false]]}*/ignored'
+)
+
+
 class TestHedgingAndDeadlines:
     def test_slow_primary_is_hedged_to_replica(self):
         children = [_SlowGateway(Engine()) for __ in range(2)]
@@ -341,12 +382,7 @@ class TestHedgingAndDeadlines:
         )
         try:
             children[1].delay = 0.5  # shard 1 primary stalls
-            result = backend.run_sql(
-                '/*hq-shard:v1 {"mode":"scatter","targets":[0,1],'
-                '"sql":"SELECT \\"Size\\", \\"ordcol\\" FROM \\"trades\\"",'
-                '"columns":[["Size","bigint",false],["ordcol","bigint",true]],'
-                '"merge_keys":[["ordcol",false]]}*/ignored'
-            )
+            result = backend.run_sql(SCATTER_SIZES)
             assert [r[0] for r in result.rows] == [10, 20, 30, 40, 50, 60]
             snapshot = backend.shard_snapshot()
             assert snapshot[1]["hedges"] == 1
@@ -364,7 +400,7 @@ class TestHedgingAndDeadlines:
             children[1].delay = 1.0
             with request_scope(deadline=Deadline.after(0.05)):
                 with pytest.raises(DeadlineExceededError) as excinfo:
-                    backend.run_sql('SELECT * FROM "trades"')
+                    backend.run_sql(SCATTER_SIZES)
             assert "shard" in str(excinfo.value)
         finally:
             backend.close()

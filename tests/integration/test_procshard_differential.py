@@ -4,9 +4,9 @@ result byte-identical (QIPC encoding) to the thread-mode sharded run and
 to the single-backend ground truth, including when a shard worker
 process is killed mid-scatter.
 
-Process shards cross a real OS boundary (spawn, QIPC transport, the
-procshard result codec, crash respawn), so this is the test that proves
-the transport is invisible: same bytes, whatever hosts the partition.
+Process shards cross a real OS boundary (spawn, the socketpair
+transport, crash respawn), so this is the test that proves the transport
+is invisible: same bytes, whatever hosts the partition.
 
 Spawned workers are the expensive part; everything shares one
 module-scoped 2-shard process platform except the kill test, which
@@ -33,6 +33,10 @@ from repro.workload.sharding import (
     analytical_partition_map,
     build_sharded_platform,
     load_sharded_workload,
+)
+from tests.integration.test_sharded_differential import (
+    ASSIGNMENT_MESSAGES,
+    run_messages,
 )
 
 
@@ -95,6 +99,18 @@ def test_shards_admin_reports_process_transport(process_platform):
     pids = list(table.column("pid").items)
     assert all(pid > 0 for pid in pids) and pids[0] != pids[1]
     assert list(table.column("restarts").items) == [0, 0]
+
+
+def test_assignments_byte_identical_in_process_mode(
+    workload, process_platform
+):
+    single = HyperQ()
+    for name, table in workload.tables.items():
+        load_table(single.engine, name, table, mdi=single.mdi)
+    platform, __ = process_platform
+    assert run_messages(platform, ASSIGNMENT_MESSAGES) == run_messages(
+        single, ASSIGNMENT_MESSAGES
+    )
 
 
 def test_mid_scatter_kill_respawns_and_stays_byte_identical(

@@ -1,7 +1,9 @@
 """Differential suite: the full 25-query Analytical Workload on the
 sharded backend must be *byte-identical* (QIPC encoding of every result)
 to a single-backend run — at every shard count, and with transient
-faults injected on the shard primaries.
+faults injected on the shard primaries.  Q assignments over the
+partitioned fact tables (session-scoped and function-local, with the
+temp-data tier on and off) must match too.
 
 Identity, not tolerance: partial aggregation uses exact integer-mantissa
 sums (``sum_exact``) merged on the coordinator, so even float aggregates
@@ -13,11 +15,13 @@ import pytest
 from repro.config import (
     CircuitBreakerConfig,
     FaultConfig,
+    HyperQConfig,
     RetryConfig,
+    TempTierConfig,
     WlmConfig,
 )
 from repro.core.platform import DirectGateway, HyperQ
-from repro.core.sharded import ShardedBackend
+from repro.core.sharded import ShardedBackend, is_catalog_probe, is_write
 from repro.qipc.encode import encode_value
 from repro.sqlengine.engine import Engine
 from repro.wlm import WorkloadManager
@@ -32,6 +36,55 @@ from repro.workload.sharding import (
 #: the fault spec for the fault-injected leg (REPRO_FAULTS syntax); a
 #: fixed seed makes the injected sequence reproducible
 FAULT_SPEC = "seed=42,error_rate=0.1,drop_rate=0.05"
+
+#: Q messages sent in order through one session: session-scoped and
+#: function-local assignments over both partitioned fact tables, each
+#: read back by lookups, scans and aggregates
+ASSIGNMENT_MESSAGES = (
+    "big: select inst, desk, qty, price, notional from positions "
+    "where qty > 500",
+    "select sum notional by desk from big",
+    "select from big where price > 100.0",
+    "select n: count inst, q: sum qty from big",
+    "hot: select inst, ts, mark from marks where mark > 100.0",
+    "select mx: max mark, mn: min mark by inst from hot",
+    "select from hot where mark < 150.0",
+    "f: {[x] dt: select inst, desk, notional from positions "
+    "where qty > x; select sum notional by desk from dt}",
+    "f[500]",
+    "g: {[x] m: select inst, mark from marks where mark > x; "
+    "select mx: max mark by inst from m}",
+    "g[100.0]",
+)
+
+
+def run_messages(platform, messages) -> list[bytes | None]:
+    """QIPC bytes of each message's reply (None for an assignment), all
+    sent through one session."""
+    session = platform.create_session()
+    try:
+        values = [session.execute(text) for text in messages]
+    finally:
+        session.close()
+    return [None if v is None else encode_value(v) for v in values]
+
+
+@pytest.fixture()
+def unplanned_reads(monkeypatch):
+    """Unannotated reads of partitioned tables reaching any sharded
+    backend while the test runs (the planner must annotate them all)."""
+    seen = []
+    original = ShardedBackend._run_unplanned
+
+    def spy(self, body):
+        if self._referenced_partitioned(body) and not (
+            is_write(body) or is_catalog_probe(body)
+        ):
+            seen.append(body)
+        return original(self, body)
+
+    monkeypatch.setattr(ShardedBackend, "_run_unplanned", spy)
+    return seen
 
 
 @pytest.fixture(scope="module")
@@ -51,8 +104,18 @@ def reference(workload):
     }
 
 
+@pytest.fixture(scope="module")
+def assignment_reference(workload):
+    platform = HyperQ()
+    for name, table in workload.tables.items():
+        load_table(platform.engine, name, table, mdi=platform.mdi)
+    return run_messages(platform, ASSIGNMENT_MESSAGES)
+
+
 @pytest.mark.parametrize("shard_count", [1, 2, 4])
-def test_full_workload_is_byte_identical(workload, reference, shard_count):
+def test_full_workload_is_byte_identical(
+    workload, reference, shard_count, unplanned_reads
+):
     platform, backend, __ = build_sharded_platform(
         shard_count, workload=workload
     )
@@ -67,6 +130,31 @@ def test_full_workload_is_byte_identical(workload, reference, shard_count):
         )
     finally:
         backend.close()
+    assert not unplanned_reads
+
+
+@pytest.mark.parametrize("tier", [True, False], ids=["tier", "no-tier"])
+@pytest.mark.parametrize("shard_count", [2, 4])
+def test_assignments_are_byte_identical(
+    workload, assignment_reference, shard_count, tier, unplanned_reads
+):
+    config = HyperQConfig(temp_tier=TempTierConfig(enabled=tier))
+    platform, backend, __ = build_sharded_platform(
+        shard_count, config=config, workload=workload
+    )
+    try:
+        actual = run_messages(platform, ASSIGNMENT_MESSAGES)
+    finally:
+        backend.close()
+    mismatched = [
+        text
+        for text, got, want in zip(
+            ASSIGNMENT_MESSAGES, actual, assignment_reference
+        )
+        if got != want
+    ]
+    assert not mismatched, f"diverged at N={shard_count}: {mismatched}"
+    assert not unplanned_reads
 
 
 def test_full_workload_survives_injected_shard_faults(workload, reference):
