@@ -12,7 +12,7 @@ directly — the executor is the one place that knows, for each statement,
 
 from __future__ import annotations
 
-from repro.cache.result_cache import ResultCache
+from repro.cache.result_cache import ResultCache, Served
 from repro.cache.temptier import TempDataTier
 from repro.config import HyperQConfig
 from repro.core.metadata import MetadataInterface
@@ -65,18 +65,25 @@ class QueryExecutor:
     # -- the translated-statement path ----------------------------------------
 
     def execute(self, translation: TranslationResult) -> ResultSet:
-        """Run one translated statement through the cache layers.
+        """Run one translated statement through the cache layers."""
+        return self.serve(translation).result
+
+    def serve(self, translation: TranslationResult,
+              want_reply: bool = False) -> Served:
+        """:meth:`execute` for the server's wire path.
 
         Order matters: the tier is consulted first (it can answer
         without a backend *or* cache entry), then lazy tier relations
         the statement touches are materialized (the SQL is about to run
-        for real), then the result cache, then the backend.
+        for real), then the result cache, then the backend.  Only a
+        cacheable read's answer carries a memo, and with ``want_reply``
+        a hit on an entry holding a reply frame answers with the frame.
         """
         tier = self.temp_tier
         if tier is not None:
             served = tier.try_serve(translation.sql)
             if served is not None:
-                return served
+                return Served(served)
             for relation in tier.lazy_relations(translation.tables):
                 tier.ensure_materialized(relation, self.backend)
 
@@ -85,17 +92,18 @@ class QueryExecutor:
             # writes bypass the cache and invalidate what they touch
             result = self.backend.run_sql(translation.sql)
             self._record_write(translation.tables)
-            return result
+            return Served(result)
         if not self._cacheable(translation):
             RCACHE_BYPASS.inc()
             if self.result_cache is not None:
-                self.result_cache.stats.bypasses += 1
-            return self.backend.run_sql(translation.sql)
+                self.result_cache.count_bypass()
+            return Served(self.backend.run_sql(translation.sql))
         key = ResultCache.key_for(translation, self.mdi)
-        return self.result_cache.get_or_execute(
+        return self.result_cache.serve(
             key,
             translation.tables,
             lambda: self.backend.run_sql(translation.sql),
+            want_reply,
         )
 
     def _cacheable(self, translation: TranslationResult) -> bool:

@@ -29,6 +29,11 @@ evicted beyond it.
 A thundering herd of identical queries is coalesced single-flight: the
 first requester executes, the rest block on its flight and share the
 snapshot.
+
+An entry also memoises the framed QIPC reply it was first served as
+(:meth:`ResultCache.store_reply`): a later hit on the server's wire path
+answers with those bytes and skips the copy, pivot, encode and
+compression that would rebuild them.
 """
 
 from __future__ import annotations
@@ -70,6 +75,10 @@ RCACHE_SKIPPED_CHEAP = metrics.counter(
     "rcache_skipped_cheap_total",
     "Results not admitted because production was cheaper than min_produce_ms",
 )
+RCACHE_REPLY_HITS = metrics.counter(
+    "rcache_reply_hits_total",
+    "Hits answered with the entry's memoised QIPC reply frame",
+)
 RCACHE_BYTES = metrics.gauge(
     "rcache_bytes", "Estimated bytes of cached result payloads"
 )
@@ -110,6 +119,23 @@ class _Entry:
     nbytes: int
     tables: tuple[str, ...]
     stamp: float
+    #: the framed QIPC RESPONSE this result was first served as; set
+    #: once, charged to ``nbytes``, dropped with the entry
+    reply: bytes | None = None
+
+
+@dataclass
+class Served:
+    """One cacheable read's answer (:meth:`ResultCache.serve`).
+
+    A memo hit carries the entry's ``reply`` frame and no ``result``.
+    Otherwise ``result`` is set and ``memo`` names the entry a freshly
+    framed reply may be stored on (None when nothing was cached).
+    """
+
+    result: ResultSet | None = None
+    reply: bytes | None = None
+    memo: tuple[tuple, _Entry] | None = None
 
 
 class _Flight:
@@ -134,8 +160,10 @@ class ResultCacheStats:
     bypasses: int = 0
     skipped_cheap: int = 0
     expirations: int = 0
+    reply_hits: int = 0
     entries: int = 0
     bytes: int = 0
+    reply_bytes: int = 0
 
     def as_rows(self) -> list[tuple[str, int]]:
         return [(name, int(value)) for name, value in vars(self).items()]
@@ -203,9 +231,13 @@ class ResultCache:
         """A fresh ``ResultSet`` view of the cached payload, or None."""
         if not self.config.enabled:
             return None
-        self.stats.lookups += 1
-        RCACHE_LOOKUPS.inc()
+        served = self._lookup(key, want_reply=False)
+        return None if served is None else served.result
+
+    def _lookup(self, key: tuple, want_reply: bool) -> Served | None:
         with self._lock:
+            self.stats.lookups += 1
+            RCACHE_LOOKUPS.inc()
             entry = self._entries.get(key)
             if entry is not None and self._expired(entry):
                 self._drop(key, reason="ttl")
@@ -217,9 +249,14 @@ class ResultCache:
             self._entries.move_to_end(key)
             self.stats.hits += 1
             RCACHE_HITS.inc()
-            return self._view(entry)
+            if want_reply and entry.reply is not None:
+                self.stats.reply_hits += 1
+                RCACHE_REPLY_HITS.inc()
+                return Served(reply=entry.reply)
+            return Served(self._view(entry), memo=(key, entry))
 
-    def get_or_execute(self, key: tuple, tables, producer) -> ResultSet:
+    def serve(self, key: tuple, tables, producer,
+              want_reply: bool = False) -> Served:
         """Serve ``key`` from cache, coalescing concurrent fills.
 
         The first requester of an absent key becomes the flight leader
@@ -227,14 +264,15 @@ class ResultCache:
         cache lock; concurrent requesters of the same key block on the
         flight and share the snapshot.  A failed leader wakes the
         waiters, and the first of them retries as the new leader (the
-        error itself propagates only to the leader).
+        error itself propagates only to the leader).  ``want_reply``
+        lets a hit answer with the entry's memoised reply frame.
         """
         if not self.config.enabled:
-            return producer()
+            return Served(producer())
         while True:
-            cached = self.fetch(key)
-            if cached is not None:
-                return cached
+            served = self._lookup(key, want_reply)
+            if served is not None:
+                return served
             with self._lock:
                 flight = self._flights.get(key)
                 if flight is None:
@@ -246,7 +284,8 @@ class ResultCache:
             if not leader:
                 flight.done.wait(self.config.flight_timeout)
                 if flight.filled:
-                    self.stats.coalesced += 1
+                    with self._lock:
+                        self.stats.coalesced += 1
                     RCACHE_COALESCED.inc()
                 # leader failed (or timed out): loop to retry as leader
                 continue
@@ -260,16 +299,18 @@ class ResultCache:
                 flight.done.set()
                 raise
             produce_ms = (time.perf_counter() - started) * 1000.0
+            memo = None
             if self._admit(produce_ms):
-                self.fill(key, tables, result)
+                memo = self.fill(key, tables, result)
                 flight.filled = True
             else:
-                self.stats.skipped_cheap += 1
+                with self._lock:
+                    self.stats.skipped_cheap += 1
                 RCACHE_SKIPPED_CHEAP.inc()
             with self._lock:
                 self._flights.pop(key, None)
             flight.done.set()
-            return result
+            return Served(result, memo=memo)
 
     def _admit(self, produce_ms: float) -> bool:
         """Size-aware admission: a result cheaper to produce than a cache
@@ -280,8 +321,9 @@ class ResultCache:
 
     # -- fill path -------------------------------------------------------------
 
-    def fill(self, key: tuple, tables, result: ResultSet) -> None:
-        """Snapshot ``result`` under ``key``.
+    def fill(self, key: tuple, tables, result: ResultSet):
+        """Snapshot ``result`` under ``key``; returns the memo handle
+        :meth:`store_reply` takes (None when the cache is off).
 
         The payload is deep-copied at column granularity: engine results
         can alias live table rows and downstream code rebinds ``.rows``
@@ -289,7 +331,7 @@ class ResultCache:
         out fresh views (:meth:`_view`) for the same reason.
         """
         if not self.config.enabled:
-            return
+            return None
         columns = list(result.columns)
         column_data = [list(col) for col in result.column_data]
         nbytes = estimate_result_bytes(columns, column_data)
@@ -305,20 +347,28 @@ class ResultCache:
             if key in self._entries:
                 self._drop(key, reason="bytes", count_eviction=False)
             self._entries[key] = entry
-            self._entries.move_to_end(key)
             self._bytes += nbytes
             for table in entry.tables:
                 self._by_table.setdefault(table, set()).add(key)
-            while self._bytes > self.config.max_bytes and self._entries:
-                oldest = next(iter(self._entries))
-                if oldest == key and len(self._entries) == 1:
-                    # a single result larger than the budget is not
-                    # worth caching at all
-                    self._drop(oldest, reason="bytes")
-                    break
-                self._drop(oldest, reason="bytes")
-            self._publish_gauges()
+            self._enforce_budget()
         self._ensure_sweeper()
+        return key, entry
+
+    def store_reply(self, memo: tuple[tuple, _Entry], reply: bytes) -> None:
+        """Memoise ``reply``, the framed QIPC RESPONSE just built from
+        the memo's entry, so later wire-path hits answer with it.
+
+        Charged to the entry's bytes exactly once; an entry that was
+        dropped meanwhile (write, TTL, eviction, refill) is left alone.
+        """
+        key, entry = memo
+        with self._lock:
+            if entry.reply is not None or self._entries.get(key) is not entry:
+                return
+            entry.reply = reply
+            entry.nbytes += len(reply)
+            self._bytes += len(reply)
+            self._enforce_budget()
 
     # -- invalidation ----------------------------------------------------------
 
@@ -335,10 +385,15 @@ class ResultCache:
                     self._drop(key, reason="invalidation")
                     dropped += 1
             if dropped:
+                self.stats.invalidations += dropped
                 self._publish_gauges()
         if dropped:
-            self.stats.invalidations += dropped
             RCACHE_INVALIDATIONS.inc(dropped)
+
+    def count_bypass(self) -> None:
+        """One statement executed around the cache (executor gating)."""
+        with self._lock:
+            self.stats.bypasses += 1
 
     def clear(self) -> None:
         with self._lock:
@@ -354,6 +409,10 @@ class ResultCache:
         with self._lock:
             self.stats.entries = len(self._entries)
             self.stats.bytes = self._bytes
+            self.stats.reply_bytes = sum(
+                len(entry.reply) for entry in self._entries.values()
+                if entry.reply is not None
+            )
         return self.stats
 
     # -- internals -------------------------------------------------------------
@@ -387,6 +446,14 @@ class ResultCache:
         if count_eviction:
             self.stats.evictions += 1
             RCACHE_EVICTIONS.inc(reason=reason)
+
+    def _enforce_budget(self) -> None:
+        """Evict least-recently-used entries until ``max_bytes`` holds —
+        a single entry larger than the budget goes too (caller holds the
+        lock)."""
+        while self._bytes > self.config.max_bytes and self._entries:
+            self._drop(next(iter(self._entries)), reason="bytes")
+        self._publish_gauges()
 
     def _publish_gauges(self) -> None:
         RCACHE_ENTRIES.set(len(self._entries))

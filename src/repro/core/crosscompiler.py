@@ -163,22 +163,43 @@ class ProtocolTranslator:
     ``execute`` receives the whole :class:`TranslationResult` (not bare
     SQL): the executor behind it needs the statement's read set and
     admission class to drive the result cache and temp-data tier.
+    ``serve`` is the executor's wire form
+    (:meth:`repro.cache.executor.QueryExecutor.serve`): its answer may be
+    a cached result's memoised QIPC reply frame, and the walk then goes
+    from ``executing`` straight to ``responding`` with no pivot.
     """
 
-    def __init__(self, execute):
+    def __init__(self, execute, serve=None):
         self._execute = execute
+        self._serve = serve
 
     def respond(self, translation: TranslationResult) -> QValue:
-        work: dict = {}
+        """Execute and pivot: the in-process answer."""
+        return self._walk(translation, wire=False)[0]
+
+    def respond_served(self, translation: TranslationResult):
+        """The wire path: ``(value, served)`` where ``served`` is the
+        executor's :class:`~repro.cache.result_cache.Served`.  On a memo
+        hit ``served.reply`` is the answer and ``value`` is None."""
+        return self._walk(translation, wire=True)
+
+    def _walk(self, translation: TranslationResult, wire: bool):
+        work: dict = {"value": None, "served": None}
         fsm = Fsm("protocol-translator", "idle")
-        fsm.add_state("executing")
-        fsm.add_state("pivoting")
-        fsm.add_state("responding")
 
         def do_execute(machine: Fsm, payload) -> None:
             with tracing.span("pt.execute"):
-                work["result"] = self._execute(translation)
-            machine.fire("results_ready")
+                if wire:
+                    served = work["served"] = self._serve(
+                        translation, want_reply=True
+                    )
+                    work["result"] = served.result
+                else:
+                    work["result"] = self._execute(translation)
+            if work["result"] is None:
+                machine.fire("memo_hit")
+            else:
+                machine.fire("results_ready")
 
         def do_pivot(machine: Fsm, payload) -> None:
             with tracing.span("pt.pivot"):
@@ -189,8 +210,10 @@ class ProtocolTranslator:
 
         fsm.add_state("executing", on_enter=do_execute)
         fsm.add_state("pivoting", on_enter=do_pivot)
+        fsm.add_state("responding")
         fsm.add_transition("idle", "query_ready", "executing")
         fsm.add_transition("executing", "results_ready", "pivoting")
+        fsm.add_transition("executing", "memo_hit", "responding")
         fsm.add_transition("pivoting", "pivoted", "responding")
         fsm.fire("query_ready")
-        return work["value"]
+        return work["value"], work["served"]

@@ -4,7 +4,8 @@ A session owns a session-level variable scope, a metadata interface, one
 :class:`~repro.core.pipeline.TranslationPipeline` (built once; the active
 scope is passed per statement), the translation cache, the Protocol
 Translator, and the eager-materialization machinery.  ``execute`` runs Q
-text end-to-end against the backend; ``translate`` stops after
+text end-to-end against the backend; ``reply`` does the same for the QIPC
+server and returns the framed response; ``translate`` stops after
 serialization and returns the SQL (plus stage timings), which is what the
 evaluation section measures.
 """
@@ -46,6 +47,8 @@ from repro.errors import (
 )
 from repro.obs import configure as obs_configure
 from repro.obs import get_logger, metrics, tracing
+from repro.qipc.encode import encode_reply
+from repro.qipc.messages import resend
 from repro.qlang import ast
 from repro.qlang.parser import parse
 from repro.qlang.values import QValue
@@ -74,7 +77,15 @@ class ExecutionOutcome:
     _last_translation: TranslationResult | None = field(
         default=None, repr=False
     )
+    #: the message's value is the pivot of ``_last_translation``: one
+    #: statement, and no side-effecting path taken
     _cacheable: bool = field(default=True, repr=False)
+    #: the memoised QIPC reply frame that answered the message, if any
+    reply: bytes | None = None
+    #: set by ``HyperQSession.reply``: a memoised frame may answer
+    _wire: bool = field(default=False, repr=False)
+    #: the result-cache entry a freshly framed reply may be stored on
+    _memo: tuple | None = field(default=None, repr=False)
 
     def mark_uncacheable(self) -> None:
         self._cacheable = False
@@ -138,7 +149,9 @@ class HyperQSession:
             self.temp_tier,
             self.config,
         )
-        self.pt = ProtocolTranslator(self.executor.execute)
+        self.pt = ProtocolTranslator(
+            self.executor.execute, self.executor.serve
+        )
         self._materialized: list[tuple[str, str]] = []  # (relation, kind)
         self._closed = False
 
@@ -159,12 +172,29 @@ class HyperQSession:
         return self.run(q_text).value
 
     def run(self, q_text: str) -> ExecutionOutcome:
-        return self._run(q_text, execute=True)
+        return self._run(q_text, ExecutionOutcome(value=None))
+
+    def reply(self, q_text: str) -> bytes:
+        """Run a Q message end-to-end; return its framed QIPC response.
+
+        The server's path.  A single-statement message whose value is
+        the pivot of one cacheable read is answered with its result-cache
+        entry's memoised reply frame when the entry holds one (no copy,
+        pivot, encode or compression); otherwise the reply is framed
+        here and, for such a read, memoised on the entry.
+        """
+        outcome = self._run(q_text, ExecutionOutcome(value=None, _wire=True))
+        if outcome.reply is not None:
+            return resend(outcome.reply)
+        reply = encode_reply(outcome.value)
+        if outcome._memo is not None:
+            self.result_cache.store_reply(outcome._memo, reply)
+        return reply
 
     def translate(self, q_text: str) -> ExecutionOutcome:
         """Translate without touching backend data (DDL is *not* executed;
         materialization is recorded logically so later statements bind)."""
-        return self._run(q_text, execute=False)
+        return self._run(q_text, ExecutionOutcome(value=None), execute=False)
 
     def close(self) -> list[str]:
         """Destroy the session scope: session variables are promoted to
@@ -248,10 +278,9 @@ class HyperQSession:
 
     # -- the query life cycle ------------------------------------------------------
 
-    def _run(self, q_text: str, execute: bool, scope: Scope | None = None,
-             outcome: ExecutionOutcome | None = None) -> ExecutionOutcome:
-        outcome = outcome or ExecutionOutcome(value=None)
-        scope = scope or self.session_scope
+    def _run(self, q_text: str, outcome: ExecutionOutcome,
+             execute: bool = True) -> ExecutionOutcome:
+        scope = self.session_scope
         mode = "execute" if execute else "translate"
         RUNS_TOTAL.inc(mode=mode)
 
@@ -269,6 +298,9 @@ class HyperQSession:
 
             with stage_span(outcome.timings, "parse"):
                 program = parse(q_text)
+            if len(program.statements) != 1:
+                # neither cache may answer a multi-statement message
+                outcome.mark_uncacheable()
 
             qclass = (
                 classify_program(program.statements).value
@@ -285,7 +317,6 @@ class HyperQSession:
                 key is not None
                 and outcome._cacheable
                 and outcome._last_translation is not None
-                and len(program.statements) == 1
             ):
                 cache.put(key, outcome._last_translation)
         return outcome
@@ -328,8 +359,20 @@ class HyperQSession:
                 outcome.rule_applications.get(rule, 0) + count
             )
         if execute:
-            outcome.value = self.pt.respond(cached)
+            outcome.value = self._respond(cached, outcome)
         return outcome
+
+    def _respond(
+        self, translation: TranslationResult, outcome: ExecutionOutcome
+    ) -> QValue | None:
+        """The PT's answer to one translated read.  On the wire path a
+        read that is the whole message's value may be answered by its
+        result-cache entry's reply frame (``outcome.reply``)."""
+        if not (outcome._wire and outcome._cacheable):
+            return self.pt.respond(translation)
+        value, served = self.pt.respond_served(translation)
+        outcome.reply, outcome._memo = served.reply, served.memo
+        return value
 
     def _run_statement(
         self,
@@ -369,7 +412,7 @@ class HyperQSession:
             )
         if not execute:
             return None
-        return self.pt.respond(translation)
+        return self._respond(translation, outcome)
 
     # -- management utilities --------------------------------------------------------
 

@@ -87,6 +87,7 @@ RCACHE_INVALIDATIONS_TOTAL = "rcache_invalidations_total"
 RCACHE_COALESCED_TOTAL = "rcache_coalesced_total"
 RCACHE_BYPASS_TOTAL = "rcache_bypass_total"
 RCACHE_SKIPPED_CHEAP_TOTAL = "rcache_skipped_cheap_total"
+RCACHE_REPLY_HITS_TOTAL = "rcache_reply_hits_total"
 RCACHE_BYTES = "rcache_bytes"
 RCACHE_ENTRIES = "rcache_entries"
 TEMPTIER_HANDLES = "temptier_handles"

@@ -18,6 +18,7 @@ import struct
 
 from repro.errors import ProtocolError
 from repro.qipc.kernels import INT_NULLS, guid_bytes, pack_fixed
+from repro.qipc.messages import MessageType, QipcMessage, frame
 from repro.qlang.qtypes import QType
 from repro.qlang.values import (
     QAtom,
@@ -104,6 +105,13 @@ def encode_value(value: QValue) -> bytes:
 def encode_error(message: str) -> bytes:
     """kdb+ error response: type -128 + null-terminated text."""
     return struct.pack("<b", -128) + message.encode("utf-8") + b"\x00"
+
+
+def encode_reply(value: QValue | None) -> bytes:
+    """The framed QIPC RESPONSE answering a sync query with ``value``; a
+    statement without a value answers the empty general list."""
+    payload = encode_value(QList([]) if value is None else value)
+    return frame(QipcMessage(MessageType.RESPONSE, payload))
 
 
 def _encode_atom(atom: QAtom) -> bytes:

@@ -40,8 +40,10 @@ QIPC_COMPRESSION_RATIO = metrics.histogram(
 HEADER_SIZE = 8
 LITTLE_ENDIAN = 1
 
-#: messages larger than this are compressed when both sides allow it
-#: (kdb+ compresses messages over 2000 bytes sent to remote hosts)
+#: payloads larger than this are compressed for every peer (loopback
+#: included; kdb+ itself only compresses for remote hosts) and the
+#: compressed form is kept when it is smaller.  A server reply that a
+#: result-cache entry memoises pays this once per entry, not per hit.
 COMPRESSION_THRESHOLD = 2000
 
 
@@ -76,9 +78,20 @@ def frame(message: QipcMessage, allow_compression: bool = True) -> bytes:
     header = struct.pack(
         "<BBBBI", LITTLE_ENDIAN, int(message.msg_type), compressed_flag, 0, total
     )
-    QIPC_BYTES.inc(total, direction="out")
-    QIPC_MESSAGES.inc(type=message.msg_type.name.lower(), direction="out")
-    return header + payload
+    return resend(header + payload)
+
+
+def resend(framed: bytes) -> bytes:
+    """Count ``framed`` as one outgoing message and return it unchanged.
+
+    :func:`frame` ends here; a memoised reply frame sent again comes
+    here directly, so ``qipc_*_total{direction="out"}`` reads the same
+    whether a reply was built now or earlier."""
+    QIPC_BYTES.inc(len(framed), direction="out")
+    QIPC_MESSAGES.inc(
+        type=MessageType(framed[1]).name.lower(), direction="out"
+    )
+    return framed
 
 
 def unframe(data: bytes) -> QipcMessage:

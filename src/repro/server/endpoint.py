@@ -2,8 +2,8 @@
 
 A QIPC socket server that impersonates kdb+: it performs the
 ``user:password<N>\\0`` handshake, reads sync/async query messages, hands
-the raw query text to a per-connection handler, and ships results (or
-kdb+-style error responses) back as QIPC objects.
+the raw query text to a per-connection handler, and writes back the
+framed response the handler returns (or a kdb+-style error response).
 
 "Hyper-Q takes over kdb+ server by listening to incoming messages on the
 port used by the original kdb+ server.  Q applications run unchanged."
@@ -34,7 +34,7 @@ from repro.errors import (
 )
 from repro.obs import get_logger, metrics
 from repro.qipc.decode import decode_value
-from repro.qipc.encode import encode_error, encode_value
+from repro.qipc.encode import encode_error, encode_reply
 from repro.qipc.handshake import Authenticator, AllowAll, parse_hello, server_ack
 from repro.qipc.messages import (
     MessageType,
@@ -43,7 +43,7 @@ from repro.qipc.messages import (
     poll_message,
 )
 from repro.qlang.qtypes import QType
-from repro.qlang.values import QList, QValue, QVector
+from repro.qlang.values import QValue, QVector
 from repro.server.common import BufferedSocketReader
 from repro.server.reactor import Protocol, ReactorServer
 from repro.wlm.deadline import Deadline, request_scope
@@ -80,6 +80,14 @@ class ConnectionHandler:
 
     def execute(self, query: str) -> QValue | None:
         raise NotImplementedError
+
+    def respond(self, query: str, sync: bool) -> bytes | None:
+        """Run ``query``: the framed RESPONSE for a sync message, None for
+        an async one.  This is the endpoint's only success path; a
+        handler that can answer with bytes it already holds overrides
+        it (``HyperQServer`` serves result-cache hits this way)."""
+        result = self.execute(query)
+        return encode_reply(result) if sync else None
 
     def close(self) -> None:
         return None
@@ -211,13 +219,7 @@ class QipcProtocol(Protocol):
         ERRORS_TOTAL.inc(error="DeadlineExceededError", server="qipc")
         _log.warning("deadline_fired", where="server.loop")
         if job.message.msg_type == MessageType.SYNC:
-            self.transport.write(
-                frame(
-                    QipcMessage(
-                        MessageType.RESPONSE, encode_error("wlm-deadline")
-                    )
-                )
-            )
+            self.transport.write(_error_reply("wlm-deadline"))
 
     def _job_done(self, job: _Job, response: bytes | None,
                   fatal: bool) -> None:
@@ -283,30 +285,21 @@ class QipcProtocol(Protocol):
                     # nested scopes inherit the earlier deadline, so the
                     # session's own _wlm_scope sees exactly this expiry
                     with request_scope(job.deadline):
-                        result = self.handler.execute(query)
+                        response = self.handler.respond(query, is_sync)
                 else:
-                    result = self.handler.execute(query)
+                    response = self.handler.respond(query, is_sync)
             except QError as exc:
                 ERRORS_TOTAL.inc(error=type(exc).__name__, server="qipc")
                 _log.warning(
                     "query_error", signal=exc.signal, message=str(exc)
                 )
                 if is_sync:
-                    response = frame(
-                        QipcMessage(
-                            MessageType.RESPONSE, encode_error(exc.signal)
-                        )
-                    )
+                    response = _error_reply(exc.signal)
             except ReproError as exc:
                 ERRORS_TOTAL.inc(error=type(exc).__name__, server="qipc")
                 _log.warning("query_error", message=str(exc))
                 if is_sync:
-                    response = frame(
-                        QipcMessage(
-                            MessageType.RESPONSE,
-                            encode_error(str(exc)[:200]),
-                        )
-                    )
+                    response = _error_reply(str(exc)[:200])
             except Exception as exc:
                 # a non-Repro crash dropped the whole connection in the
                 # threaded server; keep that contract
@@ -316,16 +309,6 @@ class QipcProtocol(Protocol):
                     message=str(exc)[:200],
                 )
                 fatal = True
-            else:
-                if is_sync:
-                    response = frame(
-                        QipcMessage(
-                            MessageType.RESPONSE,
-                            encode_value(
-                                result if result is not None else QList([])
-                            ),
-                        )
-                    )
         finally:
             QUERIES_TOTAL.inc(
                 kind=message.msg_type.name.lower(), server="qipc"
@@ -371,6 +354,11 @@ class QipcEndpoint(ReactorServer):
         """The per-request deadline the loop should enforce with a timer;
         None disables the timer (the generic endpoint has no WLM)."""
         return None
+
+
+def _error_reply(text: str) -> bytes:
+    """kdb+-style error RESPONSE frame."""
+    return frame(QipcMessage(MessageType.RESPONSE, encode_error(text)))
 
 
 def _extract_query(payload: bytes) -> str:

@@ -213,6 +213,15 @@ class _HyperQHandler(ConnectionHandler):
             lambda: self.session.execute(query)
         )
 
+    def respond(self, query: str, sync: bool) -> bytes | None:
+        """Sync messages take the session's reply path, which answers a
+        cached read with its memoised frame; async ones never touch it."""
+        if not sync:
+            return super().respond(query, sync)
+        return self.server.run_with_concurrency(
+            lambda: self.session.reply(query)
+        )
+
     def close(self) -> None:
         self.session.close()
 

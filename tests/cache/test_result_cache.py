@@ -2,6 +2,7 @@
 LRU, single-flight coalescing, WLM gating, and the ``rcache[]`` admin
 command (docs/CACHING.md)."""
 
+import sys
 import threading
 
 import pytest
@@ -137,7 +138,7 @@ class TestSingleFlight:
         threads = [
             threading.Thread(
                 target=lambda: results.append(
-                    cache.get_or_execute(("k",), [], producer)
+                    cache.serve(("k",), [], producer).result
                 )
             )
             for __ in range(6)
@@ -163,9 +164,9 @@ class TestSingleFlight:
             return rs([7])
 
         with pytest.raises(RuntimeError):
-            cache.get_or_execute(("k",), [], failing_then_ok)
+            cache.serve(("k",), [], failing_then_ok)
         # the flight is gone: the next requester retries as leader
-        result = cache.get_or_execute(("k",), [], failing_then_ok)
+        result = cache.serve(("k",), [], failing_then_ok).result
         assert [r[0] for r in result.rows] == [7]
 
 
@@ -175,7 +176,7 @@ class TestSizeAwareAdmission:
 
     def test_cheap_production_skips_the_cache(self):
         cache = make_cache(min_produce_ms=50.0)
-        result = cache.get_or_execute(("k",), ["t"], lambda: rs([1]))
+        result = cache.serve(("k",), ["t"], lambda: rs([1])).result
         assert [r[0] for r in result.rows] == [1]
         assert cache.fetch(("k",)) is None
         assert cache.stats.skipped_cheap == 1
@@ -189,18 +190,18 @@ class TestSizeAwareAdmission:
             time.sleep(0.01)
             return rs([2])
 
-        cache.get_or_execute(("k",), ["t"], slow)
+        cache.serve(("k",), ["t"], slow)
         assert cache.fetch(("k",)) is not None
         assert cache.stats.skipped_cheap == 0
 
     def test_zero_floor_admits_everything(self):
         cache = make_cache(min_produce_ms=0.0)
-        cache.get_or_execute(("k",), ["t"], lambda: rs([3]))
+        cache.serve(("k",), ["t"], lambda: rs([3]))
         assert cache.fetch(("k",)) is not None
 
     def test_skip_count_surfaces_in_rcache_rows(self):
         cache = make_cache(min_produce_ms=50.0)
-        cache.get_or_execute(("k",), ["t"], lambda: rs([4]))
+        cache.serve(("k",), ["t"], lambda: rs([4]))
         rows = dict(cache.snapshot().as_rows())
         assert rows["skipped_cheap"] == 1
 
@@ -382,3 +383,285 @@ class TestEndToEnd:
             assert by_name.get("admin", 0) >= 1
         finally:
             session.close()
+
+
+class TestCounters:
+    def test_concurrent_fetches_lose_no_lookup(self):
+        """Every counter moves under the cache lock: racing workers may
+        never leave ``lookups < hits + misses`` in ``rcache[]``."""
+        cache = make_cache()
+        cache.fill(("hot",), [], rs([1]))
+        start = threading.Barrier(8)
+
+        def worker(index: int):
+            start.wait(10.0)
+            for i in range(500):
+                cache.fetch(("hot",) if i % 2 else (f"cold{index}",))
+
+        threads = [
+            threading.Thread(target=worker, args=(i,)) for i in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        stats = cache.snapshot()
+        assert stats.lookups == 8 * 500
+        assert stats.lookups == stats.hits + stats.misses
+        assert stats.hits == 8 * 250
+
+
+class TestReplyMemo:
+    """The memoised QIPC reply frame on a result-cache entry."""
+
+    def test_reply_is_charged_once(self):
+        cache = make_cache()
+        memo = cache.fill(("k",), ["t"], rs([1, 2, 3]))
+        payload_bytes = cache.total_bytes
+        cache.store_reply(memo, b"r" * 500)
+        cache.store_reply(memo, b"s" * 500)  # already set: no-op
+        assert cache.total_bytes == payload_bytes + 500
+        assert cache.snapshot().reply_bytes == 500
+        served = cache.serve(("k",), ["t"], None, want_reply=True)
+        assert served.reply == b"r" * 500 and served.result is None
+
+    def test_reply_hit_skips_the_view(self, monkeypatch):
+        cache = make_cache()
+        cache.store_reply(cache.fill(("k",), [], rs([1])), b"frame")
+
+        def no_view(entry):
+            raise AssertionError("a reply hit must not copy the columns")
+
+        monkeypatch.setattr(ResultCache, "_view", staticmethod(no_view))
+        assert cache.serve(("k",), [], None, want_reply=True).reply == b"frame"
+        stats = cache.snapshot()
+        assert (stats.hits, stats.reply_hits) == (1, 1)
+
+    def test_in_process_hits_never_see_the_reply(self):
+        cache = make_cache()
+        cache.store_reply(cache.fill(("k",), [], rs([1])), b"frame")
+        assert [r[0] for r in cache.fetch(("k",)).rows] == [1]
+        assert cache.snapshot().reply_hits == 0
+
+    def test_reply_counts_against_the_byte_budget(self):
+        payload_bytes = make_cache().fill(("k",), [], rs([1]))[1].nbytes
+        cache = make_cache(max_bytes=payload_bytes + 100)
+        memo = cache.fill(("k",), [], rs([1]))
+        assert len(cache) == 1
+        cache.store_reply(memo, b"r" * 500)
+        assert len(cache) == 0
+        assert cache.total_bytes == 0
+        assert cache.snapshot().reply_bytes == 0
+        assert cache.stats.evictions == 1
+
+    def test_store_on_a_dropped_entry_is_a_noop(self):
+        cache = make_cache()
+        stale = cache.fill(("k",), ["t"], rs([1]))
+        cache.on_write(["t"])
+        cache.store_reply(stale, b"r" * 100)
+        assert cache.total_bytes == 0
+        # a refill under the same key is a different entry
+        fresh = cache.fill(("k",), ["t"], rs([2]))
+        cache.store_reply(stale, b"old")
+        assert cache.serve(("k",), ["t"], None, True).reply is None
+        cache.store_reply(fresh, b"new")
+        assert cache.serve(("k",), ["t"], None, True).reply == b"new"
+
+    def test_two_threads_storing_charge_once(self):
+        cache = make_cache()
+        memo = cache.fill(("k",), [], rs(list(range(50))))
+        payload_bytes = cache.total_bytes
+        start = threading.Barrier(2)
+
+        def store(reply: bytes):
+            start.wait(10.0)
+            cache.store_reply(memo, reply)
+
+        threads = [
+            threading.Thread(target=store, args=(b"a" * 300,)),
+            threading.Thread(target=store, args=(b"b" * 300,)),
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(10.0)
+        assert not any(t.is_alive() for t in threads)
+        assert cache.total_bytes == payload_bytes + 300
+        assert cache.snapshot().reply_bytes == 300
+        assert memo[1].nbytes == payload_bytes + 300
+
+
+def rcache_stats(hq) -> tuple[int, int]:
+    stats = hq.result_cache.snapshot()
+    return stats.reply_hits, stats.reply_bytes
+
+
+class TestReplyPath:
+    """``HyperQSession.reply``: which messages may use the memo."""
+
+    Q = "select from trades where Price > 40.0"
+
+    def test_second_reply_is_the_memo(self):
+        hq, __ = make_platform()
+        session = hq.create_session()
+        try:
+            first = session.reply(self.Q)
+            assert rcache_stats(hq) == (0, len(first))
+            assert session.reply(self.Q) == first
+            assert rcache_stats(hq) == (1, len(first))
+        finally:
+            session.close()
+
+    def test_memo_hit_counts_like_a_fresh_frame(self):
+        """``metrics[]`` must not tell a memo hit from a fresh frame."""
+        from repro.obs.metrics import get_registry
+
+        hq, __ = make_platform()
+        session = hq.create_session()
+        registry = get_registry()
+        names = (
+            "qipc_bytes_total{direction=out}",
+            "qipc_messages_total{direction=out,type=response}",
+        )
+
+        def deltas(run) -> tuple[float, ...]:
+            before = registry.flat()
+            run()
+            after = registry.flat()
+            return tuple(after.get(n, 0.0) - before.get(n, 0.0) for n in names)
+
+        try:
+            fresh = deltas(lambda: session.reply(self.Q))
+            memo = deltas(lambda: session.reply(self.Q))
+            assert rcache_stats(hq)[0] == 1
+            assert fresh == memo
+            assert fresh[1] == 1 and fresh[0] > 0
+        finally:
+            session.close()
+
+    def test_write_strands_the_reply_and_the_next_read_reframes(self):
+        from repro.qipc.decode import decode_value
+        from repro.qipc.messages import unframe
+
+        hq, __ = make_platform()
+        session = hq.create_session()
+        try:
+            stale = session.reply(self.Q)
+            session.execute(
+                "`trades insert ([] Symbol: enlist `Z; Time: enlist "
+                "10:00:00; Price: enlist 99.0; Size: enlist 7)"
+            )
+            assert rcache_stats(hq) == (0, 0)
+            fresh = session.reply(self.Q)
+            assert fresh != stale
+            table = decode_value(unframe(fresh).payload)
+            assert "Z" in table.column("Symbol").items
+            assert rcache_stats(hq) == (0, len(fresh))
+        finally:
+            session.close()
+
+    def test_ttl_sweep_drops_the_reply(self):
+        """A row the cache cannot see (written straight into the engine)
+        shows up once the TTL retires the entry and its reply."""
+        import time
+
+        from repro.qipc.decode import decode_value
+        from repro.qipc.messages import unframe
+
+        hq, __ = make_platform(HyperQConfig(result_cache=ResultCacheConfig(
+            ttl_seconds=0.05, sweep_interval=0.0
+        )))
+        session = hq.create_session()
+        try:
+            stale = session.reply(self.Q)
+            hq.engine.execute(
+                "INSERT INTO trades VALUES "
+                "('Z', CAST('10:00:00' AS time), 99.0, 7, 4)"
+            )
+            time.sleep(0.1)
+            assert hq.result_cache.sweep() == 1
+            assert rcache_stats(hq) == (0, 0)
+            fresh = session.reply(self.Q)
+            assert fresh != stale
+            table = decode_value(unframe(fresh).payload)
+            assert "Z" in table.column("Symbol").items
+        finally:
+            session.close()
+
+    @pytest.mark.parametrize("message", [
+        "select from trades; select from quotes",
+        "rcache[]",
+        "tables[]",
+        "cols trades",
+        "x: select from trades",
+        "`trades insert ([] Symbol: enlist `Z; Time: enlist 10:00:00; "
+        "Price: enlist 1.0; Size: enlist 7)",
+    ])
+    def test_messages_that_never_use_the_memo(self, message):
+        hq, __ = make_platform()
+        session = hq.create_session()
+        try:
+            for __ in range(3):
+                session.reply(message)
+            assert rcache_stats(hq) == (0, 0)
+        finally:
+            session.close()
+
+    def test_function_calls_and_tier_reads_never_use_the_memo(self):
+        hq, __ = make_platform()
+        session = hq.create_session()
+        try:
+            session.reply("f: {[] select from trades where Price > 40.0}")
+            session.reply("t: select from trades where Price > 40.0")
+            for __ in range(3):
+                session.reply("f[]")
+                session.reply("select from t")
+            assert dict(session.temp_tier.snapshot())["served"] >= 3
+            assert rcache_stats(hq) == (0, 0)
+            # the function's read filled the entry, but only a message
+            # that *is* the read may store its frame there
+            assert hq.result_cache.snapshot().hits >= 2
+        finally:
+            session.close()
+
+    def test_errors_store_nothing(self):
+        from repro.errors import ReproError
+
+        hq, __ = make_platform()
+        session = hq.create_session()
+        try:
+            for __ in range(2):
+                with pytest.raises(ReproError):
+                    session.reply("select from missing")
+            assert rcache_stats(hq) == (0, 0)
+        finally:
+            session.close()
+
+    def test_async_messages_never_fill_the_memo(self):
+        from repro.qlang.interp import Interpreter
+        from repro.server.client import QConnection
+        from repro.server.hyperq_server import HyperQServer
+        from repro.sqlengine.engine import Engine
+        from repro.workload.loader import load_q_source
+
+        from tests.cache.conftest import MARKET_SOURCE, MARKET_TABLES
+
+        engine = Engine()
+        with HyperQServer(engine=engine) as server:
+            load_q_source(engine, Interpreter(), MARKET_SOURCE,
+                          MARKET_TABLES, mdi=server.mdi)
+            with QConnection(*server.address) as q:
+                for __ in range(3):
+                    q.query_async(self.Q)
+                q.query("rcache[]")  # sync: the asyncs ran before it
+                assert rcache_stats(server) == (0, 0)
+                assert server.result_cache.snapshot().hits == 2
+                q.query(self.Q)  # a view hit: frames and stores
+                q.query(self.Q)  # the memo
+                assert rcache_stats(server)[0] == 1
