@@ -35,9 +35,7 @@ def _sweep_seconds(hq, workload) -> float:
 
 
 def _best_sweep(hq, workload, obs_on: bool, repeats: int) -> float:
-    configure(
-        ObservabilityConfig(metrics_enabled=obs_on, tracing_enabled=obs_on)
-    )
+    configure(ObservabilityConfig(enabled=obs_on))
     try:
         _sweep_seconds(hq, workload)  # warm caches/allocator for this mode
         return min(_sweep_seconds(hq, workload) for __ in range(repeats))

@@ -6,7 +6,7 @@ references that resolve against the correct input, boolean predicates,
 and structurally valid operators.  The Xformer rebuilds trees wholesale,
 so a buggy rewrite rule tends to corrupt trees in ways the serializer
 only trips over much later — the pipeline runs :func:`check_operator_tree`
-after each pass (``AnalysisConfig.check_invariants``) and attributes any
+after each pass (``AnalysisConfig.enabled``) and attributes any
 violation to the pass that *produced* the broken tree.
 """
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 from repro.cache.result_cache import ResultCache, Served
 from repro.cache.temptier import TempDataTier
 from repro.config import HyperQConfig
+from repro.core.materialize import TEMP_TABLE_PREFIX, VIEW_PREFIX
 from repro.core.metadata import MetadataInterface
 from repro.core.pipeline import TranslationResult
 from repro.obs import metrics
@@ -36,7 +37,7 @@ CACHEABLE_CLASSES = frozenset(
 #: session-private relation prefixes: their names repeat across sessions
 #: (``hq_temp_1`` means something different per connection), so results
 #: over them must never enter the shared cache
-_PRIVATE_PREFIXES = ("hq_temp_", "hq_view_")
+_PRIVATE_PREFIXES = (TEMP_TABLE_PREFIX, VIEW_PREFIX)
 
 
 class QueryExecutor:

@@ -53,24 +53,21 @@ class ObservabilityConfig:
 
     Metrics and tracing are on by default (the measured overhead on the
     Figure-6 translation workload is well under the 5% budget).  Disabling
-    metrics turns every registry update into a no-op; disabling tracing
-    keeps span wall-clock measurement (``StageTimings`` are part of the
-    public API) but skips building and retaining the span tree.
+    turns every registry update into a no-op, and keeps span wall-clock
+    measurement (``StageTimings`` are part of the public API) but skips
+    building and retaining the span tree.
     """
 
-    metrics_enabled: bool = True
-    tracing_enabled: bool = True
+    enabled: bool = True
 
 
 @dataclass
 class XformerConfig:
-    """Per-rule toggles; the ablation benches flip these."""
+    """Per-rule toggles; the ablation benches flip these.  Rules without
+    a toggle here are always on."""
 
     two_valued_logic: bool = True
     column_pruning: bool = True
-    order_elision: bool = True
-    order_injection: bool = True
-    constant_folding: bool = True
     filter_merge: bool = True
 
     def fingerprint(self) -> tuple:
@@ -148,19 +145,15 @@ class ServerConfig:
     still bounds per-class concurrency inside the workers.
     """
 
-    #: threads executing queries (the blocking boundary); the loop itself
-    #: never blocks
+    #: threads executing queries (the blocking boundary), hence the
+    #: server-wide bound on concurrent queries; the loop itself never blocks
     worker_threads: int = 8
-    #: listen(2) backlog for the accept socket
-    accept_backlog: int = 128
     #: bytes asked from the kernel per non-blocking recv
     recv_size: int = 64 * 1024
     #: cadence of the loop-lag heartbeat timer (server_loop_lag_ms)
     heartbeat_seconds: float = 0.5
     #: largest inbound frame a connection may buffer before it is dropped
     max_message_bytes: int = 64 * 1024 * 1024
-    #: seconds stop() waits for the loop and worker threads to drain
-    stop_join_timeout: float = 2.0
 
 
 @dataclass
@@ -221,8 +214,6 @@ class RetryConfig:
     max_attempts: int = 3
     base_delay: float = 0.05
     max_delay: float = 1.0
-    #: retry tokens earned per successful request (Finagle-style budget)
-    budget_ratio: float = 0.1
     #: tokens available before any success has been observed
     budget_min_tokens: float = 10.0
     #: deterministic jitter for tests; production leaves the default
@@ -375,19 +366,12 @@ class AnalysisConfig:
     When ``enabled``, the translation pipeline gains an ``analyze`` pass
     (pre-bind qcheck rules over the Q AST) and verifies XTRA invariants on
     the operator tree after every pass.  Findings are recorded in the
-    ``analysis_findings_total`` metric either way; only QC004
-    (untranslatable construct) raises, and only when
-    ``raise_on_untranslatable`` is set.
+    ``analysis_findings_total`` metric; only QC004 (a construct that
+    provably has no XTRA mapping) raises
+    :class:`repro.errors.UntranslatableError`.
     """
 
     enabled: bool = field(default_factory=_analysis_default_enabled)
-    #: run the pre-bind qcheck rules as an ``analyze`` pipeline pass
-    qcheck: bool = True
-    #: verify XTRA invariants on each pass's output operator tree
-    check_invariants: bool = True
-    #: raise :class:`repro.errors.UntranslatableError` from the analyze
-    #: pass for constructs that provably have no XTRA mapping (QC004)
-    raise_on_untranslatable: bool = True
 
 
 @dataclass
@@ -408,11 +392,3 @@ class HyperQConfig:
     wlm: WlmConfig = field(default_factory=WlmConfig)
     sharding: ShardingConfig = field(default_factory=ShardingConfig)
     materialization: MaterializationMode = MaterializationMode.PHYSICAL
-    #: prefix for generated temp tables, as in the paper's example SQL
-    temp_table_prefix: str = "hq_temp_"
-    #: prefix for views backing logical materialization
-    view_prefix: str = "hq_view_"
-    #: maximum concurrent queries a server executes; 0 = unlimited.  The
-    #: case study lists "configurable concurrency" among the areas where
-    #: Hyper-Q enhances the kdb+ experience (kdb+ is strictly serial)
-    max_concurrency: int = 0

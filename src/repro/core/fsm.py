@@ -17,6 +17,9 @@ from typing import Callable
 
 from repro.errors import ReproError
 
+#: transitions an FSM keeps in ``history`` for debugging
+HISTORY_LEN = 32
+
 
 class FsmError(ReproError):
     """Invalid FSM construction or an event with no matching transition."""
@@ -47,7 +50,9 @@ class Fsm:
         self._entry_callbacks: dict[str, Callable[["Fsm", object], None]] = {}
         self._queue: deque[_QueuedEvent] = deque()
         self._running = False
-        self.history: list[tuple[str, str, str]] = []  # (from, event, to)
+        # (from, event, to) of the latest transitions only: connection
+        # FSMs live as long as their connection and fire per query
+        self.history: deque[tuple[str, str, str]] = deque(maxlen=HISTORY_LEN)
 
     # -- construction -----------------------------------------------------------
 

@@ -33,6 +33,14 @@ MATERIALIZATIONS = metrics.counter(
     "Q assignments materialized in the backend",
 )
 
+#: generated relation names, as in the paper's example SQL: physical
+#: temp tables and logical views are session-private (``hq_temp_1``
+#: means something different per connection); a temp table promoted to
+#: the server scope at session close is persisted under the global prefix
+TEMP_TABLE_PREFIX = "hq_temp_"
+VIEW_PREFIX = "hq_view_"
+GLOBAL_PREFIX = "hq_global_"
+
 
 @dataclass
 class MaterializationStep:
@@ -86,14 +94,14 @@ class Materializer:
             self.serializer,
         )
         if mode == MaterializationMode.PHYSICAL:
-            relation = f"{self.config.temp_table_prefix}{next(self._temp_counter)}"
+            relation = f"{TEMP_TABLE_PREFIX}{next(self._temp_counter)}"
             sql = (
                 f"CREATE TEMPORARY TABLE {quote_ident(relation)} AS {inner_sql}"
             )
             kind = "temp_table"
             var_kind = VarKind.TABLE
         else:
-            relation = f"{self.config.view_prefix}{next(self._view_counter)}"
+            relation = f"{VIEW_PREFIX}{next(self._view_counter)}"
             sql = f"CREATE OR REPLACE VIEW {quote_ident(relation)} AS {inner_sql}"
             kind = "view"
             var_kind = VarKind.VIEW

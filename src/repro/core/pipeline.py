@@ -247,8 +247,6 @@ class AnalyzePass(Pass):
         for finding in findings:
             ANALYSIS_FINDINGS.inc(rule=finding.code)
             unit.diagnostics.append(finding.render())
-        if not pipeline.config.analysis.raise_on_untranslatable:
-            return
         for finding in findings:
             if finding.fatal:
                 raise UntranslatableError(
@@ -336,7 +334,7 @@ class TranslationPipeline:
         self._passes: list[Pass] = []
         if passes is None:
             passes = default_passes()
-            if self.config.analysis.enabled and self.config.analysis.qcheck:
+            if self.config.analysis.enabled:
                 passes.insert(0, AnalyzePass())
             # the distributed-rewrite pass is always registered; it
             # no-ops unless the MDI carries a partition map (import is
@@ -408,10 +406,7 @@ class TranslationPipeline:
             unit.query_class = context.query_class
         else:
             unit.query_class = classify_statement(statement).value
-        check_invariants = (
-            self.config.analysis.enabled
-            and self.config.analysis.check_invariants
-        )
+        check_invariants = self.config.analysis.enabled
         deadline = current_deadline()
         for p in self._passes:
             if deadline is not None:

@@ -22,7 +22,13 @@ from repro.core.crosscompiler import (
     ProtocolTranslator,
     pivot_result,
 )
-from repro.core.materialize import MaterializationStep, Materializer
+from repro.core.materialize import (
+    GLOBAL_PREFIX,
+    TEMP_TABLE_PREFIX,
+    VIEW_PREFIX,
+    MaterializationStep,
+    Materializer,
+)
 from repro.core.metadata import BackendPort, MetadataInterface
 from repro.core.pipeline import (
     StageTimings,
@@ -218,7 +224,7 @@ class HyperQSession:
                 relation = definition.relation
                 if any(r == relation and k == "temp_table"
                        for r, k in self._materialized):
-                    permanent = f"hq_global_{name}"
+                    permanent = f"{GLOBAL_PREFIX}{name}"
                     try:
                         # a still-lazy tier handle must exist for real
                         # before the promotion CTAS can read it
@@ -488,7 +494,9 @@ class HyperQSession:
             names = [
                 row[0]
                 for row in result.rows
-                if not row[0].startswith(("hq_temp_", "hq_view_", "hq_global_"))
+                if not row[0].startswith(
+                    (TEMP_TABLE_PREFIX, VIEW_PREFIX, GLOBAL_PREFIX)
+                )
             ]
             return QVector(QType.SYMBOL, names)
 

@@ -296,7 +296,7 @@ class ShardedBackend(ExecutionBackend):
         if self._closed:
             return
         self._closed = True
-        self._pool.shutdown(join_timeout=2.0)
+        self._pool.shutdown()
         for shard in self._shards:
             shard.close()
 
@@ -396,8 +396,6 @@ class ShardedBackend(ExecutionBackend):
             shard.record(elapsed, failed=False)
             SHARD_QUERIES.inc(shard=label)
             SHARD_LATENCY.observe(elapsed, shard=label)
-            with tracing.span("shard.task") as span:
-                span.attrs["shard.id"] = shard.index
             future.set(result)
 
         self._pool.submit(job)

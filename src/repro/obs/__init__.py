@@ -53,5 +53,5 @@ def configure(config) -> None:
     registry/tracer are process-global (like the paper's single Hyper-Q
     instance per backend), so the last configuration applied wins.
     """
-    get_registry().set_enabled(bool(config.metrics_enabled))
-    get_tracer().set_enabled(bool(config.tracing_enabled))
+    get_registry().set_enabled(bool(config.enabled))
+    get_tracer().set_enabled(bool(config.enabled))

@@ -17,7 +17,6 @@ SERVER_ACTIVE_SESSIONS = "server_active_sessions"
 SERVER_QUERIES_TOTAL = "server_queries_total"
 SERVER_ERRORS_TOTAL = "server_errors_total"
 SERVER_QUERY_SECONDS = "server_query_seconds"
-HYPERQ_ACTIVE_QUERIES = "hyperq_active_queries"
 
 # --- event-loop connection core (repro/server/reactor) ------------------
 SERVER_CONNECTIONS_OPEN = "server_connections_open"

@@ -14,8 +14,6 @@ without changes — the paper's central claim.
 
 from __future__ import annotations
 
-import threading
-
 from repro.analysis.concurrency.locks import make_lock
 from repro.cache import ResultCache
 from repro.config import HyperQConfig
@@ -27,19 +25,12 @@ from repro.core.plugins import default_registry
 from repro.core.scopes import ServerScope
 from repro.core.session import HyperQSession
 from repro.obs import configure as obs_configure
-from repro.obs import metrics
 from repro.qipc.handshake import Authenticator
 from repro.qlang.interp import Interpreter
 from repro.qlang.values import QValue
 from repro.server.endpoint import ConnectionHandler, QipcEndpoint
 from repro.sqlengine.engine import Engine
 from repro.wlm import Deadline, WorkloadManager
-
-#: concurrently executing Hyper-Q queries (the "configurable
-#: concurrency" knob made observable)
-ACTIVE_QUERIES = metrics.gauge(
-    "hyperq_active_queries", "Queries executing inside HyperQServer"
-)
 
 
 class KdbServer(QipcEndpoint):
@@ -78,7 +69,10 @@ class HyperQServer(QipcEndpoint):
     """QIPC in front, PG-compatible SQL behind: the Hyper-Q deployment.
 
     Each connection gets its own :class:`HyperQSession` (local/session
-    scopes per Figure 3) over a shared server scope and backend.
+    scopes per Figure 3) over a shared server scope and backend.  The
+    paper's "configurable concurrency" (Section 5; kdb+ is strictly
+    serial) is ``ServerConfig.worker_threads`` server-wide and
+    ``WlmConfig.classes`` per query class.
     """
 
     def __init__(
@@ -115,18 +109,6 @@ class HyperQServer(QipcEndpoint):
         # one shared result cache: dashboards re-issuing the same reads
         # from different connections share entries (docs/CACHING.md)
         self.result_cache = ResultCache(self.config.result_cache)
-        # "configurable concurrency" (paper Section 5): kdb+ is strictly
-        # serial; Hyper-Q lets the operator pick the concurrency level
-        self._concurrency = (
-            threading.BoundedSemaphore(self.config.max_concurrency)
-            if self.config.max_concurrency > 0
-            else None
-        )
-        # hq: guarded-by(self._stats_lock) — written by every worker
-        self.active_queries = 0
-        # hq: guarded-by(self._stats_lock) — read-modify-write of the max
-        self.peak_concurrency = 0
-        self._stats_lock = make_lock("server.hyperq_stats")
 
         def handler_factory() -> ConnectionHandler:
             return _HyperQHandler(self)
@@ -146,28 +128,7 @@ class HyperQServer(QipcEndpoint):
         """
         if self.wlm is None:
             return None
-        default = self.config.wlm.default_deadline
-        if default > 0:
-            return Deadline.after(default)
-        return None
-
-    def run_with_concurrency(self, fn):
-        if self._concurrency is not None:
-            with self._concurrency:
-                return self._tracked(fn)
-        return self._tracked(fn)
-
-    def _tracked(self, fn):
-        with self._stats_lock:
-            self.active_queries += 1
-            self.peak_concurrency = max(self.peak_concurrency, self.active_queries)
-        ACTIVE_QUERIES.inc()
-        try:
-            return fn()
-        finally:
-            ACTIVE_QUERIES.dec()
-            with self._stats_lock:
-                self.active_queries -= 1
+        return self.wlm.deadline_for_request()
 
     def create_session(self) -> HyperQSession:
         return HyperQSession(
@@ -209,18 +170,14 @@ class _HyperQHandler(ConnectionHandler):
         self.session = server.create_session()
 
     def execute(self, query: str) -> QValue | None:
-        return self.server.run_with_concurrency(
-            lambda: self.session.execute(query)
-        )
+        return self.session.execute(query)
 
     def respond(self, query: str, sync: bool) -> bytes | None:
         """Sync messages take the session's reply path, which answers a
         cached read with its memoised frame; async ones never touch it."""
         if not sync:
             return super().respond(query, sync)
-        return self.server.run_with_concurrency(
-            lambda: self.session.reply(query)
-        )
+        return self.session.reply(query)
 
     def close(self) -> None:
         self.session.close()

@@ -60,6 +60,11 @@ WORKER_QUEUE_DEPTH = metrics.gauge(
 
 _log = get_logger("server.reactor")
 
+#: listen(2) backlog for every accept socket
+ACCEPT_BACKLOG = 128
+#: seconds stop() waits for the loop and each worker thread to drain
+STOP_JOIN_TIMEOUT = 2.0
+
 
 class TimerHandle:
     """One scheduled loop callback; ``cancel()`` is loop-thread-safe."""
@@ -355,7 +360,7 @@ class Reactor:
         self._running.clear()
         self._wake()
         if self._thread is not None:
-            self._thread.join(timeout=self.config.stop_join_timeout)
+            self._thread.join(timeout=STOP_JOIN_TIMEOUT)
             self._thread = None
 
     def _run(self) -> None:
@@ -502,11 +507,11 @@ class WorkerPool:
                     message=str(exc)[:200],
                 )
 
-    def shutdown(self, join_timeout: float) -> None:
+    def shutdown(self) -> None:
         for __ in self._threads:
             self._queue.put(self._STOP)
         for thread in self._threads:
-            thread.join(timeout=join_timeout)
+            thread.join(timeout=STOP_JOIN_TIMEOUT)
 
 
 class ReactorServer:
@@ -545,7 +550,7 @@ class ReactorServer:
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         sock.bind((self.host, self._requested_port))
-        sock.listen(self.server_config.accept_backlog)
+        sock.listen(ACCEPT_BACKLOG)
         sock.setblocking(False)
         self._listen_sock = sock
         self.reactor = Reactor(self.label, self.server_config)
@@ -561,7 +566,7 @@ class ReactorServer:
             self.reactor.stop()
             self.reactor = None
         if self.workers is not None:
-            self.workers.shutdown(self.server_config.stop_join_timeout)
+            self.workers.shutdown()
             self.workers = None
         self._listen_sock = None  # closed by the reactor's shutdown
 

@@ -17,7 +17,7 @@ the accept loop, session, pipeline and backends (docs/WLM.md):
   breaker that fails fast while the backend is down and probes recovery;
 * **fault injection** (:mod:`~repro.wlm.faults`) — a deterministic,
   seedable saboteur (``REPRO_FAULTS``) that proves all of the above
-  actually works, in tests and the ``wlm-faults`` CI job.
+  actually works, in tests and the ``lockcheck-integration`` CI job.
 
 :class:`WorkloadManager` is the deployment-facing facade: servers build
 one, share it across sessions, and wrap their backend through it.

@@ -21,7 +21,7 @@ with a fixed seed replays the exact same fault sequence; concurrent runs
 keep the configured *rates* but interleave draws.  The injector sits
 inside :class:`~repro.wlm.retry.ResilientBackend`, i.e. faults hit the
 stack *above* the retry/breaker machinery it exercises — tests and the
-``wlm-faults`` CI job drive it via ``REPRO_FAULTS="seed=42,..."``.
+``lockcheck-integration`` CI job drive it via ``REPRO_FAULTS="seed=42,..."``.
 """
 
 from __future__ import annotations

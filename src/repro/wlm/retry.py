@@ -63,6 +63,10 @@ _log = get_logger("wlm.retry")
 TRANSIENT_SQLSTATE_PREFIXES = ("08", "53")
 TRANSIENT_SQLSTATES = frozenset({"40001", "57P01", "57P02", "57P03"})
 
+#: retry tokens earned per successful request (Finagle-style budget):
+#: sustained retries stay within 10% of the success rate
+BUDGET_RATIO = 0.1
+
 
 def is_transient(exc: BaseException) -> bool:
     """Whether the failure is worth retrying at all."""
@@ -137,9 +141,7 @@ class RetryPolicy:
     def __init__(self, config: RetryConfig, sleep=time.sleep):
         self.config = config
         self.sleep = sleep
-        self.budget = RetryBudget(
-            config.budget_ratio, config.budget_min_tokens
-        )
+        self.budget = RetryBudget(BUDGET_RATIO, config.budget_min_tokens)
         self._rng = random.Random(config.jitter_seed)
         self._rng_lock = make_lock("wlm.retry_rng")
 

@@ -138,7 +138,7 @@ class TestRuleDetails:
 
 class TestPipelineEscalation:
     """The analyze pass turns fatal findings into UntranslatableError
-    before bind runs (config.analysis.raise_on_untranslatable)."""
+    before bind runs (whenever config.analysis.enabled is on)."""
 
     def test_fatal_finding_raises_untranslatable(self, session):
         from repro.errors import QNotSupportedError, UntranslatableError

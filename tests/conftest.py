@@ -10,7 +10,7 @@ obs-overhead budget is measured without analysis).
 Set before ``repro.config`` can be imported: ``AnalysisConfig.enabled``
 reads the environment at dataclass-default time.
 
-Under ``REPRO_LOCKCHECK=1`` (CI's wlm-faults and shard-matrix jobs) the
+Under ``REPRO_LOCKCHECK=1`` (CI's lockcheck-integration job) the
 lock factories hand out instrumented :class:`OrderedLock` instances and
 a session-teardown hook asserts the whole run recorded **zero
 lock-order cycles** (CC005) — any ABBA pattern the suite exercises

@@ -111,8 +111,8 @@ class TestFsm:
         fsm = self.build([])
         fsm.fire("go")
         fsm.fire("finish")
-        assert fsm.history == [("idle", "go", "working"),
-                               ("working", "finish", "done")]
+        assert list(fsm.history) == [("idle", "go", "working"),
+                                     ("working", "finish", "done")]
 
     def test_can_fire(self):
         fsm = self.build([])

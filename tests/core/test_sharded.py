@@ -15,6 +15,7 @@ from repro.core.platform import DirectGateway, HyperQ
 from repro.core.sharded import ShardedBackend
 from repro.core.xformer.distributed import extract_plan
 from repro.errors import BackendSqlError, DeadlineExceededError
+from repro.obs import get_tracer
 from repro.qlang.interp import Interpreter
 from repro.sqlengine.engine import Engine
 from repro.wlm import WorkloadManager
@@ -244,6 +245,16 @@ class TestShardedBackend:
         assert [r["shard"] for r in rows] == [0, 1]
         assert all(r["state"] == "closed" for r in rows)
         assert sum(r["queries"] for r in rows) >= 2  # the scatter fanout
+
+    def test_scatter_leaves_only_the_query_trace(self, sharded):
+        # scatter-pool threads have no span stack: a span opened there
+        # would be a detached root crowding the tracer's ring
+        platform, __ = sharded
+        get_tracer().reset()
+        platform.q("select sum Size by Symbol from trades")
+        roots = [span.name for span in get_tracer().traces()]
+        assert roots == ["hyperq.run"]  # no detached shard.task roots
+        assert get_tracer().last_trace().find("shard.scatter")
 
     def test_shards_admin_command(self, sharded):
         platform, __ = sharded

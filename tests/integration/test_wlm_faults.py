@@ -53,7 +53,7 @@ WORKLOAD = [
 ]
 
 #: ~30% transient failures (drops + retryable errors), 200ms latency
-#: spikes, fixed seed — the wlm-faults CI job uses the same spec
+#: spikes, fixed seed — the lockcheck-integration CI job uses the same spec
 MATRIX_FAULTS = FaultConfig(
     enabled=True,
     seed=42,

@@ -102,11 +102,7 @@ class TestMetricsAdminCommand:
 
 
 class TestOptOut:
-    DISABLED = HyperQConfig(
-        observability=ObservabilityConfig(
-            metrics_enabled=False, tracing_enabled=False
-        )
-    )
+    DISABLED = HyperQConfig(observability=ObservabilityConfig(enabled=False))
 
     def test_disabled_records_nothing(self):
         session = make_hyperq(self.DISABLED).create_session()

@@ -315,6 +315,21 @@ class TestQipcProtocolFsm:
         protocol.connection_lost(None)
         assert protocol.fsm.state == "closed"
 
+    def test_history_stays_bounded_on_a_long_lived_connection(self):
+        protocol, transport = self._protocol()
+        protocol.data_received(client_hello(Credentials("u", "p")))
+        query = frame(
+            QipcMessage(
+                MessageType.SYNC, encode_value(QVector(QType.CHAR, list("1")))
+            )
+        )
+        for __ in range(1000):
+            protocol.data_received(query)
+            del transport.out[:]
+        assert protocol.fsm.state == "ready"
+        assert len(protocol.fsm.history) <= 32
+        assert protocol.fsm.history[-1] == ("executing", "finished", "ready")
+
 
 class _SleepyBackend(DirectGateway):
     """A backend that ignores deadlines entirely: only the reactor's
