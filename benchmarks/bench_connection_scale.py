@@ -23,7 +23,7 @@ so the comparison isolates what the bench is gating: the cost of *open
 connections*, not queueing at different throughputs.
 
 Results land in ``benchmarks/results/connection_scale.json``; the
-``conn-scale`` CI job runs this in smoke mode (``REPRO_BENCH_SMOKE=1``,
+``bench-smoke`` CI job runs this in smoke mode (``REPRO_BENCH_SMOKE=1``,
 ~200 idle clients) and fails on a gate breach.
 """
 

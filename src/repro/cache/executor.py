@@ -73,19 +73,21 @@ class QueryExecutor:
               want_reply: bool = False) -> Served:
         """:meth:`execute` for the server's wire path.
 
-        Order matters: the tier is consulted first (it can answer
-        without a backend *or* cache entry), then lazy tier relations
-        the statement touches are materialized (the SQL is about to run
-        for real), then the result cache, then the backend.  Only a
+        Order matters: a read of a lazy tier relation is offered to the
+        tier first (it can answer from the snapshot, without a backend
+        *or* cache entry); what the tier declines materializes the lazy
+        relations the statement reads (the SQL is about to run for
+        real).  Then the result cache, then the backend.  Only a
         cacheable read's answer carries a memo, and with ``want_reply``
         a hit on an entry holding a reply frame answers with the frame.
         """
         tier = self.temp_tier
-        if tier is not None:
-            served = tier.try_serve(translation.sql)
+        lazy = [] if tier is None else tier.lazy_relations(translation.tables)
+        if lazy:
+            served = tier.try_serve(translation.scan)
             if served is not None:
                 return Served(served)
-            for relation in tier.lazy_relations(translation.tables):
+            for relation in lazy:
                 tier.ensure_materialized(relation, self.backend)
 
         qclass = translation.query_class
@@ -112,13 +114,10 @@ class QueryExecutor:
             return False
         if translation.query_class not in CACHEABLE_CLASSES:
             return False
-        for table in translation.tables:
-            if table.startswith(_PRIVATE_PREFIXES):
-                return False
-            # materialized tier relations are still session-private
-            if self.temp_tier is not None and self.temp_tier.handle(table):
-                return False
-        return True
+        # tier relations, lazy or materialized, are temp tables too
+        return not any(
+            table.startswith(_PRIVATE_PREFIXES) for table in translation.tables
+        )
 
     # -- the raw-SQL path ------------------------------------------------------
 
@@ -129,11 +128,8 @@ class QueryExecutor:
         version counters are bumped and dependent cached results
         dropped.  Reads through this door never consult the cache.
         """
-        tier = self.temp_tier
-        if tier is not None:
-            for relation in list(invalidates):
-                if tier.is_lazy(relation):
-                    tier.ensure_materialized(relation, self.backend)
+        for relation in invalidates:
+            self.materialize_temp(relation)
         result = self.backend.run_sql(sql)
         if invalidates:
             self._record_write(invalidates)

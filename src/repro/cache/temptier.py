@@ -16,24 +16,24 @@ temporary data, the tier instead:
    snapshot, pruning blocks whose zones cannot match;
 4. falls back to full materialization (loading the snapshot into the
    backend, never re-running the SELECT) the first time an access
-   pattern needs real SQL — joins, grouping, anything the matcher does
-   not recognize — after which the handle is a passthrough.
+   pattern needs real SQL — joins, grouping, anything that is not a
+   :class:`~repro.core.pipeline.ScanShape` — after which the handle is
+   a passthrough.
 
-The SQL matcher is deliberately conservative: it recognizes only the
-exact shapes Hyper-Q's own serializer emits over a temp relation, and
-anything else triggers materialization.  Unrecognized never means
-wrong — only slower.
+The tier never reads SQL: the pipeline states what a read asks for as
+a ``ScanShape`` taken from the transformed XTRA tree, and a read with
+no shape triggers materialization.  Unrecognized never means wrong —
+only slower.
 """
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
 from repro.analysis.concurrency.locks import make_lock
 from repro.config import TempTierConfig
-from repro.core.metadata import TableMeta
-from repro.core.xformer.distributed import extract_plan
+from repro.core.pipeline import ScanShape
 from repro.obs import metrics
 from repro.sqlengine.catalog import Column
 from repro.sqlengine.executor import ResultSet
@@ -104,6 +104,8 @@ class PositionalMap:
 
     def candidate_blocks(self, column: int, op: str, literal) -> set[int]:
         """Blocks whose zone could hold a matching row."""
+        if op in ("<>", "IS DISTINCT FROM"):  # zones cannot prune
+            return set(range(self.block_count))
         candidates = set()
         for index, zone in enumerate(self.zones[column]):
             if zone.low is None:  # all-NULL block
@@ -111,211 +113,15 @@ class PositionalMap:
             try:
                 if op in ("=", "IS NOT DISTINCT FROM"):
                     keep = zone.low <= literal <= zone.high
-                elif op == ">":
-                    keep = zone.high > literal
-                elif op == ">=":
-                    keep = zone.high >= literal
-                elif op == "<":
-                    keep = zone.low < literal
-                elif op == "<=":
-                    keep = zone.low <= literal
-                else:  # <> and anything exotic: zones cannot prune
-                    keep = True
+                elif op in (">", ">="):
+                    keep = _COMPARISONS[op](zone.high, literal)
+                else:  # < and <=
+                    keep = _COMPARISONS[op](zone.low, literal)
             except TypeError:
                 keep = True  # cross-type comparison: never prune
             if keep:
                 candidates.add(index)
         return candidates
-
-
-# ---------------------------------------------------------------------------
-# The serializer-shape matcher
-# ---------------------------------------------------------------------------
-
-_OUTER_RE = re.compile(
-    r'^SELECT \* FROM \((?P<inner>.*)\) AS hq_t\d+ '
-    r'ORDER BY "ordcol" NULLS FIRST$',
-    re.DOTALL,
-)
-_BASE_RE = re.compile(
-    r'^SELECT (?P<cols>"[^"]+"(?:, "[^"]+")*) FROM "(?P<rel>[^"]+)"$'
-)
-_FILTER_RE = re.compile(
-    r'^SELECT \* FROM \((?P<inner>.*)\) AS hq_t\d+ WHERE \((?P<pred>.*)\)$',
-    re.DOTALL,
-)
-_PROJECT_RE = re.compile(
-    r'^SELECT (?P<aliases>"[^"]+" AS "[^"]+"(?:, "[^"]+" AS "[^"]+")*) '
-    r'FROM \((?P<inner>.*)\) AS hq_t\d+$',
-    re.DOTALL,
-)
-_COUNT_RE = re.compile(
-    r'^SELECT count\(\*\) AS "count" FROM '
-    r'\(SELECT 1 FROM "(?P<rel>[^"]+)"\) AS hq_t\d+$'
-)
-_ATOM_RE = re.compile(
-    r'^"(?P<col>[^"]+)" '
-    r'(?P<op>IS NOT DISTINCT FROM|>=|<=|<>|=|>|<) (?P<lit>.+)$',
-    re.DOTALL,
-)
-_STRING_LIT_RE = re.compile(r"^'(?P<body>(?:[^']|'')*)'::varchar$")
-_INT_LIT_RE = re.compile(r'^-?\d+$')
-_FLOAT_LIT_RE = re.compile(r'^-?\d+\.\d+(?:[eE][+-]?\d+)?$')
-
-
-@dataclass
-class MatchedQuery:
-    """A recognized serializer shape over one tier relation."""
-
-    relation: str
-    #: predicate conjuncts as (column, op, literal) triples
-    predicates: list[tuple[str, str, object]] = field(default_factory=list)
-    #: output column names in order; None means the base column order
-    projection: list[str] | None = None
-    #: ``count select from t`` — answer is the row count
-    count_only: bool = False
-
-
-def _split_conjuncts(pred: str) -> list[str] | None:
-    """Split ``(a) AND (b) AND (c)`` at paren depth zero; None if the
-    text is not a pure AND-conjunction."""
-    parts = []
-    depth = 0
-    start = 0
-    i = 0
-    while i < len(pred):
-        ch = pred[i]
-        if ch == "'":
-            end = pred.find("'", i + 1)
-            while end != -1 and pred[end:end + 2] == "''":
-                end = pred.find("'", end + 2)
-            if end == -1:
-                return None
-            i = end + 1
-            continue
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif depth == 0 and pred.startswith(" AND ", i):
-            parts.append(pred[start:i])
-            start = i + 5
-            i += 5
-            continue
-        i += 1
-    parts.append(pred[start:])
-    return parts
-
-
-def _strip_parens(text: str) -> str:
-    text = text.strip()
-    while text.startswith("(") and text.endswith(")"):
-        depth = 0
-        balanced = True
-        for i, ch in enumerate(text):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0 and i != len(text) - 1:
-                    balanced = False
-                    break
-        if not balanced:
-            return text
-        text = text[1:-1].strip()
-    return text
-
-
-def _parse_literal(text: str):
-    """Supported literal forms; raises ValueError on anything else."""
-    text = text.strip()
-    if _INT_LIT_RE.match(text):
-        return int(text)
-    if _FLOAT_LIT_RE.match(text):
-        return float(text)
-    if text == "TRUE":
-        return True
-    if text == "FALSE":
-        return False
-    string = _STRING_LIT_RE.match(text)
-    if string:
-        return string.group("body").replace("''", "'")
-    raise ValueError(f"unsupported literal {text!r}")
-
-
-def _parse_predicates(pred: str) -> list[tuple[str, str, object]] | None:
-    conjuncts = _split_conjuncts(pred.strip())
-    if conjuncts is None:
-        return None
-    flat: list[tuple[str, str, object]] = []
-    queue = [c for c in conjuncts]
-    while queue:
-        part = _strip_parens(queue.pop(0))
-        inner = _split_conjuncts(part)
-        if inner is not None and len(inner) > 1:
-            queue.extend(inner)
-            continue
-        atom = _ATOM_RE.match(part)
-        if atom is None:
-            return None
-        try:
-            literal = _parse_literal(atom.group("lit"))
-        except ValueError:
-            return None
-        flat.append((atom.group("col"), atom.group("op"), literal))
-    return flat
-
-
-def match_tier_sql(sql: str) -> MatchedQuery | None:
-    """Recognize one of the serializer's shapes over a single relation.
-
-    Returns None for anything but the exact scan / filter / projection /
-    count patterns Hyper-Q emits for interactive reads — the caller then
-    falls back to materialization.
-    """
-    count = _COUNT_RE.match(sql)
-    if count is not None:
-        return MatchedQuery(relation=count.group("rel"), count_only=True)
-    outer = _OUTER_RE.match(sql)
-    if outer is None:
-        return None
-    node = outer.group("inner")
-    projection: list[str] | None = None
-    predicates: list[tuple[str, str, object]] = []
-    for __ in range(4):  # project -> filter -> base is the deepest stack
-        base = _BASE_RE.match(node)
-        if base is not None:
-            matched = MatchedQuery(
-                relation=base.group("rel"),
-                predicates=predicates,
-                projection=projection,
-            )
-            return matched
-        project = _PROJECT_RE.match(node)
-        if project is not None:
-            if projection is not None:
-                return None  # two projection layers: not our shape
-            names = []
-            for alias in project.group("aliases").split(", "):
-                m = re.match(r'^"([^"]+)" AS "([^"]+)"$', alias)
-                if m is None or m.group(1) != m.group(2):
-                    return None  # renames/expressions: real SQL needed
-                names.append(m.group(1))
-            projection = names
-            node = project.group("inner")
-            continue
-        filt = _FILTER_RE.match(node)
-        if filt is not None:
-            if predicates:
-                return None
-            parsed = _parse_predicates(filt.group("pred"))
-            if parsed is None:
-                return None
-            predicates = parsed
-            node = filt.group("inner")
-            continue
-        return None
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -329,32 +135,20 @@ MATERIALIZED = "materialized"
 class TempHandle:
     """One lazily-materialized temp relation: snapshot + positional map."""
 
-    def __init__(
-        self,
-        relation: str,
-        ddl_sql: str,
-        meta: TableMeta,
-        columns: list[Column],
-        column_data: list[list],
-    ):
+    def __init__(self, relation: str, ddl_sql: str, snapshot: ResultSet):
         self.relation = relation
         self.ddl_sql = ddl_sql
-        self.meta = meta
-        self.columns = columns
-        self.column_data = column_data
+        # deep-copied at column granularity: engine results can alias
+        # live table rows, and the snapshot is immutable from here on
+        self.columns = list(snapshot.columns)
+        self.column_data = [list(col) for col in snapshot.column_data]
+        self.column_index = {c.name: i for i, c in enumerate(self.columns)}
         self.state = LAZY
         self.map: PositionalMap | None = None
-        self.touches = 0
 
     @property
     def row_count(self) -> int:
         return len(self.column_data[0]) if self.column_data else 0
-
-    def column_index(self, name: str) -> int | None:
-        for i, col in enumerate(self.columns):
-            if col.name == name:
-                return i
-        return None
 
 
 class TempDataTier:
@@ -385,25 +179,10 @@ class TempDataTier:
     # -- registration ----------------------------------------------------------
 
     def register(
-        self,
-        relation: str,
-        ddl_sql: str,
-        meta: TableMeta,
-        snapshot: ResultSet,
+        self, relation: str, ddl_sql: str, snapshot: ResultSet
     ) -> TempHandle:
-        """Adopt the defining SELECT's result as a lazy handle.
-
-        The payload is deep-copied at column granularity — engine
-        results can alias live table rows, and the snapshot must be
-        immutable from here on.
-        """
-        handle = TempHandle(
-            relation,
-            ddl_sql,
-            meta,
-            list(snapshot.columns),
-            [list(col) for col in snapshot.column_data],
-        )
+        """Adopt the defining SELECT's result as a lazy handle."""
+        handle = TempHandle(relation, ddl_sql, snapshot)
         with self._lock:
             self._handles[relation] = handle
             TEMPTIER_HANDLES.set(len(self._handles))
@@ -413,20 +192,13 @@ class TempDataTier:
         with self._lock:
             return self._handles.get(relation)
 
-    def is_lazy(self, relation: str) -> bool:
-        handle = self.handle(relation)
-        return handle is not None and handle.state == LAZY
-
     def lazy_relations(self, tables) -> list[str]:
         """The subset of ``tables`` currently held as lazy handles."""
-        return [t for t in tables if self.is_lazy(t)]
-
-    def lazy_names(self) -> list[str]:
-        """Every relation currently held as a lazy handle."""
         with self._lock:
-            return [
-                r for r, h in self._handles.items() if h.state == LAZY
-            ]
+            handles = [self._handles.get(t) for t in tables]
+        return [
+            h.relation for h in handles if h is not None and h.state == LAZY
+        ]
 
     def discard(self, relation: str) -> bool:
         """Forget a handle (session close); True if it was still lazy —
@@ -438,82 +210,69 @@ class TempDataTier:
 
     # -- the read path ---------------------------------------------------------
 
-    def try_serve(self, sql: str) -> ResultSet | None:
-        """Answer ``sql`` from a lazy handle's positional map, or None.
-
-        None means the caller must materialize and run real SQL; a
-        non-None return is byte-equivalent to what the backend would
-        have produced for the same statement.
-        """
-        if not self.config.enabled:
+    def try_serve(self, shape: ScanShape | None) -> ResultSet | None:
+        """Answer the read ``shape`` describes from a lazy handle's
+        snapshot, or None: the caller must then materialize and run the
+        real SQL, whose answer this one equals value for value."""
+        if shape is None or not self.config.enabled:
             return None
-        # the matcher reads plain SQL; a sharded plan annotation is a
-        # leading comment
-        __, sql = extract_plan(sql)
-        matched = match_tier_sql(sql)
-        if matched is None:
-            return None
-        handle = self.handle(matched.relation)
+        handle = self.handle(shape.relation)
         if handle is None or handle.state != LAZY:
             return None
-        handle.touches += 1
-        if matched.count_only:
-            self.served += 1
+        # resolve every referenced column before touching data
+        index = handle.column_index
+        out_names = () if shape.count_only else shape.projection
+        if out_names is None:
+            out_names = tuple(index)
+        referenced = out_names + tuple(p[0] for p in shape.predicates)
+        if not all(name in index for name in referenced):
+            return None
+        out_indexes = [index[name] for name in out_names]
+        pred_plan = [
+            (index[name], op, literal)
+            for name, op, literal in shape.predicates
+        ]
+        rows = self._matching_rows(handle, pred_plan)
+        self.served += 1
+        if shape.count_only:
             TEMPTIER_SERVED.inc(kind="count")
             return ResultSet(
-                [Column("count", SqlType.BIGINT)],
-                [(handle.row_count,)],
+                [Column(shape.projection[0], SqlType.BIGINT)], [(len(rows),)]
             )
-        return self._serve_scan(handle, matched)
+        TEMPTIER_SERVED.inc(kind="lookup" if pred_plan else "scan")
+        data = handle.column_data
+        return ResultSet.from_columns(
+            [handle.columns[i] for i in out_indexes],
+            [[data[i][row] for row in rows] for i in out_indexes],
+        )
 
-    def _serve_scan(
-        self, handle: TempHandle, matched: MatchedQuery
-    ) -> ResultSet | None:
-        # resolve every referenced column before touching data
-        out_names = matched.projection or [c.name for c in handle.columns]
-        out_indexes = []
-        for name in out_names:
-            index = handle.column_index(name)
-            if index is None:
-                return None
-            out_indexes.append(index)
-        pred_plan = []
-        for name, op, literal in matched.predicates:
-            index = handle.column_index(name)
-            if index is None:
-                return None
-            pred_plan.append((index, op, literal))
-
+    def _matching_rows(self, handle: TempHandle, pred_plan):
+        """Row positions satisfying every predicate, in snapshot order,
+        looking only inside blocks whose zones can match."""
+        if not pred_plan:
+            return range(handle.row_count)
         pmap = self._map_for(handle)
-        blocks: set[int] | None = None
-        for index, op, literal in pred_plan:
-            candidates = pmap.candidate_blocks(index, op, literal)
-            blocks = candidates if blocks is None else (blocks & candidates)
-        if blocks is None:
-            blocks = set(range(pmap.block_count))
+        blocks = set.intersection(*(
+            pmap.candidate_blocks(index, op, literal)
+            for index, op, literal in pred_plan
+        ))
         pruned = pmap.block_count - len(blocks)
         if pruned:
             self.blocks_pruned += pruned
             TEMPTIER_BLOCKS_PRUNED.inc(pruned)
-
         data = handle.column_data
-        out_data: list[list] = [[] for __ in out_indexes]
-        block_rows = pmap.block_rows
+        rows = []
         for block in sorted(blocks):
-            start = block * block_rows
-            stop = min(start + block_rows, handle.row_count)
-            for row in range(start, stop):
+            start = block * pmap.block_rows
+            stop = min(start + pmap.block_rows, handle.row_count)
+            rows.extend(
+                row for row in range(start, stop)
                 if all(
                     _matches(data[index][row], op, literal)
                     for index, op, literal in pred_plan
-                ):
-                    for slot, index in enumerate(out_indexes):
-                        out_data[slot].append(data[index][row])
-        self.served += 1
-        TEMPTIER_SERVED.inc(kind="lookup" if pred_plan else "scan")
-        return ResultSet.from_columns(
-            [handle.columns[i] for i in out_indexes], out_data
-        )
+                )
+            )
+        return rows
 
     def _map_for(self, handle: TempHandle) -> PositionalMap:
         if handle.map is None:
@@ -556,13 +315,10 @@ class TempDataTier:
 
     def snapshot(self) -> list[tuple[str, int]]:
         with self._lock:
-            handles = len(self._handles)
-            lazy = sum(
-                1 for h in self._handles.values() if h.state == LAZY
-            )
+            handles = list(self._handles.values())
         return [
-            ("handles", handles),
-            ("lazy", lazy),
+            ("handles", len(handles)),
+            ("lazy", sum(h.state == LAZY for h in handles)),
             ("served", self.served),
             ("fallbacks", self.fallbacks),
             ("map_builds", self.map_builds),
@@ -574,22 +330,18 @@ def _matches(value, op: str, literal) -> bool:
     """SQL comparison semantics for the supported predicate atoms."""
     if op == "IS NOT DISTINCT FROM":
         return value == literal
+    if op == "IS DISTINCT FROM":
+        return value != literal
     if value is None:
         return False
     try:
-        if op == "=":
-            return value == literal
-        if op == "<>":
-            return value != literal
-        if op == ">":
-            return value > literal
-        if op == ">=":
-            return value >= literal
-        if op == "<":
-            return value < literal
-        if op == "<=":
-            return value <= literal
+        return _COMPARISONS[op](value, literal)
     except TypeError:
         return False
-    return False
+
+
+_COMPARISONS = {
+    "=": operator.eq, "<>": operator.ne, ">": operator.gt,
+    ">=": operator.ge, "<": operator.lt, "<=": operator.le,
+}
 

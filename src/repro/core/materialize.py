@@ -21,10 +21,14 @@ from dataclasses import dataclass
 from repro.config import HyperQConfig, MaterializationMode
 from repro.core.algebrizer.binder import BoundTable
 from repro.core.metadata import ColumnMeta, MetadataInterface, TableMeta
+from repro.core.pipeline import ScanShape, referenced_tables, scan_shape
 from repro.core.scopes import Scope, VarKind, VariableDef
 from repro.core.serializer import Serializer, quote_ident
 from repro.core.xformer.distributed import distribute_sql
+from repro.core.xtra.ops import XtraLimit, XtraOp, XtraProject, XtraSort, XtraWindow
+from repro.core.xtra.scalars import SArith, SColRef, SConst, SIsNull, SWindow
 from repro.obs import metrics
+from repro.sqlengine.types import SqlType
 
 #: materialization decisions, labelled kind=temp_table|view (physical vs
 #: logical, Section 4.3) — the ablation benches read this split
@@ -52,9 +56,11 @@ class MaterializationStep:
     #: the defining SELECT inside the DDL (plan-annotated on a sharded
     #: backend) — the temp-data tier runs it directly to snapshot the
     #: assignment without the backend write
-    inner_sql: str = ""
-    #: catalog description of the relation the DDL would create
-    meta: TableMeta | None = None
+    inner_sql: str
+    #: relations the defining SELECT reads
+    tables: list[str]
+    #: the defining SELECT as a temp-tier scan, when it is one
+    scan: ScanShape | None
 
 
 class Materializer:
@@ -85,6 +91,7 @@ class Materializer:
         variable definition in ``scope``.  The caller executes the DDL
         (or not, in translate-only mode)."""
         mode = mode or self.config.materialization
+        bound = BoundTable(_renumbered(bound.op), bound.keys, bound.shape)
         # planned like any other read, so a sharded backend runs the
         # defining SELECT through its distributed plan
         inner_sql = distribute_sql(
@@ -112,7 +119,10 @@ class Materializer:
             )
         )
         MATERIALIZATIONS.inc(kind=kind)
-        return MaterializationStep(sql, relation, kind, inner_sql, meta)
+        return MaterializationStep(
+            sql, relation, kind, inner_sql,
+            referenced_tables(bound.op), scan_shape(bound.op),
+        )
 
     def store_scalar(self, name: str, value, scope: Scope) -> None:
         """Logical materialization of a scalar: the variable store."""
@@ -136,3 +146,55 @@ class Materializer:
             relation, columns, keys=list(bound.keys), ordcol=ordcol,
             schema="pg_temp",
         )
+
+
+#: scratch column the renumbering window fills before it becomes ordcol
+_ROW_NUMBER = "hq_row_number"
+
+
+def _renumbered(op: XtraOp) -> XtraOp:
+    """``op`` with its implicit order column renumbered to its row order.
+
+    A sorted assignment (`` `Price xdesc t ``) would otherwise keep its
+    source's ordcol values, and every later read of the variable orders
+    by ordcol.  Unless the tree is already sorted by ordcol, its order
+    column becomes ``row_number() - 1`` over the sort items, then the
+    old ordcol, so the CTAS, the view and the tier snapshot all store
+    the assignment's own row order.
+    """
+    ordcol = op.order_column
+    if ordcol is None or not op.column(ordcol).implicit:
+        return op
+    node = op
+    while isinstance(node, XtraLimit):
+        node = node.child
+    items = list(node.sort_items) if isinstance(node, XtraSort) else []
+    # xasc/xdesc end with the old ordcol as tie-breaker; it is appended
+    # below as the window's last key anyway
+    last, descending = items[-1] if items else (None, True)
+    if isinstance(last, SColRef) and last.name == ordcol and not descending:
+        items.pop()
+        if not items:
+            return op  # already in ordcol order
+    key = SColRef(ordcol, op.column(ordcol).sql_type, False)
+    order_by = []
+    for expr, descending in items + [(key, False)]:
+        if expr.nullable:
+            # window keys take PG's null placement; lead with a null
+            # flag so nulls sort smallest, as XtraSort renders them
+            order_by.append((SIsNull(expr, negated=not descending), False))
+        order_by.append((expr, descending))
+    row_number = SWindow("row_number", [], order_by=order_by, type_=SqlType.BIGINT)
+    position = SArith(
+        "-", SColRef(_ROW_NUMBER, SqlType.BIGINT, False),
+        SConst(1, SqlType.BIGINT), type_=key.sql_type,
+    )
+    projections = [
+        (c.name, position if c.name == ordcol
+         else SColRef(c.name, c.sql_type, c.nullable))
+        for c in op.columns
+    ]
+    renumbered = XtraProject(
+        XtraWindow(op, [(_ROW_NUMBER, row_number)]), projections
+    )
+    return XtraSort(renumbered, [(key, False)])

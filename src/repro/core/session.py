@@ -446,59 +446,17 @@ class HyperQSession:
 
         if not execute:
             return None
-        if (
-            isinstance(statement, ast.Apply)
-            and isinstance(statement.func, ast.Name)
-            and statement.func.name == "check"
+        if isinstance(statement, ast.Apply) and isinstance(
+            statement.func, ast.Name
         ):
-            check = self._try_check(statement, scope)
-            if check is not None:
-                return check
-        if (
-            isinstance(statement, ast.Apply)
-            and isinstance(statement.func, ast.Name)
-            and statement.func.name == "metrics"
-            and not [a for a in statement.args if a is not None]
-        ):
-            return _metrics_qdict()
-        if (
-            isinstance(statement, ast.Apply)
-            and isinstance(statement.func, ast.Name)
-            and statement.func.name == "wlm"
-            and not [a for a in statement.args if a is not None]
-        ):
-            return self._wlm_qtable()
-        if (
-            isinstance(statement, ast.Apply)
-            and isinstance(statement.func, ast.Name)
-            and statement.func.name == "shards"
-            and not [a for a in statement.args if a is not None]
-        ):
-            return self._shards_qtable()
-        if (
-            isinstance(statement, ast.Apply)
-            and isinstance(statement.func, ast.Name)
-            and statement.func.name == "rcache"
-            and not [a for a in statement.args if a is not None]
-        ):
-            return self._rcache_qtable()
-        if (
-            isinstance(statement, ast.Apply)
-            and isinstance(statement.func, ast.Name)
-            and statement.func.name == "tables"
-            and not [a for a in statement.args if a is not None]
-        ):
-            result = self.executor.run_sql(
-                "SELECT tablename FROM pg_tables ORDER BY tablename"
-            )
-            names = [
-                row[0]
-                for row in result.rows
-                if not row[0].startswith(
-                    (TEMP_TABLE_PREFIX, VIEW_PREFIX, GLOBAL_PREFIX)
-                )
-            ]
-            return QVector(QType.SYMBOL, names)
+            verb = statement.func.name
+            if verb == "check":
+                check = self._try_check(statement, scope)
+                if check is not None:
+                    return check
+            answer = _ADMIN_VERBS.get(verb)
+            if answer is not None and all(a is None for a in statement.args):
+                return answer(self)
 
         target = self._admin_target(statement, ("cols", "meta"))
         if target is None:
@@ -527,6 +485,24 @@ class HyperQSession:
                 QVector(QType.CHAR, chars),
             ],
         )
+
+    def _tables_qvector(self):
+        """``tables[]`` — backend table names, Hyper-Q's own relations
+        excluded, as a symbol vector."""
+        from repro.qlang.qtypes import QType
+        from repro.qlang.values import QVector
+
+        result = self.executor.run_sql(
+            "SELECT tablename FROM pg_tables ORDER BY tablename"
+        )
+        names = [
+            row[0]
+            for row in result.rows
+            if not row[0].startswith(
+                (TEMP_TABLE_PREFIX, VIEW_PREFIX, GLOBAL_PREFIX)
+            )
+        ]
+        return QVector(QType.SYMBOL, names)
 
     def _wlm_qtable(self):
         """``wlm[]`` — workload-management state as one Q table.
@@ -825,29 +801,21 @@ class HyperQSession:
         touching the backend at all.
         """
         tier = self.temp_tier
-        if (
-            step.kind == "temp_table"
-            and tier.enabled
-            and step.inner_sql
-            and step.meta is not None
-        ):
-            snapshot = tier.try_serve(step.inner_sql)
-            if snapshot is None:
-                self._materialize_lazy_refs(step.inner_sql)
-                snapshot = self.executor.run_sql(step.inner_sql)
-            tier.register(step.relation, step.sql, step.meta, snapshot)
-        else:
-            self._materialize_lazy_refs(step.sql)
-            self.executor.run_sql(step.sql)
+        defer = step.kind == "temp_table" and tier.enabled
+        lazy = tier.lazy_relations(step.tables)
+        snapshot = tier.try_serve(step.scan) if defer and lazy else None
+        if snapshot is None:
+            # backend-run SQL may read relations the tier still holds
+            # lazily; they must exist for real first
+            for relation in lazy:
+                self.executor.materialize_temp(relation)
+            snapshot = self.executor.run_sql(
+                step.inner_sql if defer else step.sql
+            )
+        if defer:
+            tier.register(step.relation, step.sql, snapshot)
         self.mdi.invalidate(step.relation)
         self._materialized.append((step.relation, step.kind))
-
-    def _materialize_lazy_refs(self, sql: str) -> None:
-        """Backend-run SQL may read relations the tier still holds
-        lazily; they must exist for real first."""
-        for relation in self.temp_tier.lazy_names():
-            if f'"{relation}"' in sql:
-                self.executor.materialize_temp(relation)
 
     def _scalar_value(self, bound: BoundScalar, execute: bool) -> QValue:
         from repro.core.xtra.scalars import SConst
@@ -919,6 +887,15 @@ class HyperQSession:
                 break
         return result
 
+
+#: zero-argument admin verbs (``verb[]``) and what answers each
+_ADMIN_VERBS = {
+    "metrics": lambda session: _metrics_qdict(),
+    "wlm": HyperQSession._wlm_qtable,
+    "shards": HyperQSession._shards_qtable,
+    "rcache": HyperQSession._rcache_qtable,
+    "tables": HyperQSession._tables_qvector,
+}
 
 #: SQL type -> q type character (as `meta` shows it)
 from repro.sqlengine.types import SqlType as _SqlType  # noqa: E402

@@ -1,121 +1,93 @@
-"""The interactive temp-data tier: serializer-shape matcher, positional
-maps with zone pruning, lazy handles, and the materialization fallback
-(docs/CACHING.md)."""
+"""The interactive temp-data tier: which reads a lazy variable's
+snapshot answers, positional maps with zone pruning, lazy handles, and
+the materialization fallback (docs/CACHING.md)."""
 
-from repro.cache.temptier import (
-    MatchedQuery,
-    PositionalMap,
-    match_tier_sql,
-)
+from repro.cache.temptier import PositionalMap
 from repro.config import HyperQConfig, TempTierConfig
 from repro.qipc.encode import encode_value
 
-from tests.cache.conftest import make_platform
+from tests.cache.conftest import make_platform, tier_counts
 
 
-def scan_sql(relation="hq_temp_1", cols=('"a"', '"b"')):
-    inner = f'SELECT {", ".join(cols)} FROM "{relation}"'
-    return f'SELECT * FROM ({inner}) AS hq_t1 ORDER BY "ordcol" NULLS FIRST'
-
-
-def filtered_sql(pred, relation="hq_temp_1"):
-    base = f'SELECT "a", "b" FROM "{relation}"'
-    inner = f"SELECT * FROM ({base}) AS hq_t1 WHERE ({pred})"
-    return f'SELECT * FROM ({inner}) AS hq_t2 ORDER BY "ordcol" NULLS FIRST'
+def tier_answers(read, assign="dt: select from trades"):
+    """True when the tier serves ``read`` of a fresh lazy variable,
+    False when the read materializes it; either way the answer must be
+    the eager CTAS's, byte for byte."""
+    answers = []
+    for tier_on in (True, False):
+        hq, __ = make_platform(
+            HyperQConfig(temp_tier=TempTierConfig(enabled=tier_on))
+        )
+        s = hq.create_session()
+        try:
+            s.execute(assign)
+            before = tier_counts()
+            answers.append(encode_value(s.execute(read)))
+            if tier_on:
+                served, fallbacks = tier_counts(before)
+        finally:
+            s.close()
+    assert answers[0] == answers[1], read
+    assert (served, fallbacks) in ((1, 0), (0, 1)), read
+    return served == 1
 
 
 class TestMatcher:
+    """The pipeline's ``ScanShape`` decides what the tier serves: a sort
+    by the order column over an optional identity projection, an
+    optional AND of column-vs-literal comparisons and the relation, or
+    an unfiltered/filtered ``count``.  Anything else materializes."""
+
     def test_plain_scan(self):
-        matched = match_tier_sql(scan_sql())
-        assert matched == MatchedQuery(relation="hq_temp_1")
+        assert tier_answers("select from dt")
 
     def test_count_shape(self):
-        sql = (
-            'SELECT count(*) AS "count" FROM '
-            '(SELECT 1 FROM "hq_temp_3") AS hq_t7'
-        )
-        matched = match_tier_sql(sql)
-        assert matched.relation == "hq_temp_3"
-        assert matched.count_only
+        assert tier_answers("count select from dt")
 
     def test_single_predicate(self):
-        matched = match_tier_sql(filtered_sql('"a" > 5'))
-        assert matched.predicates == [("a", ">", 5)]
+        assert tier_answers("select from dt where Price > 40.0")
 
     def test_and_chain(self):
-        matched = match_tier_sql(
-            filtered_sql("(\"a\" >= 5) AND (\"b\" IS NOT DISTINCT FROM "
-                         "'GOOG'::varchar)")
-        )
-        assert matched.predicates == [
-            ("a", ">=", 5),
-            ("b", "IS NOT DISTINCT FROM", "GOOG"),
-        ]
+        assert tier_answers("select from dt where Size >= 20, Symbol=`GOOG")
 
     def test_left_nested_and_chain(self):
-        matched = match_tier_sql(
-            filtered_sql('(("a" > 1) AND ("a" < 9)) AND ("b" <> 4)')
+        assert tier_answers(
+            "select from dt where Price > 1.0, Price < 200.0, Size <> 30"
         )
-        assert sorted(matched.predicates) == [
-            ("a", "<", 9), ("a", ">", 1), ("b", "<>", 4),
-        ]
 
     def test_identity_projection(self):
-        base = 'SELECT "a", "b" FROM "hq_temp_1"'
-        inner = f'SELECT "b" AS "b" FROM ({base}) AS hq_t1'
-        sql = (
-            f'SELECT * FROM ({inner}) AS hq_t2 '
-            f'ORDER BY "ordcol" NULLS FIRST'
-        )
-        matched = match_tier_sql(sql)
-        assert matched.projection == ["b"]
+        assert tier_answers("select Price from dt")
 
     def test_rename_is_not_our_shape(self):
-        base = 'SELECT "a" FROM "hq_temp_1"'
-        inner = f'SELECT "a" AS "z" FROM ({base}) AS hq_t1'
-        sql = (
-            f'SELECT * FROM ({inner}) AS hq_t2 '
-            f'ORDER BY "ordcol" NULLS FIRST'
-        )
-        assert match_tier_sql(sql) is None
+        assert not tier_answers("select p: Price from dt")
 
     def test_string_literal_escapes(self):
-        matched = match_tier_sql(
-            filtered_sql("\"b\" = 'it''s'::varchar")
-        )
-        assert matched.predicates == [("b", "=", "it's")]
+        # a symbol reaches the tier as its value, not its SQL spelling
+        assert tier_answers("select from dt where Symbol=`IBM")
 
     def test_boolean_and_float_literals(self):
-        matched = match_tier_sql(
-            filtered_sql('("a" = TRUE) AND ("b" <= -2.5)')
+        assert tier_answers(
+            "select from dt where big=1b, Price <= 100.5",
+            assign="dt: select Symbol, Price, big: Size > 15 from trades",
         )
-        assert matched.predicates == [("a", "=", True), ("b", "<=", -2.5)]
 
     def test_unsupported_literal_rejected(self):
-        assert match_tier_sql(filtered_sql('"a" = now()')) is None
+        assert not tier_answers("select from dt where Time > 09:31:00")
 
     def test_or_predicate_rejected(self):
-        assert match_tier_sql(
-            filtered_sql('("a" > 1) OR ("a" < 9)')
-        ) is None
+        assert not tier_answers(
+            "select from dt where (Price > 100.0) or Price < 40.0"
+        )
 
     def test_join_rejected(self):
-        sql = (
-            'SELECT * FROM (SELECT "a" FROM "t1" JOIN "t2" USING (k)) '
-            'AS hq_t1 ORDER BY "ordcol" NULLS FIRST'
-        )
-        assert match_tier_sql(sql) is None
+        assert not tier_answers("aj[`Symbol; dt; quotes]")
 
     def test_aggregate_rejected(self):
-        sql = (
-            'SELECT * FROM (SELECT sum("a") AS "a" FROM "hq_temp_1" '
-            'GROUP BY "b") AS hq_t1 ORDER BY "ordcol" NULLS FIRST'
-        )
-        assert match_tier_sql(sql) is None
+        assert not tier_answers("select sum Size by Symbol from dt")
 
     def test_arbitrary_sql_rejected(self):
-        assert match_tier_sql('INSERT INTO "hq_temp_1" VALUES (1)') is None
-        assert match_tier_sql('SELECT 1') is None
+        assert not tier_answers("select max Price from dt")
+        assert not tier_answers("select[2] from dt")
 
 
 class TestPositionalMap:
@@ -140,6 +112,8 @@ class TestPositionalMap:
     def test_all_null_block_skipped(self):
         pmap = PositionalMap([[None, None, 1, 2]], block_rows=2)
         assert pmap.candidate_blocks(0, "=", 1) == {1}
+        # ...unless nulls match: NULL IS DISTINCT FROM 1 is true
+        assert pmap.candidate_blocks(0, "IS DISTINCT FROM", 1) == {0, 1}
 
     def test_cross_type_comparison_never_prunes(self):
         pmap = PositionalMap([["x", "y"]], block_rows=2)
@@ -168,7 +142,7 @@ class TestLazyHandles:
         try:
             s.execute("dt: select from trades where Price > 40.0")
             relation = s.session_scope.lookup("dt").relation
-            assert s.temp_tier.is_lazy(relation)
+            assert s.temp_tier.lazy_relations([relation])
             assert relation not in hq.engine.catalog.temp_tables
             assert gateway.count("CREATE TEMPORARY TABLE") == 0
         finally:
@@ -182,7 +156,7 @@ class TestLazyHandles:
             result = s.execute("select from dt")
             assert len(result) == 3
             relation = s.session_scope.lookup("dt").relation
-            assert s.temp_tier.is_lazy(relation)
+            assert s.temp_tier.lazy_relations([relation])
             assert s.temp_tier.served >= 1
         finally:
             s.close()
@@ -193,8 +167,8 @@ class TestLazyHandles:
         try:
             s.execute("dt: select from trades")
             assert s.execute("count select from dt").value == 4
-            assert s.temp_tier.is_lazy(
-                s.session_scope.lookup("dt").relation
+            assert s.temp_tier.lazy_relations(
+                [s.session_scope.lookup("dt").relation]
             )
         finally:
             s.close()
@@ -206,7 +180,7 @@ class TestLazyHandles:
             s.execute("dt: select from trades")
             s.execute("select sum Size by Symbol from dt")
             relation = s.session_scope.lookup("dt").relation
-            assert not s.temp_tier.is_lazy(relation)
+            assert not s.temp_tier.lazy_relations([relation])
             assert relation in hq.engine.catalog.temp_tables
             assert s.temp_tier.fallbacks == 1
         finally:
