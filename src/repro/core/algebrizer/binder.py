@@ -184,7 +184,8 @@ class Binder:
                 return BoundTable(
                     _get_from_meta(meta, definition.relation or name),
                     keys=list(meta.keys),
-                    shape="keyed" if meta.keys else "table",
+                    shape=definition.shape
+                    or ("keyed" if meta.keys else "table"),
                 )
             if definition.kind == VarKind.SCALAR:
                 raise QTypeError(

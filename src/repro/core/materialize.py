@@ -20,11 +20,10 @@ from dataclasses import dataclass
 
 from repro.config import HyperQConfig, MaterializationMode
 from repro.core.algebrizer.binder import BoundTable
-from repro.core.metadata import ColumnMeta, MetadataInterface, TableMeta
-from repro.core.pipeline import ScanShape, referenced_tables, scan_shape
+from repro.core.metadata import ColumnMeta, TableMeta
+from repro.core.pipeline import TranslationResult, TranslationUnit
 from repro.core.scopes import Scope, VarKind, VariableDef
-from repro.core.serializer import Serializer, quote_ident
-from repro.core.xformer.distributed import distribute_sql
+from repro.core.serializer import quote_ident
 from repro.obs import metrics
 
 #: materialization decisions, labelled kind=temp_table|view (physical vs
@@ -50,75 +49,55 @@ class MaterializationStep:
     sql: str
     relation: str
     kind: str  # 'temp_table' | 'view'
-    #: the defining SELECT inside the DDL (plan-annotated on a sharded
-    #: backend) — the temp-data tier runs it directly to snapshot the
-    #: assignment without the backend write
-    inner_sql: str
-    #: relations the defining SELECT reads
-    tables: list[str]
-    #: the defining SELECT as a temp-tier scan, when it is one
-    scan: ScanShape | None
+    #: the defining SELECT's translation (plan-annotated SQL on a sharded
+    #: backend, the relations it reads, its temp-tier scan) — the
+    #: temp-data tier runs it directly to snapshot the assignment
+    #: without the backend write
+    translation: TranslationResult
 
 
 class Materializer:
-    """Turns bound assignments into backend objects + scope entries."""
+    """Turns translated assignments into backend objects + scope entries."""
 
-    def __init__(
-        self,
-        mdi: MetadataInterface,
-        config: HyperQConfig,
-        serializer: Serializer,
-    ):
-        # the serializer comes from the session's pipeline (layering rule
-        # HQ001: only repro/core/pipeline.py constructs Serializer)
-        self.mdi = mdi
+    def __init__(self, config: HyperQConfig):
         self.config = config
-        self.serializer = serializer
         self._temp_counter = itertools.count(1)
         self._view_counter = itertools.count(1)
 
     def materialize_table(
         self,
         name: str,
-        bound: BoundTable,
+        unit: TranslationUnit,
         scope: Scope,
         mode: MaterializationMode | None = None,
     ) -> MaterializationStep:
         """Produce the DDL for ``name: <table expr>`` and record the
-        variable definition in ``scope``.  The caller executes the DDL
-        (or not, in translate-only mode)."""
+        variable definition in ``scope``.  ``unit`` is the expression's
+        pipeline translation; its SQL is already planned like any other
+        read, so a sharded backend runs the defining SELECT through its
+        distributed plan.  The caller executes the DDL (or not, in
+        translate-only mode)."""
         mode = mode or self.config.materialization
-        # planned like any other read, so a sharded backend runs the
-        # defining SELECT through its distributed plan
-        inner_sql = distribute_sql(
-            bound,
-            self.serializer.serialize(bound.op),
-            self.mdi.partition_map,
-            self.serializer,
-        )
         if mode == MaterializationMode.PHYSICAL:
             relation = f"{TEMP_TABLE_PREFIX}{next(self._temp_counter)}"
             sql = (
-                f"CREATE TEMPORARY TABLE {quote_ident(relation)} AS {inner_sql}"
+                f"CREATE TEMPORARY TABLE {quote_ident(relation)} AS {unit.sql}"
             )
             kind = "temp_table"
             var_kind = VarKind.TABLE
         else:
             relation = f"{VIEW_PREFIX}{next(self._view_counter)}"
-            sql = f"CREATE OR REPLACE VIEW {quote_ident(relation)} AS {inner_sql}"
+            sql = f"CREATE OR REPLACE VIEW {quote_ident(relation)} AS {unit.sql}"
             kind = "view"
             var_kind = VarKind.VIEW
-        meta = self._meta_from_bound(relation, bound)
+        meta = self._meta_from_bound(relation, unit.bound)
         scope.upsert(
             VariableDef(
-                name, var_kind, relation=relation, meta=meta,
+                name, var_kind, relation=relation, meta=meta, shape=unit.shape,
             )
         )
         MATERIALIZATIONS.inc(kind=kind)
-        return MaterializationStep(
-            sql, relation, kind, inner_sql,
-            referenced_tables(bound.op), scan_shape(bound.op),
-        )
+        return MaterializationStep(sql, relation, kind, unit.to_result())
 
     def store_scalar(self, name: str, value, scope: Scope) -> None:
         """Logical materialization of a scalar: the variable store."""

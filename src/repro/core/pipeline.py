@@ -178,8 +178,9 @@ class TranslationUnit:
     statement: ast.Node
     scope: Scope
     timings: StageTimings
-    #: normalized source text, when the statement came from cacheable text
-    source: str | None = None
+    #: the rows go straight back to the client (``Binder.bind``'s
+    #: ``result``); False for assignment values, arguments, insert sources
+    result: bool = True
     bound: object | None = None
     sql: str | None = None
     shape: str | None = None
@@ -193,7 +194,6 @@ class TranslationUnit:
     diagnostics: list[str] = field(default_factory=list)
     #: per-pass execution trace, in run order
     stages: list[StageRecord] = field(default_factory=list)
-    cache_hit: bool = False
     #: admission class (repro/wlm): inherited from the request context
     #: when one is active, else classified from the statement AST
     query_class: str = "analytical"
@@ -377,7 +377,7 @@ class BindPass(Pass):
 
     def run(self, unit: TranslationUnit, pipeline: "TranslationPipeline") -> None:
         unit.bound = pipeline.binder(unit.scope).bind(
-            unit.statement, result=True
+            unit.statement, result=unit.result
         )
 
 
@@ -508,14 +508,18 @@ class TranslationPipeline:
         statement: ast.Node,
         scope: Scope,
         timings: StageTimings | None = None,
-        source: str | None = None,
+        result: bool = True,
     ) -> TranslationUnit:
-        """Run one statement AST through every registered pass."""
+        """Run one Q expression through every registered pass.
+
+        Reads, assignment values, function arguments and insert sources
+        all come through here; the last three pass ``result=False``.
+        """
         unit = TranslationUnit(
             statement=statement,
             scope=scope,
             timings=timings if timings is not None else StageTimings(),
-            source=source,
+            result=result,
         )
         context = tracing.current_context()
         deadline = context.deadline if context is not None else None
@@ -559,17 +563,6 @@ class TranslationPipeline:
             pass_name=pass_name,
             violations=violations,
         )
-
-    def bind(self, node: ast.Node, scope: Scope):
-        """Bind without transforming/serializing (materialization path)."""
-        return self.binder(scope).bind(node)
-
-    def transform(self, bound):
-        """Apply the Xformer to an already-bound table expression;
-        returns the rule-application counts."""
-        op, ctx = self.xformer.transform(bound.op, bound.shape)
-        bound.op = op
-        return dict(ctx.applications)
 
 
 # ---------------------------------------------------------------------------
@@ -625,8 +618,8 @@ def scope_fingerprint(scope: Scope) -> tuple:
     """A hashable digest of every variable binding visible from ``scope``.
 
     Two scope states fingerprint equal only when every visible definition
-    (name, kind, backing relation, function source, scalar value) agrees
-    — the condition under which a cached translation stays valid.
+    (name, kind, backing relation, shape, function source, scalar value)
+    agrees — the condition under which a cached translation stays valid.
     """
     parts: list[tuple] = []
     level: Scope | None = scope
@@ -638,6 +631,7 @@ def scope_fingerprint(scope: Scope) -> tuple:
                     name,
                     definition.kind.value,
                     definition.relation or "",
+                    definition.shape or "",
                     definition.source or "",
                     repr(definition.value) if definition.value is not None else "",
                 )

@@ -39,6 +39,8 @@ class VariableDef:
     relation: str | None = None
     #: cached table metadata (columns, keys, ordcol)
     meta: TableMeta | None = None
+    #: Q shape of a TABLE/VIEW's value ('vector', 'atom', ...); None = table
+    shape: str | None = None
     #: Q value for SCALAR entries
     value: QValue | None = None
     #: source text for FUNCTION entries (the paper stores functions as text)

@@ -13,15 +13,12 @@ evaluation section measures.
 from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.cache import QueryExecutor, ResultCache, TempDataTier
 from repro.config import HyperQConfig, MaterializationMode
 from repro.core.algebrizer.binder import BoundScalar, BoundTable
-from repro.core.crosscompiler import (
-    ProtocolTranslator,
-    pivot_result,
-)
+from repro.core.crosscompiler import ProtocolTranslator
 from repro.core.materialize import (
     GLOBAL_PREFIX,
     TEMP_TABLE_PREFIX,
@@ -35,6 +32,7 @@ from repro.core.pipeline import (
     TranslationCache,
     TranslationPipeline,
     TranslationResult,
+    TranslationUnit,
     stage_span,
 )
 from repro.core.scopes import (
@@ -58,7 +56,7 @@ from repro.qipc.messages import resend
 from repro.qlang import ast
 from repro.qlang.parser import parse
 from repro.qlang.values import QValue
-from repro.wlm import WorkloadManager, classify_program, request_scope
+from repro.wlm import QueryClass, WorkloadManager, classify_program, request_scope
 
 #: Q messages run through sessions, labelled mode=execute|translate
 RUNS_TOTAL = metrics.counter(
@@ -97,6 +95,13 @@ class ExecutionOutcome:
         self._cacheable = False
         self._last_translation = None
 
+    def add_rules(self, applications: dict[str, int]) -> None:
+        """Add one translation's Xformer rule counts to the message's."""
+        for rule, count in applications.items():
+            self.rule_applications[rule] = (
+                self.rule_applications.get(rule, 0) + count
+            )
+
 
 class HyperQSession:
     def __init__(
@@ -127,7 +132,6 @@ class HyperQSession:
         # one pipeline per session (satellite of the Figure-1 refactor:
         # no per-statement translator reconstruction); scope per call
         self.pipeline = TranslationPipeline(self.mdi, self.config)
-        self.serializer = self.pipeline.serializer
         # the cache is usually shared across sessions (HyperQ/HyperQServer
         # pass one in); a standalone session gets a private one
         self.translation_cache = (
@@ -135,9 +139,7 @@ class HyperQSession:
             if translation_cache is not None
             else TranslationCache(self.config.translation_cache)
         )
-        self.materializer = Materializer(
-            self.mdi, self.config, self.pipeline.serializer
-        )
+        self.materializer = Materializer(self.config)
         # result cache: deployment-shared when the platform/server passes
         # one in, private otherwise; temp tier: always session-private
         # (temp relations are).  The executor is the only path to the
@@ -369,10 +371,7 @@ class HyperQSession:
         skipped entirely (execution, if requested, still runs)."""
         outcome.cache_hits += 1
         outcome.sql_statements.append(cached.sql)
-        for rule, count in cached.rule_applications.items():
-            outcome.rule_applications[rule] = (
-                outcome.rule_applications.get(rule, 0) + count
-            )
+        outcome.add_rules(cached.rule_applications)
         if execute:
             outcome.value = self._respond(cached, outcome)
         return outcome
@@ -421,10 +420,7 @@ class HyperQSession:
         ).to_result()
         outcome._last_translation = translation
         outcome.sql_statements.append(translation.sql)
-        for rule, count in translation.rule_applications.items():
-            outcome.rule_applications[rule] = (
-                outcome.rule_applications.get(rule, 0) + count
-            )
+        outcome.add_rules(translation.rule_applications)
         if not execute:
             return None
         return self._respond(translation, outcome)
@@ -705,15 +701,19 @@ class HyperQSession:
             self.executor.materialize_temp(relation)
         meta = self.mdi.require_table(relation)
 
-        with stage_span(outcome.timings, "algebrize"):
-            bound = self.pipeline.bind(statement.right, scope)
-        if not isinstance(bound, BoundTable):
+        # on a sharded backend the source's plan annotation ends up as a
+        # comment inside the INSERT; only a leading plan is read, so the
+        # write still routes as an unplanned statement
+        source = self.pipeline.translate(
+            statement.right, scope, outcome.timings, result=False
+        )
+        outcome.add_rules(source.rule_applications)
+        if not isinstance(source.bound, BoundTable):
             raise QTypeError("insert expects a table of new rows")
-        self.pipeline.transform(bound)
 
         target_columns = [c.name for c in meta.data_columns]
         source_columns = [
-            c.name for c in bound.op.visible_columns
+            c.name for c in source.bound.op.visible_columns
         ]
         if set(source_columns) != set(target_columns):
             raise QTypeError(
@@ -721,7 +721,6 @@ class HyperQSession:
                 f"{table_name!r} columns {target_columns}"
             )
 
-        inner_sql = self.serializer.serialize(bound.op)
         quoted_target = quote_ident(relation)
         select_list = ", ".join(quote_ident(c) for c in target_columns)
         insert_sql = (
@@ -730,7 +729,7 @@ class HyperQSession:
             f"SELECT {select_list}, "
             f"(SELECT coalesce(max({quote_ident('ordcol')}), -1) "
             f"FROM {quoted_target}) + row_number() OVER () "
-            f"FROM ({inner_sql}) AS hq_ins"
+            f"FROM ({source.sql}) AS hq_ins"
         )
         outcome.sql_statements.append(insert_sql)
         if not execute:
@@ -762,9 +761,7 @@ class HyperQSession:
                 "compound assignment through Hyper-Q is not in the supported "
                 "surface"
             )
-        target_scope: Scope = scope
-        if statement.global_scope:
-            target_scope = self.session_scope
+        target_scope = self.session_scope if statement.global_scope else scope
 
         # function definition: store source text, re-algebrized on call
         if isinstance(statement.value, ast.Lambda):
@@ -772,28 +769,43 @@ class HyperQSession:
                 statement.target, statement.value.source, target_scope
             )
             return
+        self._bind_name(
+            statement.target, statement.value, scope, target_scope, execute,
+            outcome,
+        )
 
-        with stage_span(outcome.timings, "algebrize"):
-            bound = self.pipeline.bind(statement.value, scope)
+    def _bind_name(
+        self,
+        name: str,
+        expr: ast.Node,
+        scope: Scope,
+        target_scope: Scope,
+        execute: bool,
+        outcome: ExecutionOutcome,
+    ) -> None:
+        """Bind ``name`` in ``target_scope`` to the Q expression ``expr``
+        (an assignment's value or a function argument), translated in
+        ``scope`` by the pipeline like any read.
 
-        if isinstance(bound, BoundScalar):
-            value = self._scalar_value(bound, execute)
-            self.materializer.store_scalar(statement.target, value, target_scope)
+        Scalars, and atom-valued reads when executing, go to the variable
+        store (Section 4.3's logical materialization of scalars); every
+        other value keeps a relation through the materializer.
+        Translate-only mode cannot evaluate, so an atom-valued read keeps
+        its relation there.
+        """
+        unit = self.pipeline.translate(expr, scope, outcome.timings, result=False)
+        outcome.add_rules(unit.rule_applications)
+        if unit.shape == "atom" and (execute or isinstance(unit.bound, BoundScalar)):
+            value = self._scalar_value(unit, execute)
+            self.materializer.store_scalar(name, value, target_scope)
             return
-
-        assert isinstance(bound, BoundTable)
-        with stage_span(outcome.timings, "optimize"):
-            self.pipeline.transform(bound)
-
-        # function-local assignments must be physically snapshotted; the
-        # paper's Example 3 materializes dt as a temporary table
+        # function-local values (assignments in a body, arguments) must be
+        # physically snapshotted; the paper's Example 3 materializes dt as
+        # a temporary table
         mode = self.config.materialization
-        if isinstance(scope, LocalScope):
+        if isinstance(scope, LocalScope) or isinstance(target_scope, LocalScope):
             mode = MaterializationMode.PHYSICAL
-        with stage_span(outcome.timings, "serialize"):
-            step = self.materializer.materialize_table(
-                statement.target, bound, target_scope, mode
-            )
+        step = self.materializer.materialize_table(name, unit, target_scope, mode)
         outcome.sql_statements.append(step.sql)
         if execute:
             self._execute_materialization(step)
@@ -810,36 +822,38 @@ class HyperQSession:
         touching the backend at all.
         """
         tier = self.temp_tier
+        select = step.translation
         defer = step.kind == "temp_table" and tier.enabled
-        lazy = tier.lazy_relations(step.tables)
-        snapshot = tier.try_serve(step.scan) if defer and lazy else None
+        lazy = tier.lazy_relations(select.tables)
+        snapshot = tier.try_serve(select.scan) if defer and lazy else None
         if snapshot is None:
             # backend-run SQL may read relations the tier still holds
             # lazily; they must exist for real first
             for relation in lazy:
                 self.executor.materialize_temp(relation)
             snapshot = self.executor.run_sql(
-                step.inner_sql if defer else step.sql
+                select.sql if defer else step.sql
             )
         if defer:
             tier.register(step.relation, step.sql, snapshot)
         self.mdi.invalidate(step.relation)
         self._materialized.append((step.relation, step.kind))
 
-    def _scalar_value(self, bound: BoundScalar, execute: bool) -> QValue:
+    def _scalar_value(self, unit: TranslationUnit, execute: bool) -> QValue:
         from repro.core.xtra.scalars import SConst
 
-        scalar = bound.scalar
-        if isinstance(scalar, SConst):
-            return _const_to_qvalue(scalar)
-        sql = self.serializer.serialize_scalar_statement(scalar)
+        bound = unit.bound
+        if isinstance(bound, BoundScalar) and isinstance(bound.scalar, SConst):
+            return _const_to_qvalue(bound.scalar)
         if not execute:
             raise QNotSupportedError(
                 "translate-only mode cannot evaluate non-literal scalar "
                 "assignments"
             )
-        result = self.executor.run_sql(sql)
-        return pivot_result(result, "atom", [])
+        # the message bills as materializing, but the value is a read: it
+        # must not record a write on the tables it reads
+        read = replace(unit.to_result(), query_class=QueryClass.ANALYTICAL.value)
+        return self.pt.respond(read)
 
     # -- function unrolling ------------------------------------------------------------
 
@@ -876,18 +890,7 @@ class HyperQSession:
 
         local = LocalScope(scope)
         for param, arg in zip(lam.params, args):
-            bound = self.pipeline.bind(arg, scope)
-            if isinstance(bound, BoundScalar):
-                value = self._scalar_value(bound, execute)
-                self.materializer.store_scalar(param, value, local)
-            else:
-                mode = MaterializationMode.PHYSICAL
-                step = self.materializer.materialize_table(
-                    param, bound, local, mode
-                )
-                outcome.sql_statements.append(step.sql)
-                if execute:
-                    self._execute_materialization(step)
+            self._bind_name(param, arg, scope, local, execute, outcome)
 
         result: QValue | None = None
         for body_statement in lam.body:

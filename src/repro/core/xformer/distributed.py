@@ -739,46 +739,34 @@ def _plan_gather(
 # ---------------------------------------------------------------------------
 
 
-def distribute_sql(bound, sql: str, pmap: PartitionMap | None, serializer) -> str:
-    """``sql`` (the serialization of ``bound``) prefixed with its
-    distributed plan; unchanged without a partition map.
-
-    Shared by the pipeline pass and the materializer's defining SELECT.
-    Planner failures are logged and leave the SQL unannotated, which the
-    sharded backend refuses for reads of partitioned tables (0A000).
-    """
-    if pmap is None:
-        return sql
-    if isinstance(bound, BoundScalar):
-        # scalar statements reference no relations: any shard answers
-        return annotate_sql({"mode": "single", "shard": 0}, sql)
-    try:
-        plan = plan_distribution(bound.op, pmap, serializer)
-    except Exception as exc:  # planner bug: the backend refuses, loudly
-        _log.warning("shard_plan_failed", error=str(exc))
-        plan = None
-    if plan is None:
-        SHARD_PLANS.inc(mode="error")
-        return sql
-    SHARD_PLANS.inc(mode=plan["mode"])
-    return annotate_sql(plan, sql)
-
-
 class DistributePass(Pass):
     """Annotate serialized SQL with a distributed execution plan.
 
     A no-op unless the MDI exposes a partition map.  Never modifies the
     bound tree (the XTRA invariant checker re-verifies the unchanged tree
-    after this pass).
+    after this pass).  Planner failures are logged and leave the SQL
+    unannotated, which the sharded backend refuses for reads of
+    partitioned tables (0A000).
     """
 
     name = "distribute"
     stage = "optimize"
 
     def run(self, unit: TranslationUnit, pipeline: TranslationPipeline) -> None:
-        if unit.sql is None or unit.bound is None:
+        pmap = pipeline.mdi.partition_map
+        if unit.sql is None or unit.bound is None or pmap is None:
             return
-        unit.sql = distribute_sql(
-            unit.bound, unit.sql, pipeline.mdi.partition_map,
-            pipeline.serializer,
-        )
+        if isinstance(unit.bound, BoundScalar):
+            # scalar statements reference no relations: any shard answers
+            unit.sql = annotate_sql({"mode": "single", "shard": 0}, unit.sql)
+            return
+        try:
+            plan = plan_distribution(unit.bound.op, pmap, pipeline.serializer)
+        except Exception as exc:  # planner bug: the backend refuses, loudly
+            _log.warning("shard_plan_failed", error=str(exc))
+            plan = None
+        if plan is None:
+            SHARD_PLANS.inc(mode="error")
+            return
+        SHARD_PLANS.inc(mode=plan["mode"])
+        unit.sql = annotate_sql(plan, unit.sql)

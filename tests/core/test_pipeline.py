@@ -340,6 +340,32 @@ class TestInvariantChecking:
         assert spans[0].attrs.get("invariant_violations", 0) >= 1
         session.close()
 
+    @pytest.mark.parametrize(
+        "message",
+        [
+            "x: select from trades",
+            "f:{[t] count t}; f[select from trades]",
+            "`trades insert ([] Symbol: enlist `Z; Time: enlist 10:00:00; "
+            "Price: enlist 1.0; Size: enlist 9)",
+        ],
+        ids=["assignment", "function-argument", "insert-source"],
+    )
+    def test_every_compiled_expression_is_checked(self, hyperq, message):
+        """Assignment values, function arguments and insert sources go
+        through the same passes, and the same checks, as a read: the
+        broken tree is caught before anything is materialized (a bound
+        argument would otherwise reach the function body first)."""
+        from repro.core.materialize import MATERIALIZATIONS
+
+        session = hyperq.create_session()
+        session.pipeline.register_pass(self._corrupt_pass(), after="xform")
+        before = MATERIALIZATIONS.value(kind="temp_table")
+        with pytest.raises(InvariantError) as excinfo:
+            session.execute(message)
+        assert excinfo.value.pass_name == "corrupt"
+        assert MATERIALIZATIONS.value(kind="temp_table") == before
+        session.close()
+
     def test_clean_translations_pass_the_checker(self, pipeline):
         session, pl = pipeline
         unit = pl.translate(
@@ -364,3 +390,27 @@ class TestInvariantChecking:
         )
         assert "no_such_column" in unit.sql
         session.close()
+
+
+class TestOneTranslationPath:
+    """An assignment's value and an insert's rows are translated by the
+    same pipeline run as a read: analysis, stage billing, rule counts."""
+
+    def test_untranslatable_assignment_value_fails_analysis(self, session):
+        from repro.errors import UntranslatableError
+
+        with pytest.raises(UntranslatableError) as excinfo:
+            session.execute("x: select fills Price from trades")
+        assert excinfo.value.code == "QC004"
+
+    def test_insert_bills_optimize_and_serialize(self, session):
+        outcome = session.run(
+            "`trades insert ([] Symbol: enlist `Z; Time: enlist 10:00:00; "
+            "Price: enlist 1.0; Size: enlist 9)"
+        )
+        assert outcome.timings.optimize > 0
+        assert outcome.timings.serialize > 0
+
+    def test_assignment_reports_rule_applications(self, session):
+        outcome = session.run("x: select Price from trades where Price>40")
+        assert outcome.rule_applications.get("column_pruning", 0) >= 1
