@@ -337,13 +337,14 @@ class WlmConfig:
 class ShardingConfig:
     """The sharded scatter-gather backend (docs/ARCHITECTURE.md).
 
-    Governs :class:`repro.core.sharded.ShardedBackend`: what hosts each
-    shard, when a hedged read is sent to a shard replica, and how often a
-    crashed worker process is respawned.  The scatter pool has one thread
-    per shard.  The partition layout itself lives in a
-    :class:`repro.core.metadata.PartitionMap`, not here — the map is part
-    of the topology (and of the translation-cache key), the knobs below
-    are deployment tuning.
+    Governs the shards under :class:`repro.core.sharded.ShardedBackend`:
+    what hosts each shard and how often a crashed worker process is
+    respawned.  Retries, breakers and fault injection per shard come from
+    :class:`WlmConfig` through the deployment's one workload manager, not
+    from here.  The partition layout itself lives in a
+    :class:`repro.core.metadata.PartitionMap` — the map is part of the
+    topology (and of the translation-cache key), the knobs below are
+    deployment tuning.
     """
 
     #: shard execution substrate: ``"thread"`` hosts every shard engine
@@ -351,9 +352,6 @@ class ShardingConfig:
     #: one worker process per shard, reached over an inherited socketpair
     #: (:mod:`repro.core.procshard`) for true multi-core scatter
     mode: str = "thread"
-    #: seconds a shard may lag before an idempotent read is hedged
-    #: against its replica (0 disables hedging even when replicas exist)
-    hedge_delay: float = 0.05
     #: crashed worker processes a shard may respawn before the failure is
     #: surfaced as permanent (SQLSTATE 58000, not retried)
     max_respawns: int = 3

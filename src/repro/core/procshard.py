@@ -5,9 +5,10 @@ runs on one core.  Here every shard is a spawned child (the paper's
 per-unit-of-work process, at OS granularity), and this module owns both
 ends of the hop: :func:`serve` is the worker (``python -m
 repro.core.procshard <fd>``), :class:`ProcessShardBackend` the
-coordinator-side ``ExecutionBackend`` that ``ShardHandle`` wraps in the
-usual retries, breakers and hedging, and :func:`spawn_process_shards`
-warm-starts a pool (launch all, then barrier on each ready tuple).
+coordinator-side ``ExecutionBackend`` that the deployment's workload
+manager wraps in the usual retries and breakers, and
+:func:`spawn_process_shards` warm-starts a pool (launch all, then barrier
+on each ready tuple).
 
 The child inherits one end of a ``socket.socketpair()`` and listens on
 no port, so only the coordinator can reach it.  Both ends wrap their

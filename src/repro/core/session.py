@@ -442,7 +442,7 @@ class HyperQSession:
         * ``wlm[]`` — live workload-management state (queue depths,
           breaker states, shed counts) as a Q table (docs/WLM.md);
         * ``shards[]`` — per-shard health of a sharded backend (breaker
-          state, query/error/hedge counts, mean latency);
+          state, query/error counts, mean latency);
         * ``rcache[]`` — result-cache and temp-tier counters
           (docs/CACHING.md).
         """
@@ -550,10 +550,11 @@ class HyperQSession:
     def _shards_qtable(self):
         """``shards[]`` — per-shard health of a sharded backend.
 
-        One row per shard: breaker state, statements executed, failures,
-        hedged reads fired, mean statement latency in milliseconds, plus
-        the shard transport — ``mode`` is ``thread`` for in-process
-        engines and ``process`` for spawned worker processes, in which case
+        One row per shard: breaker state (``closed`` when workload
+        management is off and shards run unwrapped), statements executed,
+        failures, mean statement latency in milliseconds, plus the shard
+        transport — ``mode`` is ``thread`` for in-process engines and
+        ``process`` for spawned worker processes, in which case
         pid/restarts/rss_kb describe the worker process.  An empty table
         means the backend is not sharded.
         """
@@ -564,14 +565,14 @@ class HyperQSession:
             [
                 ("shard", QType.LONG), ("state", QType.SYMBOL),
                 ("queries", QType.LONG), ("errors", QType.LONG),
-                ("hedges", QType.LONG), ("mean_ms", QType.FLOAT),
-                ("mode", QType.SYMBOL), ("pid", QType.LONG),
-                ("restarts", QType.LONG), ("rss_kb", QType.LONG),
+                ("mean_ms", QType.FLOAT), ("mode", QType.SYMBOL),
+                ("pid", QType.LONG), ("restarts", QType.LONG),
+                ("rss_kb", QType.LONG),
             ],
             [
                 (r["shard"], r["state"], r["queries"], r["errors"],
-                 r["hedges"], r["mean_ms"], r["mode"], r["pid"],
-                 r["restarts"], r["rss_kb"])
+                 r["mean_ms"], r["mode"], r["pid"], r["restarts"],
+                 r["rss_kb"])
                 for r in self.backend.shard_snapshot()
             ],
         )

@@ -14,13 +14,14 @@ annotation on the SQL text; this module executes it:
 * ``partial``/``gather`` — fan subplans out, load the gathered rows into
   a private coordinator engine, execute the merge SQL there.
 
-Per-shard resilience: every child is wrapped in the PR-4
-:class:`~repro.wlm.retry.ResilientBackend` with its *own* circuit breaker,
-slow shards are hedged against a configurable replica after
-``ShardingConfig.hedge_delay`` (idempotent reads only, first response
-wins), and every worker runs under the caller's request context, so one
-slow shard surfaces as a named ``DeadlineExceededError`` instead of a
-silently blown budget and shard retries count on the request.
+This module owns no recovery policy.  The deployment's one
+:class:`~repro.wlm.WorkloadManager` wraps each shard's backend (breaker
+``shard<i>``, the deployment's retry policy and fault injector) through
+:meth:`ShardedBackend.wrap_shards`; with workload management disabled the
+shards run unwrapped.  Every worker runs under the caller's request
+context, so one slow shard surfaces as a named ``DeadlineExceededError``
+instead of a silently blown budget and shard retries count on the
+request.
 
 Statements without a plan annotation take conservative routes: catalog
 reads and reads of replicated tables go to shard 0, writes on replicated
@@ -41,7 +42,6 @@ import threading
 import time
 
 from repro.analysis.concurrency.locks import make_lock
-from repro.config import ShardingConfig
 from repro.core.backends import ExecutionBackend
 from repro.core.metadata import PartitionMap
 from repro.core.xformer.distributed import extract_plan
@@ -52,9 +52,7 @@ from repro.sqlengine.catalog import Column
 from repro.sqlengine.engine import Engine
 from repro.sqlengine.executor import ResultSet
 from repro.sqlengine.types import SqlType
-from repro.wlm import WorkloadManager
 from repro.wlm.deadline import current_deadline
-from repro.wlm.retry import ResilientBackend, is_idempotent
 
 _log = get_logger("core.sharded")
 
@@ -69,9 +67,6 @@ SHARD_ERRORS = metrics.counter(
 )
 SHARD_LATENCY = metrics.histogram(
     "shard_latency_seconds", "Per-shard statement latency"
-)
-SHARD_HEDGES = metrics.counter(
-    "shard_hedges_total", "Hedged reads fired against shard replicas"
 )
 SHARD_MERGE_ROWS = metrics.counter(
     "shard_merge_rows_total", "Rows flowing through coordinator merges"
@@ -109,69 +104,36 @@ _CTAS_RE = re.compile(
 
 
 class _Future:
-    """Result slot filled by a worker; ``signal`` wakes first-wins waits."""
+    """Result slot filled by a scatter worker."""
 
-    __slots__ = ("_done", "value", "error", "signal")
+    __slots__ = ("_done", "value", "error")
 
-    def __init__(self, signal: threading.Event | None = None):
+    def __init__(self):
         self._done = threading.Event()
         self.value = None
         self.error: Exception | None = None
-        self.signal = signal
-
-    @property
-    def done(self) -> bool:
-        return self._done.is_set()
 
     def set(self, value) -> None:
         self.value = value
         self._done.set()
-        if self.signal is not None:
-            self.signal.set()
 
     def fail(self, error: Exception) -> None:
         self.error = error
         self._done.set()
-        if self.signal is not None:
-            self.signal.set()
 
     def wait(self, timeout: float | None) -> bool:
         return self._done.wait(timeout)
 
 
 class ShardHandle:
-    """One shard: resilient primary, optional replica, health counters."""
+    """One shard: its backend and health counters."""
 
-    def __init__(
-        self,
-        index: int,
-        primary: ExecutionBackend,
-        replica: ExecutionBackend | None,
-        wlm: WorkloadManager,
-    ):
+    def __init__(self, index: int, backend: ExecutionBackend):
         self.index = index
-        self.primary = ResilientBackend(
-            primary,
-            policy=wlm.retry_policy,
-            breaker=wlm.breaker_for(f"shard{index}"),
-            faults=wlm.faults,
-            name=f"shard{index}",
-        )
-        self.replica = (
-            ResilientBackend(
-                replica,
-                policy=wlm.retry_policy,
-                breaker=wlm.breaker_for(f"shard{index}-replica"),
-                faults=None,  # faults are injected on primaries only
-                name=f"shard{index}-replica",
-            )
-            if replica is not None
-            else None
-        )
+        self.backend = backend
         self._stats_lock = make_lock("shard.stats")
         self.queries = 0
         self.errors = 0
-        self.hedges = 0
         self.latency_total = 0.0
 
     def record(self, seconds: float, failed: bool) -> None:
@@ -181,29 +143,18 @@ class ShardHandle:
             if failed:
                 self.errors += 1
 
-    def record_hedge(self) -> None:
-        with self._stats_lock:
-            self.hedges += 1
-
-    def load_columns(
-        self, name: str, columns: list[Column], rows: list, temporary: bool
-    ) -> None:
-        """Data-plane load of one table onto primary (and replica)."""
-        for target in (self.primary, self.replica):
-            if target is not None:
-                target.load_columns(name, columns, rows, temporary)
-
     def snapshot(self) -> dict:
         with self._stats_lock:
             queries, errors = self.queries, self.errors
-            hedges, latency = self.hedges, self.latency_total
-        info = self.primary.process_info()
+            latency = self.latency_total
+        info = self.backend.process_info()
+        # an unwrapped shard (workload management disabled) has no breaker
+        breaker = getattr(self.backend, "breaker", None)
         return {
             "shard": self.index,
-            "state": self.primary.breaker.snapshot()["state"],
+            "state": "closed" if breaker is None else breaker.snapshot()["state"],
             "queries": queries,
             "errors": errors,
-            "hedges": hedges,
             "mean_ms": (latency / queries * 1000.0) if queries else 0.0,
             "mode": info["mode"],
             "pid": info["pid"],
@@ -212,15 +163,10 @@ class ShardHandle:
         }
 
     def close(self) -> None:
-        for target in (self.primary, self.replica):
-            if target is None:
-                continue
-            try:
-                target.close()
-            except Exception as exc:
-                _log.warning(
-                    "shard_close_failed", shard=self.index, error=str(exc)
-                )
+        try:
+            self.backend.close()
+        except Exception as exc:
+            _log.warning("shard_close_failed", shard=self.index, error=str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -231,17 +177,14 @@ class ShardHandle:
 class ShardedBackend(ExecutionBackend):
     """Scatter-gather execution across N partitioned child backends."""
 
-    #: duck-typed marker: WorkloadManager.wrap_backend must not re-wrap a
-    #: sharded backend (its children are already individually resilient)
+    #: duck-typed marker: WorkloadManager.wrap_backend wraps each shard
+    #: (via :meth:`wrap_shards`), never the sharded backend as a whole
     is_sharded = True
 
     def __init__(
         self,
         children: list[ExecutionBackend],
         partition_map: PartitionMap,
-        config: ShardingConfig | None = None,
-        wlm: WorkloadManager | None = None,
-        replicas: list[ExecutionBackend] | None = None,
         name: str = "sharded",
     ):
         if len(children) != partition_map.shard_count:
@@ -249,21 +192,9 @@ class ShardedBackend(ExecutionBackend):
                 f"partition map expects {partition_map.shard_count} shards, "
                 f"got {len(children)} children"
             )
-        if replicas is not None and len(replicas) != len(children):
-            raise ValueError("replicas must match children one-to-one")
         self.name = name
         self.partition_map = partition_map
-        self.config = config or ShardingConfig()
-        self._wlm = wlm or WorkloadManager()
-        self._shards = [
-            ShardHandle(
-                i,
-                child,
-                replicas[i] if replicas is not None else None,
-                self._wlm,
-            )
-            for i, child in enumerate(children)
-        ]
+        self._shards = [ShardHandle(i, child) for i, child in enumerate(children)]
         self._pool = WorkerPool(len(children), label=name)
         self._closed = False
 
@@ -284,13 +215,13 @@ class ShardedBackend(ExecutionBackend):
         it, so cached translations invalidate correctly."""
         total = 0
         for shard in self._shards:
-            version = shard.primary.inner.catalog_version()
+            version = shard.backend.catalog_version()
             if version > 0:
                 total += version
         return total
 
     def ping(self) -> bool:
-        return any(shard.primary.inner.ping() for shard in self._shards)
+        return any(shard.backend.ping() for shard in self._shards)
 
     def close(self) -> None:
         if self._closed:
@@ -299,6 +230,13 @@ class ShardedBackend(ExecutionBackend):
         self._pool.shutdown()
         for shard in self._shards:
             shard.close()
+
+    def wrap_shards(self, wrap) -> None:
+        """Replace each shard's backend with ``wrap(backend, "shard<i>")``
+        (the deployment's WorkloadManager installs its recovery policies
+        here; ``wrap`` returns an already-wrapped backend unchanged)."""
+        for shard in self._shards:
+            shard.backend = wrap(shard.backend, f"shard{shard.index}")
 
     # -- health / admin --------------------------------------------------------
 
@@ -335,7 +273,7 @@ class ShardedBackend(ExecutionBackend):
     ) -> None:
         """Load one table across the topology (partitioned or replicated)."""
         for shard, bucket in zip(self._shards, self.route_rows(name, columns, rows)):
-            shard.load_columns(name, columns, bucket, temporary)
+            shard.backend.load_columns(name, columns, bucket, temporary)
 
     # -- plan execution --------------------------------------------------------
 
@@ -355,27 +293,18 @@ class ShardedBackend(ExecutionBackend):
         raise BackendSqlError(f"unknown shard plan mode {mode!r}")
 
     def _execute_on_shard(self, shard: ShardHandle, sql: str):
-        """One statement on one shard, hedged when it lags."""
-        outcome = self._collect(
-            {shard.index: self._submit(shard, shard.primary, sql)}, sql
-        )
-        return outcome[shard.index]
+        """One statement on one shard."""
+        return self._collect({shard.index: self._submit(shard, sql)})[shard.index]
 
     def _fanout(self, targets: list[int], sql: str) -> list:
         """Run ``sql`` on every target shard; results in target order."""
         SHARD_FANOUT.inc(len(targets))
-        futures = {
-            i: self._submit(self._shards[i], self._shards[i].primary, sql)
-            for i in targets
-        }
-        outcome = self._collect(futures, sql)
+        futures = {i: self._submit(self._shards[i], sql) for i in targets}
+        outcome = self._collect(futures)
         return [outcome[i] for i in targets]
 
-    def _submit(
-        self, shard: ShardHandle, backend: ExecutionBackend, sql: str,
-        signal: threading.Event | None = None,
-    ) -> _Future:
-        future = _Future(signal)
+    def _submit(self, shard: ShardHandle, sql: str) -> _Future:
+        future = _Future()
         # the caller's request object itself: its deadline bounds the
         # shard's work and the shard's retries count on the request
         context = tracing.current_context()
@@ -385,7 +314,7 @@ class ShardedBackend(ExecutionBackend):
             start = time.monotonic()
             try:
                 with tracing.activate(context):
-                    result = backend.run_sql(sql)
+                    result = shard.backend.run_sql(sql)
             except Exception as exc:
                 shard.record(time.monotonic() - start, failed=True)
                 SHARD_ERRORS.inc(shard=label)
@@ -400,71 +329,20 @@ class ShardedBackend(ExecutionBackend):
         self._pool.submit(job)
         return future
 
-    def _collect(self, futures: dict, sql: str) -> dict:
-        """Wait for every shard's result, hedging laggards.
-
-        A shard that has not answered within ``hedge_delay`` gets its
-        statement re-sent to the replica (idempotent reads only); the
-        first response wins.  Waits are capped by the request deadline,
-        and expiry names the shards still outstanding.
-        """
+    @staticmethod
+    def _collect(futures: dict) -> dict:
+        """Wait for every shard's result, capped by the request deadline;
+        expiry names the shard still outstanding."""
         deadline = current_deadline()
-        hedge_delay = self.config.hedge_delay
-        hedgeable = hedge_delay > 0 and is_idempotent(sql)
-        start = time.monotonic()
-        hedges: dict[int, _Future] = {}
         results: dict[int, object] = {}
-
-        def remaining() -> float | None:
-            return None if deadline is None else deadline.remaining()
-
-        # phase 1: give primaries the hedge window
-        if hedgeable and any(
-            self._shards[i].replica is not None for i in futures
-        ):
-            for index, future in futures.items():
-                elapsed = time.monotonic() - start
-                budget = max(0.0, hedge_delay - elapsed)
-                cap = remaining()
-                if cap is not None:
-                    budget = min(budget, max(0.0, cap))
-                future.wait(budget)
-            for index, future in futures.items():
-                shard = self._shards[index]
-                if future.done or shard.replica is None:
-                    continue
-                shard.record_hedge()
-                SHARD_HEDGES.inc(shard=str(index))
-                signal = threading.Event()
-                future.signal = signal
-                if future.done:  # finished between the check and now
-                    continue
-                hedges[index] = self._submit(
-                    shard, shard.replica, sql, signal
-                )
-                hedges[index].signal = signal
-
-        # phase 2: first response wins per shard
         for index, future in futures.items():
-            hedge = hedges.get(index)
-            while True:
-                if future.done and future.error is None:
-                    results[index] = future.value
-                    break
-                if hedge is not None and hedge.done and hedge.error is None:
-                    results[index] = hedge.value
-                    break
-                if future.done and (hedge is None or hedge.done):
-                    raise future.error
-                cap = remaining()
-                if cap is not None and cap <= 0 and deadline is not None:
-                    deadline.check(f"shard{index}.gather")
-                wait_for = 0.25 if cap is None else min(0.25, max(cap, 0.01))
-                if hedge is not None and future.signal is not None:
-                    future.signal.wait(wait_for)
-                    future.signal.clear()
-                else:
-                    future.wait(wait_for)
+            while not future.wait(
+                None if deadline is None else max(deadline.remaining(), 0.0)
+            ):
+                deadline.check(f"shard{index}.gather")
+            if future.error is not None:
+                raise future.error
+            results[index] = future.value
         return results
 
     # -- merging ---------------------------------------------------------------

@@ -101,7 +101,6 @@ SHARD_FANOUT_TOTAL = "shard_fanout_total"
 SHARD_QUERIES_TOTAL = "shard_queries_total"
 SHARD_ERRORS_TOTAL = "shard_errors_total"
 SHARD_LATENCY_SECONDS = "shard_latency_seconds"
-SHARD_HEDGES_TOTAL = "shard_hedges_total"
 SHARD_MERGE_ROWS_TOTAL = "shard_merge_rows_total"
 
 # --- process shard workers (repro/core/procshard) -----------------------

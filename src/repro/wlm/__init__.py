@@ -115,20 +115,28 @@ class WorkloadManager:
             )
         return breaker
 
-    def wrap_backend(self, backend) -> ResilientBackend:
-        """Wrap an execution backend with retry/breaker/fault policies."""
+    def wrap_backend(self, backend):
+        """Wrap an execution backend with retry/breaker/fault policies.
+
+        The one place backends get wrapped.  A sharded backend is never
+        wrapped as a whole (an outer retry would re-run every scattered
+        subplan): each shard's backend is wrapped once instead, under
+        breaker ``shard<i>``.  Wrapping twice changes nothing.
+        """
+        if getattr(backend, "is_sharded", False):
+            backend.wrap_shards(self._wrap)
+            return backend
+        return self._wrap(backend)
+
+    def _wrap(self, backend, name: str | None = None):
         if isinstance(backend, ResilientBackend):
             return backend
-        if getattr(backend, "is_sharded", False):
-            # a sharded backend wraps each child shard individually; an
-            # outer retry layer would double-execute scattered subplans
-            return backend
-        name = getattr(backend, "name", "backend")
         return ResilientBackend(
             backend,
             policy=self.retry_policy,
-            breaker=self.breaker_for(name),
+            breaker=self.breaker_for(name or getattr(backend, "name", "backend")),
             faults=self.faults,
+            name=name,
         )
 
     # -- introspection (the wlm[] admin command) ---------------------------

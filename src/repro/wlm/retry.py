@@ -409,6 +409,3 @@ class ResilientBackend(ExecutionBackend):
 
     def process_info(self) -> dict:
         return self.inner.process_info()
-
-    def shard_snapshot(self) -> list[dict]:
-        return self.inner.shard_snapshot()

@@ -63,21 +63,17 @@ def build_sharded_platform(
     shard_count: int,
     config: HyperQConfig | None = None,
     workload_config: AnalyticalConfig | None = None,
-    with_replicas: bool = False,
     workload: AnalyticalWorkload | None = None,
 ) -> tuple[HyperQ, ShardedBackend, AnalyticalWorkload]:
     """A HyperQ platform over an in-process N-shard backend with the
     analytical workload loaded — the differential-test setup.
 
-    With ``with_replicas`` each shard also gets a replica engine holding
-    the same partition, enabling hedged reads.
-
     ``config.sharding.mode`` selects the shard transport: ``"thread"``
     hosts every partition engine in this process, ``"process"`` spawns
     one pipe-connected worker process per shard
     (:func:`repro.core.procshard.spawn_process_shards`) for true
-    multi-core scatter parallelism.  Replicas stay in-process either
-    way — a hedged read is a fallback path, not a parallelism lever.
+    multi-core scatter parallelism.  The platform's workload manager
+    (``config.wlm``) wraps every shard.
     """
     config = config or HyperQConfig()
     if config.sharding.mode == "process":
@@ -86,17 +82,7 @@ def build_sharded_platform(
         children: list = spawn_process_shards(shard_count, config.sharding)
     else:
         children = [DirectGateway(Engine()) for __ in range(shard_count)]
-    replicas = (
-        [DirectGateway(Engine()) for __ in range(shard_count)]
-        if with_replicas
-        else None
-    )
-    backend = ShardedBackend(
-        children,
-        analytical_partition_map(shard_count),
-        config=config.sharding,
-        replicas=replicas,
-    )
+    backend = ShardedBackend(children, analytical_partition_map(shard_count))
     try:
         platform = HyperQ(config=config, backend=backend)
         loaded = load_sharded_workload(

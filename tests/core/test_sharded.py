@@ -1,7 +1,7 @@
 """Unit tests for sharded scatter-gather execution: the partition map,
 the distributed-rewrite pass (locality analysis, plan modes, partial
-aggregation) and the ShardedBackend (routing, merging, hedging,
-deadlines, health)."""
+aggregation) and the ShardedBackend (routing, merging, deadlines,
+health, per-shard wrapping)."""
 
 import threading
 import time
@@ -9,7 +9,7 @@ import zlib
 
 import pytest
 
-from repro.config import ShardingConfig
+from repro.config import HyperQConfig, WlmConfig
 from repro.core.metadata import PartitionMap, TablePartitioning
 from repro.core.platform import DirectGateway, HyperQ
 from repro.core.sharded import ShardedBackend
@@ -18,7 +18,6 @@ from repro.errors import BackendSqlError, DeadlineExceededError
 from repro.obs import get_tracer
 from repro.qlang.interp import Interpreter
 from repro.sqlengine.engine import Engine
-from repro.wlm import WorkloadManager
 from repro.wlm.deadline import Deadline, request_scope
 from repro.wlm.retry import ResilientBackend
 from repro.workload.loader import qtable_to_columns
@@ -35,29 +34,12 @@ def market_partition_map(shard_count: int) -> PartitionMap:
     return PartitionMap(shard_count).hash_table("trades", "Symbol")
 
 
-def build_sharded(
-    shard_count=2,
-    config=None,
-    wlm=None,
-    replicas=False,
-    children=None,
-    replica_children=None,
-):
+def build_sharded(shard_count=2, config=None, children=None):
     children = children or [
         DirectGateway(Engine()) for __ in range(shard_count)
     ]
-    if replicas and replica_children is None:
-        replica_children = [
-            DirectGateway(Engine()) for __ in range(shard_count)
-        ]
-    backend = ShardedBackend(
-        children,
-        market_partition_map(shard_count),
-        config=config,
-        wlm=wlm,
-        replicas=replica_children,
-    )
-    platform = HyperQ(backend=backend)
+    backend = ShardedBackend(children, market_partition_map(shard_count))
+    platform = HyperQ(config=config, backend=backend)
     interp = Interpreter()
     interp.eval_text(MARKET_SOURCE)
     for name in ("trades", "ratings"):
@@ -247,16 +229,41 @@ class TestShardedBackend:
         assert backend.catalog_version() >= before + 2
 
     def test_wlm_does_not_rewrap_sharded_backends(self, sharded):
-        __, backend = sharded
-        assert WorkloadManager().wrap_backend(backend) is backend
+        platform, backend = sharded
+        # the deployment's manager wraps each shard, never the whole
+        assert platform.backend is backend
+        wrapped = [shard.backend for shard in backend._shards]
+        assert [b.name for b in wrapped] == ["shard0", "shard1"]
+        assert not any(isinstance(b.inner, ResilientBackend) for b in wrapped)
+        assert set(platform.wlm.snapshot()["breakers"]) == {"shard0", "shard1"}
+        # a second wrap changes nothing
+        assert platform.wlm.wrap_backend(backend) is backend
+        assert [shard.backend for shard in backend._shards] == wrapped
 
     def test_children_are_individually_resilient(self, sharded):
         __, backend = sharded
         names = set()
         for shard in backend._shards:
-            assert isinstance(shard.primary, ResilientBackend)
-            names.add(shard.primary.breaker.name)
+            assert isinstance(shard.backend, ResilientBackend)
+            names.add(shard.backend.breaker.name)
         assert names == {"shard0", "shard1"}
+
+    def test_disabled_wlm_runs_shards_unwrapped(self):
+        platform, backend = build_sharded(
+            2, config=HyperQConfig(wlm=WlmConfig(enabled=False))
+        )
+        try:
+            assert platform.wlm is None
+            assert not any(
+                isinstance(shard.backend, ResilientBackend)
+                for shard in backend._shards
+            )
+            platform.q("select from trades where Size > 15")
+            table = platform.q("shards[]")
+            assert list(table.column("state").items) == ["closed", "closed"]
+            assert sum(table.column("queries").items) >= 2
+        finally:
+            backend.close()
 
     def test_shard_snapshot_reports_health(self, sharded):
         platform, backend = sharded
@@ -311,7 +318,7 @@ class TestUnplannedStatements:
         __, backend = sharded
         backend.run_sql("CREATE TABLE side_note (x BIGINT)")
         for shard in backend._shards:
-            result = shard.primary.run_sql("SELECT count(*) FROM side_note")
+            result = shard.backend.run_sql("SELECT count(*) FROM side_note")
             assert result.rows[0][0] == 0
 
     def test_planned_join_sees_broadcast_dml_writes(self, sharded):
@@ -339,7 +346,7 @@ class TestUnplannedStatements:
 
         def counts():
             return [
-                shard.primary.run_sql('SELECT count(*) FROM "trades"').scalar()
+                shard.backend.run_sql('SELECT count(*) FROM "trades"').scalar()
                 for shard in backend._shards
             ]
 
@@ -370,7 +377,7 @@ class TestUnplannedStatements:
         assert extract_plan(select)[0] is not None
         backend.run_sql(f"CREATE TABLE big_trades AS {select}")
         for shard in backend._shards:
-            result = shard.primary.run_sql(
+            result = shard.backend.run_sql(
                 'SELECT count(*) FROM big_trades'
             )
             assert result.rows[0][0] == 4
@@ -382,10 +389,8 @@ class _SlowGateway(DirectGateway):
     def __init__(self, engine):
         super().__init__(engine)
         self.delay = 0.0
-        self.calls = 0
 
     def run_sql(self, sql):
-        self.calls += 1
         if self.delay:
             time.sleep(self.delay)
         return super().run_sql(sql)
@@ -401,31 +406,9 @@ SCATTER_SIZES = (
 
 
 class TestHedgingAndDeadlines:
-    def test_slow_primary_is_hedged_to_replica(self):
-        children = [_SlowGateway(Engine()) for __ in range(2)]
-        replicas = [_SlowGateway(Engine()) for __ in range(2)]
-        platform, backend = build_sharded(
-            2,
-            config=ShardingConfig(hedge_delay=0.02),
-            children=children,
-            replica_children=replicas,
-            replicas=True,
-        )
-        try:
-            children[1].delay = 0.5  # shard 1 primary stalls
-            result = backend.run_sql(SCATTER_SIZES)
-            assert [r[0] for r in result.rows] == [10, 20, 30, 40, 50, 60]
-            snapshot = backend.shard_snapshot()
-            assert snapshot[1]["hedges"] == 1
-            assert replicas[1].calls >= 1
-        finally:
-            backend.close()
-
     def test_expired_deadline_names_the_laggard_shard(self):
         children = [_SlowGateway(Engine()) for __ in range(2)]
-        platform, backend = build_sharded(
-            2, config=ShardingConfig(hedge_delay=0.0), children=children
-        )
+        platform, backend = build_sharded(2, children=children)
         try:
             children[0].delay = 1.0
             children[1].delay = 1.0

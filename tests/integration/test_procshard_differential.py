@@ -26,23 +26,19 @@ from repro.core.platform import HyperQ
 from repro.core.procshard import ProcessShardBackend
 from repro.core.sharded import ShardedBackend
 from repro.qipc.encode import encode_value
-from repro.wlm import WorkloadManager
 from repro.workload.analytical import AnalyticalConfig, generate
 from repro.workload.loader import load_table
-from repro.workload.sharding import (
-    analytical_partition_map,
-    build_sharded_platform,
-    load_sharded_workload,
-)
+from repro.workload.sharding import build_sharded_platform
 from tests.integration.test_sharded_differential import (
     ASSIGNMENT_MESSAGES,
     run_messages,
 )
 
 
-def _process_config(**sharding_kwargs) -> HyperQConfig:
+def _process_config(wlm=None, **sharding_kwargs) -> HyperQConfig:
     return HyperQConfig(
-        sharding=ShardingConfig(mode="process", **sharding_kwargs)
+        sharding=ShardingConfig(mode="process", **sharding_kwargs),
+        wlm=wlm or WlmConfig(),
     )
 
 
@@ -73,7 +69,7 @@ def process_platform(workload):
 
 
 def _procshards(backend: ShardedBackend) -> list[ProcessShardBackend]:
-    shards = [handle.primary.inner for handle in backend._shards]
+    shards = [handle.backend.inner for handle in backend._shards]
     assert all(isinstance(s, ProcessShardBackend) for s in shards)
     return shards
 
@@ -121,23 +117,16 @@ def test_mid_scatter_kill_respawns_and_stays_byte_identical(
     absorbs it against the respawned worker (partition reloaded from the
     coordinator journal), and the whole suite still reproduces the
     single-backend bytes."""
-    wlm = WorkloadManager(WlmConfig(
+    wlm = WlmConfig(
         retry=RetryConfig(
             max_attempts=10, base_delay=0.005, max_delay=0.02,
             budget_min_tokens=1000.0, jitter_seed=7,
         ),
         breaker=CircuitBreakerConfig(failure_threshold=1000),
-    ))
-    config = _process_config(max_respawns=3)
-    from repro.core.procshard import spawn_process_shards
-
-    children = spawn_process_shards(2, config.sharding)
-    backend = ShardedBackend(
-        children, analytical_partition_map(2),
-        config=config.sharding, wlm=wlm,
     )
-    platform = HyperQ(backend=backend)
-    load_sharded_workload(backend, mdi=platform.mdi, workload=workload)
+    platform, backend, __ = build_sharded_platform(
+        2, config=_process_config(wlm, max_respawns=3), workload=workload
+    )
     killed = _procshards(backend)[1]
     armed = False
     try:

@@ -1,9 +1,9 @@
 """Differential suite: the full 25-query Analytical Workload on the
 sharded backend must be *byte-identical* (QIPC encoding of every result)
 to a single-backend run — at every shard count, and with transient
-faults injected on the shard primaries.  Q assignments over the
-partitioned fact tables (session-scoped and function-local, with the
-temp-data tier on and off) must match too.
+faults injected on the shards by the deployment's one workload manager.
+Q assignments over the partitioned fact tables (session-scoped and
+function-local, with the temp-data tier on and off) must match too.
 
 Identity, not tolerance: partial aggregation uses exact integer-mantissa
 sums (``sum_exact``) merged on the coordinator, so even float aggregates
@@ -20,18 +20,12 @@ from repro.config import (
     TempTierConfig,
     WlmConfig,
 )
-from repro.core.platform import DirectGateway, HyperQ
+from repro.core.platform import HyperQ
 from repro.core.sharded import ShardedBackend, is_catalog_probe, is_write
 from repro.qipc.encode import encode_value
-from repro.sqlengine.engine import Engine
-from repro.wlm import WorkloadManager
 from repro.workload.analytical import AnalyticalConfig, generate
 from repro.workload.loader import load_table
-from repro.workload.sharding import (
-    analytical_partition_map,
-    build_sharded_platform,
-    load_sharded_workload,
-)
+from repro.workload.sharding import build_sharded_platform
 
 #: the fault spec for the fault-injected leg (REPRO_FAULTS syntax); a
 #: fixed seed makes the injected sequence reproducible
@@ -56,6 +50,30 @@ ASSIGNMENT_MESSAGES = (
     "select mx: max mark by inst from m}",
     "g[100.0]",
 )
+
+
+def fault_config(spec: str) -> HyperQConfig:
+    """A deployment injecting ``spec`` faults (REPRO_FAULTS syntax) with
+    generous recovery, as in the wlm fault matrix: the point is masking
+    shard faults, not exhausting retry budgets."""
+    return HyperQConfig(wlm=WlmConfig(
+        retry=RetryConfig(
+            max_attempts=10, base_delay=0.005, max_delay=0.02,
+            budget_min_tokens=1000.0, jitter_seed=7,
+        ),
+        breaker=CircuitBreakerConfig(failure_threshold=1000),
+        faults=FaultConfig.from_env(spec),
+    ))
+
+
+def mismatched_queries(platform, workload, reference) -> list[int]:
+    """Numbers of the workload queries whose QIPC bytes differ from the
+    single-backend reference."""
+    return [
+        query.number
+        for query in workload.queries
+        if encode_value(platform.q(query.text)) != reference[query.number]
+    ]
 
 
 def run_messages(platform, messages) -> list[bytes | None]:
@@ -120,11 +138,7 @@ def test_full_workload_is_byte_identical(
         shard_count, workload=workload
     )
     try:
-        mismatched = []
-        for query in workload.queries:
-            actual = encode_value(platform.q(query.text))
-            if actual != reference[query.number]:
-                mismatched.append(query.number)
+        mismatched = mismatched_queries(platform, workload, reference)
         assert not mismatched, (
             f"queries {mismatched} diverged at N={shard_count}"
         )
@@ -158,37 +172,20 @@ def test_assignments_are_byte_identical(
 
 
 def test_full_workload_survives_injected_shard_faults(workload, reference):
-    """Transient faults on the shard primaries (injected through the
-    REPRO_FAULTS mechanism with a fixed seed) are masked by the
-    per-shard retry/breaker machinery: every query still returns the
+    """Transient faults on the shards (injected through the REPRO_FAULTS
+    mechanism with a fixed seed) are masked by the per-shard
+    retry/breaker machinery: every query still returns the
     byte-identical answer."""
-    wlm = WorkloadManager(WlmConfig(
-        # generous recovery, as in the wlm fault matrix: the point is
-        # masking shard faults, not exhausting retry budgets
-        retry=RetryConfig(
-            max_attempts=10, base_delay=0.005, max_delay=0.02,
-            budget_min_tokens=1000.0, jitter_seed=7,
-        ),
-        breaker=CircuitBreakerConfig(failure_threshold=1000),
-        faults=FaultConfig.from_env(FAULT_SPEC),
-    ))
-    children = [DirectGateway(Engine()) for __ in range(2)]
-    backend = ShardedBackend(
-        children, analytical_partition_map(2), wlm=wlm
+    platform, backend, __ = build_sharded_platform(
+        2, config=fault_config(FAULT_SPEC), workload=workload
     )
-    platform = HyperQ(backend=backend)
-    load_sharded_workload(backend, mdi=platform.mdi, workload=workload)
     try:
-        mismatched = []
-        for query in workload.queries:
-            actual = encode_value(platform.q(query.text))
-            if actual != reference[query.number]:
-                mismatched.append(query.number)
+        mismatched = mismatched_queries(platform, workload, reference)
         assert not mismatched, f"queries {mismatched} diverged under faults"
         # the faults actually fired — and were fully absorbed by the
         # per-shard retry layer (shard-level error counters track only
         # failures that escape the retries, so they stay at zero)
-        fired = sum(wlm.faults.injected.values())
+        fired = sum(platform.wlm.faults.injected.values())
         assert fired > 0, "fault injector never fired"
         assert sum(s["errors"] for s in backend.shard_snapshot()) == 0
     finally:
@@ -198,27 +195,43 @@ def test_full_workload_survives_injected_shard_faults(workload, reference):
 def test_shard_fault_visible_in_health_snapshot(workload):
     """A single injected shard fault surfaces in ``shards[]`` telemetry
     while the answer stays correct."""
-    wlm = WorkloadManager(WlmConfig(
-        retry=RetryConfig(
-            max_attempts=10, base_delay=0.005, max_delay=0.02,
-            budget_min_tokens=1000.0, jitter_seed=7,
-        ),
-        breaker=CircuitBreakerConfig(failure_threshold=1000),
-        faults=FaultConfig.from_env("seed=7,error_rate=0.2"),
-    ))
-    children = [DirectGateway(Engine()) for __ in range(2)]
-    backend = ShardedBackend(
-        children, analytical_partition_map(2), wlm=wlm
+    platform, backend, __ = build_sharded_platform(
+        2, config=fault_config("seed=7,error_rate=0.2"), workload=workload
     )
-    platform = HyperQ(backend=backend)
-    load_sharded_workload(backend, mdi=platform.mdi, workload=workload)
+    faults = platform.wlm.faults
     try:
         for __ in range(10):
             platform.q("select sum notional by desk from positions")
-            if sum(wlm.faults.injected.values()) > 0:
+            if sum(faults.injected.values()) > 0:
                 break
         table = platform.q("shards[]")
         assert list(table.column("shard").items) == [0, 1]
-        assert sum(wlm.faults.injected.values()) > 0
+        assert sum(faults.injected.values()) > 0
+    finally:
+        backend.close()
+
+
+def test_one_manager_wraps_every_shard(workload, reference):
+    """The deployment's ``HyperQConfig.wlm`` reaches the shards: its
+    fault injector fires on shard statements, its retries mask them
+    (25/25 byte-identical), and its ``wlm[]`` table lists the shard
+    breakers next to the admission classes."""
+    platform, backend, __ = build_sharded_platform(
+        2, config=fault_config("seed=7,error_rate=0.2"), workload=workload
+    )
+    try:
+        assert platform.backend is backend  # never wrapped as a whole
+        mismatched = mismatched_queries(platform, workload, reference)
+        assert not mismatched, f"queries {mismatched} diverged under faults"
+        assert sum(platform.wlm.faults.injected.values()) > 0
+        table = platform.q("wlm[]")
+        breakers = {
+            name
+            for name, kind in zip(
+                table.column("name").items, table.column("kind").items
+            )
+            if kind == "breaker"
+        }
+        assert breakers == {"shard0", "shard1"}
     finally:
         backend.close()

@@ -4,8 +4,7 @@ same object, so what one layer records on it (a shard retry) reaches the
 request's trace."""
 
 from repro.config import HyperQConfig, RetryConfig, WlmConfig
-from repro.core.platform import DirectGateway, HyperQ
-from repro.core.sharded import ShardedBackend
+from repro.core.platform import DirectGateway
 from repro.errors import ReproError
 from repro.obs import get_registry, get_tracer
 from repro.qlang.interp import Interpreter
@@ -13,10 +12,10 @@ from repro.server import endpoint
 from repro.server.client import QConnection
 from repro.server.hyperq_server import HyperQServer
 from repro.sqlengine.engine import Engine
-from repro.wlm import WorkloadManager, current_context
+from repro.wlm import current_context
 from repro.workload.analytical import AnalyticalConfig, generate
 from repro.workload.loader import load_q_source
-from repro.workload.sharding import analytical_partition_map, load_sharded_workload
+from repro.workload.sharding import build_sharded_platform
 
 SOURCE = "trades: ([] Symbol:`GOOG`IBM`GOOG; Price:100.0 50.0 101.0)"
 
@@ -97,17 +96,16 @@ def test_shard_retries_reach_the_request_span(monkeypatch):
     ``hyperq.run`` spans' ``wlm.retries`` add up to ``wlm_retries_total``."""
     monkeypatch.setenv("REPRO_FAULTS", "seed=7,error_rate=0.2")
     # generous recovery, so no shard gives up while its siblings retry
-    wlm = WorkloadManager(WlmConfig(retry=RetryConfig(
+    config = HyperQConfig(wlm=WlmConfig(retry=RetryConfig(
         max_attempts=20, base_delay=0.001, max_delay=0.002,
         budget_min_tokens=1000.0, jitter_seed=7,
     )))
-    assert wlm.faults is not None
-    children = [DirectGateway(Engine()) for __ in range(4)]
-    backend = ShardedBackend(children, analytical_partition_map(4), wlm=wlm)
+    assert config.wlm.faults.enabled
+    workload = generate(AnalyticalConfig.small())
+    platform, backend, __ = build_sharded_platform(
+        4, config=config, workload=workload
+    )
     try:
-        platform = HyperQ(backend=backend)
-        workload = generate(AnalyticalConfig.small())
-        load_sharded_workload(backend, mdi=platform.mdi, workload=workload)
         retries = get_registry().get("wlm_retries_total")
         before = sum(retries.flat_samples().values())
         get_tracer().reset()

@@ -29,7 +29,6 @@ server.heartbeat_seconds
 server.max_message_bytes
 server.recv_size
 server.worker_threads
-sharding.hedge_delay
 sharding.max_respawns
 sharding.mode
 temp_tier.block_rows
@@ -90,5 +89,5 @@ def settable_paths(value, prefix=""):
 
 
 def test_settable_surface_is_pinned():
-    assert len(SETTABLE) == 62
+    assert len(SETTABLE) == 61
     assert sorted(settable_paths(HyperQConfig())) == sorted(SETTABLE)
