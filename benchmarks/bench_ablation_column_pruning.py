@@ -16,18 +16,21 @@ import time
 from conftest import save_results
 
 from repro.config import HyperQConfig, XformerConfig
-from repro.core.session import HyperQSession
+from repro.core.platform import HyperQ
 
 #: narrow-output queries over wide tables — where pruning matters most
 QUERY_IDS = (1, 2, 9, 21, 22)
 
 
 def _measure(hq, workload, pruning: bool):
-    config = HyperQConfig(xformer=XformerConfig(column_pruning=pruning))
+    arm = HyperQ(
+        engine=hq.engine,
+        config=HyperQConfig(xformer=XformerConfig(column_pruning=pruning)),
+    )
     out = []
     for query_id in QUERY_IDS:
         query = workload.queries[query_id - 1]
-        session = HyperQSession(hq.backend, config=config)
+        session = arm.create_session()
         try:
             outcome = session.translate(query.text)
             sql = outcome.sql_statements[-1]

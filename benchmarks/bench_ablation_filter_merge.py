@@ -12,7 +12,7 @@ import time
 from conftest import save_results
 
 from repro.config import HyperQConfig, XformerConfig
-from repro.core.session import HyperQSession
+from repro.core.platform import HyperQ
 
 #: many-conjunct filters over the wide fact table
 QUERIES = [
@@ -26,10 +26,13 @@ QUERIES = [
 
 
 def _measure(hq, merge: bool):
-    config = HyperQConfig(xformer=XformerConfig(filter_merge=merge))
+    arm = HyperQ(
+        engine=hq.engine,
+        config=HyperQConfig(xformer=XformerConfig(filter_merge=merge)),
+    )
     out = []
     for text in QUERIES:
-        session = HyperQSession(hq.backend, config=config)
+        session = arm.create_session()
         try:
             outcome = session.translate(text)
             sql = outcome.sql_statements[-1]

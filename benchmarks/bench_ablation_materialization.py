@@ -17,15 +17,15 @@ import time
 from conftest import bench_repeats, bench_rounds, save_results
 
 from repro.config import HyperQConfig, MaterializationMode
-from repro.core.session import HyperQSession
+from repro.core.platform import HyperQ
 
 ASSIGN = "dt: select inst, price, notional from positions where price > 50.0"
 CONSUME = "exec max notional from dt"
 
 
 def _run(hq, mode: MaterializationMode, consumers: int) -> float:
-    config = HyperQConfig(materialization=mode)
-    session = HyperQSession(hq.backend, config=config)
+    arm = HyperQ(engine=hq.engine, config=HyperQConfig(materialization=mode))
+    session = arm.create_session()
     try:
         start = time.perf_counter()
         session.execute(ASSIGN)

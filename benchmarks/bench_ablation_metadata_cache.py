@@ -7,31 +7,40 @@ with metadata caching enabled."
 
 This ablation quantifies why: the same 25-query translation sweep with the
 cache disabled re-runs catalog queries on every lookup, inflating the
-algebrization stage.
+algebrization stage.  Each arm is its own platform over the loaded engine
+with the translation cache off, so the timed repeats run the pipeline
+(and its metadata lookups) rather than replaying cached SQL.
 """
 
 from __future__ import annotations
 
+import gc
 import time
 
 from conftest import bench_repeats, save_results
 
-from repro.config import HyperQConfig, MetadataCacheConfig
-from repro.core.metadata import MetadataInterface
-from repro.core.session import HyperQSession
+from repro.config import (
+    HyperQConfig,
+    MetadataCacheConfig,
+    TranslationCacheConfig,
+)
+from repro.core.platform import HyperQ
 
 
 def _sweep(hq, workload, cache_enabled: bool) -> list[float]:
     config = HyperQConfig(
-        metadata_cache=MetadataCacheConfig(enabled=cache_enabled)
+        metadata_cache=MetadataCacheConfig(enabled=cache_enabled),
+        translation_cache=TranslationCacheConfig(enabled=False),
     )
-    mdi = MetadataInterface(
-        hq.backend, config.metadata_cache,
-        key_annotations=hq.mdi.key_annotations,
-    )
+    arm = HyperQ(engine=hq.engine, config=config)
+    for table, keys in hq.mdi.key_annotations.items():
+        arm.mdi.annotate_keys(table, keys)
+    # both arms start from a full collection: with the workload's tables
+    # on the heap one gen-2 pass costs about as much as a sweep
+    gc.collect()
     times = []
     for query in workload.queries:
-        session = HyperQSession(hq.backend, config=config, mdi=mdi)
+        session = arm.create_session()
         try:
             session.translate(query.text)  # warm (no-op when cache off)
             best = float("inf")

@@ -13,9 +13,8 @@ verifies the migration with a Hyper-Q side-by-side spot check.
 Run:  python examples/migration_tool.py
 """
 
-from repro.core.metadata import MetadataInterface
 from repro.core.migrate import DataMover
-from repro.core.session import HyperQSession
+from repro.core.platform import HyperQ
 from repro.qlang.interp import Interpreter
 from repro.server.gateway import NetworkGateway
 from repro.server.pgserver import PgWireServer
@@ -46,10 +45,10 @@ def main() -> None:
     engine = Engine()
     with PgWireServer(engine) as pg_server:
         with NetworkGateway(*pg_server.address) as gateway:
-            mdi = MetadataInterface(gateway)
+            hq = HyperQ(backend=gateway)
 
             def verify(table_name: str) -> bool:
-                session = HyperQSession(gateway, mdi=mdi)
+                session = hq.create_session()
                 try:
                     left = kdb.eval_text(f"select from {table_name}")
                     right = session.execute(f"select from {table_name}")
@@ -57,7 +56,7 @@ def main() -> None:
                 finally:
                     session.close()
 
-            mover = DataMover(gateway, mdi=mdi, batch_rows=200)
+            mover = DataMover(gateway, mdi=hq.mdi, batch_rows=200)
             report = mover.migrate(
                 {"trades": data.trades, "quotes": data.quotes},
                 verify_with=verify,
@@ -71,7 +70,7 @@ def main() -> None:
                       f"{column.sql_type}{note}")
 
             print("\npost-migration spot checks (kdb+ vs Hyper-Q):")
-            session = HyperQSession(gateway, mdi=mdi)
+            session = hq.create_session()
             try:
                 for query in SPOT_CHECKS:
                     left = kdb.eval_text(query)

@@ -67,8 +67,6 @@ SUBMIT_RECEIVERS = {"workers", "_pool", "pool", "worker_pool"}
 STRUCTURAL_SEEDS = (
     ("repro.server.reactor.Reactor._run", ROLE_REACTOR),
     ("repro.server.reactor.WorkerPool._drain", ROLE_WORKER),
-    # the result cache's background TTL sweeper thread
-    ("repro.cache.result_cache.ResultCache._sweep_loop", ROLE_WORKER),
 )
 
 #: with-statement context managers / attributes that denote a guard

@@ -21,7 +21,7 @@ Correctness comes from the key, not from eviction:
 
 Stale entries made unreachable by a version bump are also dropped
 *proactively* through a table -> keys index (memory, not correctness),
-and a background sweeper retires TTL-expired entries.  Memory is
+and a lookup that finds a TTL-expired entry drops it.  Memory is
 byte-accounted: entries charge an estimate of their payload size against
 ``ResultCacheConfig.max_bytes`` and the least-recently-used entries are
 evicted beyond it.
@@ -187,8 +187,6 @@ class ResultCache:
         self._by_table: dict[str, set[tuple]] = {}
         self._bytes = 0
         self.stats = ResultCacheStats()
-        self._sweeper: threading.Thread | None = None
-        self._stop_sweeper = threading.Event()
 
     @property
     def enabled(self) -> bool:
@@ -241,6 +239,8 @@ class ResultCache:
             entry = self._entries.get(key)
             if entry is not None and self._expired(entry):
                 self._drop(key, reason="ttl")
+                self.stats.expirations += 1
+                self._publish_gauges()
                 entry = None
             if entry is None:
                 self.stats.misses += 1
@@ -351,7 +351,6 @@ class ResultCache:
             for table in entry.tables:
                 self._by_table.setdefault(table, set()).add(key)
             self._enforce_budget()
-        self._ensure_sweeper()
         return key, entry
 
     def store_reply(self, memo: tuple[tuple, _Entry], reply: bytes) -> None:
@@ -458,49 +457,3 @@ class ResultCache:
     def _publish_gauges(self) -> None:
         RCACHE_ENTRIES.set(len(self._entries))
         RCACHE_BYTES.set(self._bytes)
-
-    # -- the TTL sweeper thread ------------------------------------------------
-
-    def _ensure_sweeper(self) -> None:
-        """Start the background TTL sweeper on first fill (lazily, so a
-        cache that never holds data never owns a thread)."""
-        if self.config.sweep_interval <= 0 or self.config.ttl_seconds <= 0:
-            return
-        with self._lock:
-            if self._sweeper is not None and self._sweeper.is_alive():
-                return
-            self._sweeper = threading.Thread(
-                target=self._sweep_loop,
-                name="rcache-sweeper",
-                daemon=True,
-            )
-            self._sweeper.start()
-
-    def _sweep_loop(self) -> None:
-        """Worker thread: retire TTL-expired entries on a fixed cadence.
-
-        Seeded as a worker role in the concurrency static analysis
-        (``repro.analysis.concurrency.callgraph.STRUCTURAL_SEEDS``) so
-        lock-discipline checks CC001-CC004 cover this thread too.
-        """
-        while not self._stop_sweeper.wait(self.config.sweep_interval):
-            self.sweep()
-
-    def sweep(self) -> int:
-        """One sweep pass; returns the number of entries retired."""
-        retired = 0
-        with self._lock:
-            for key in [
-                key for key, entry in self._entries.items()
-                if self._expired(entry)
-            ]:
-                self._drop(key, reason="ttl")
-                retired += 1
-            if retired:
-                self.stats.expirations += retired
-                self._publish_gauges()
-        return retired
-
-    def close(self) -> None:
-        """Stop the sweeper (tests; production relies on daemon exit)."""
-        self._stop_sweeper.set()

@@ -103,10 +103,8 @@ class ResultCacheConfig:
     enabled: bool = True
     #: byte budget for cached result payloads (LRU-evicted beyond it)
     max_bytes: int = 64 * 1024 * 1024
-    #: seconds an entry may serve before the sweeper retires it
+    #: seconds an entry may serve; a lookup drops an older one
     ttl_seconds: float = 300.0
-    #: cadence of the background TTL sweeper; 0 disables the thread
-    sweep_interval: float = 30.0
     #: seconds a coalesced waiter blocks on the flight leader before
     #: giving up and executing on its own
     flight_timeout: float = 30.0

@@ -10,21 +10,12 @@ The XC couples two components:
   column-oriented values a Q application expects (Figure 5's pivot),
   buffering the full result before forming the QIPC message.  The PT is
   modeled as an FSM per the paper's design.
-
-``StageTimings``/``stage_span``/``TranslationResult`` moved to
-:mod:`repro.core.pipeline` with the stage machinery; they are re-exported
-here for compatibility.
 """
 
 from __future__ import annotations
 
 from repro.core.fsm import Fsm
-from repro.core.pipeline import (
-    STAGE_SECONDS,
-    StageTimings,
-    TranslationResult,
-    stage_span,
-)
+from repro.core.pipeline import TranslationResult
 from repro.errors import TranslationError
 from repro.obs import tracing
 from repro.qlang.qtypes import QType
@@ -39,14 +30,7 @@ from repro.qlang.values import (
 from repro.sqlengine.executor import ResultSet
 from repro.sqlengine.types import SqlType
 
-__all__ = [
-    "STAGE_SECONDS",
-    "ProtocolTranslator",
-    "StageTimings",
-    "TranslationResult",
-    "pivot_result",
-    "stage_span",
-]
+__all__ = ["ProtocolTranslator", "pivot_result"]
 
 
 # ---------------------------------------------------------------------------

@@ -98,15 +98,7 @@ class HyperQ:
         self.result_cache = ResultCache(self.config.result_cache)
 
     def create_session(self) -> HyperQSession:
-        return HyperQSession(
-            self.backend,
-            server_scope=self.server_scope,
-            config=self.config,
-            mdi=self.mdi,
-            translation_cache=self.translation_cache,
-            wlm=self.wlm,
-            result_cache=self.result_cache,
-        )
+        return HyperQSession(self)
 
     # -- conveniences ------------------------------------------------------------
 

@@ -9,7 +9,6 @@ folds unquoted names to lower case.
 from __future__ import annotations
 
 import itertools
-import threading
 
 from repro.core.xtra import scalars as sc
 from repro.core.xtra.ops import (
@@ -40,48 +39,41 @@ def quote_string(text: str) -> str:
 
 
 class Serializer:
-    """Stateless XTRA-to-SQL serializer (alias counter per serialize call).
+    """Stateless XTRA-to-SQL serializer.
 
-    The alias counter is thread-local so one serializer instance — there
-    is one per pipeline, shared with the materializer — can serialize
-    concurrently from pooled-backend sessions without interleaving alias
-    sequences.
+    Each :meth:`serialize` call numbers its derived-table aliases from
+    ``hq_t1`` with its own counter, passed down the relational render,
+    so one instance — there is one per pipeline, shared with the
+    materializer — serializes concurrently without interleaving alias
+    sequences.  Scalars never open a derived table and take no counter.
     """
 
-    def __init__(self) -> None:
-        self._tls = threading.local()
-
     def serialize(self, op: XtraOp) -> str:
-        self._tls.alias = itertools.count(1)
-        return self._rel(op)
+        return self._rel(op, itertools.count(1))
 
     def serialize_scalar_statement(self, scalar: sc.Scalar) -> str:
-        self._tls.alias = itertools.count(1)
         return f"SELECT {self._scalar(scalar)} AS {quote_ident('value')}"
 
     # -- relational -----------------------------------------------------------
 
-    def _next_alias(self) -> str:
-        return f"hq_t{next(self._tls.alias)}"
-
-    def _rel(self, op: XtraOp) -> str:
+    def _rel(self, op: XtraOp, alias) -> str:
         method = getattr(self, f"_rel_{type(op).__name__.lower()}", None)
         if method is None:
             raise TranslationError(
                 f"serializer has no rendering for {type(op).__name__}"
             )
-        return method(op)
+        return method(op, alias)
 
-    def _subquery(self, op: XtraOp) -> str:
-        return f"({self._rel(op)}) AS {self._next_alias()}"
+    def _subquery(self, op: XtraOp, alias) -> str:
+        return f"({self._rel(op, alias)}) AS hq_t{next(alias)}"
 
-    def _rel_xtraget(self, op: XtraGet) -> str:
+    def _rel_xtraget(self, op: XtraGet, alias) -> str:
         cols = ", ".join(quote_ident(c.name) for c in op.output)
         if not cols:
             cols = "1"
         return f"SELECT {cols} FROM {quote_ident(op.table)}"
 
-    def _rel_xtraconsttable(self, op: XtraConstTable) -> str:
+    def _rel_xtraconsttable(self, op: XtraConstTable, alias) -> str:
         if not op.rows:
             items = ", ".join(
                 f"{self._literal(None, c.sql_type)} AS {quote_ident(c.name)}"
@@ -99,29 +91,29 @@ class Serializer:
             selects.append("SELECT " + ", ".join(items))
         return " UNION ALL ".join(selects)
 
-    def _rel_xtraproject(self, op: XtraProject) -> str:
+    def _rel_xtraproject(self, op: XtraProject, alias) -> str:
         items = ", ".join(
             f"{self._scalar(scalar)} AS {quote_ident(name)}"
             for name, scalar in op.projections
         )
         if not items:
             items = "1"
-        return f"SELECT {items} FROM {self._subquery(op.child)}"
+        return f"SELECT {items} FROM {self._subquery(op.child, alias)}"
 
-    def _rel_xtrafilter(self, op: XtraFilter) -> str:
+    def _rel_xtrafilter(self, op: XtraFilter, alias) -> str:
         return (
-            f"SELECT * FROM {self._subquery(op.child)} "
+            f"SELECT * FROM {self._subquery(op.child, alias)} "
             f"WHERE {self._scalar(op.predicate)}"
         )
 
-    def _rel_xtrajoin(self, op: XtraJoin) -> str:
+    def _rel_xtrajoin(self, op: XtraJoin, alias) -> str:
         kind = {"inner": "INNER JOIN", "left": "LEFT OUTER JOIN",
                 "cross": "CROSS JOIN"}.get(op.kind)
         if kind is None:
             raise TranslationError(f"join kind {op.kind!r} cannot be serialized")
         sql = (
-            f"SELECT * FROM {self._subquery(op.left)} {kind} "
-            f"{self._subquery(op.right)}"
+            f"SELECT * FROM {self._subquery(op.left, alias)} {kind} "
+            f"{self._subquery(op.right, alias)}"
         )
         if op.condition is not None:
             sql += f" ON {self._scalar(op.condition)}"
@@ -129,7 +121,7 @@ class Serializer:
             sql += " ON TRUE"
         return sql
 
-    def _rel_xtragroupagg(self, op: XtraGroupAgg) -> str:
+    def _rel_xtragroupagg(self, op: XtraGroupAgg, alias) -> str:
         items = [
             f"{self._scalar(scalar)} AS {quote_ident(name)}"
             for name, scalar in op.group_keys
@@ -138,20 +130,20 @@ class Serializer:
             f"{self._scalar(scalar)} AS {quote_ident(name)}"
             for name, scalar in op.aggregates
         ]
-        sql = f"SELECT {', '.join(items)} FROM {self._subquery(op.child)}"
+        sql = f"SELECT {', '.join(items)} FROM {self._subquery(op.child, alias)}"
         if op.group_keys:
             keys = ", ".join(self._scalar(s) for __, s in op.group_keys)
             sql += f" GROUP BY {keys}"
         return sql
 
-    def _rel_xtrawindow(self, op: XtraWindow) -> str:
+    def _rel_xtrawindow(self, op: XtraWindow, alias) -> str:
         extras = ", ".join(
             f"{self._scalar(scalar)} AS {quote_ident(name)}"
             for name, scalar in op.windows
         )
-        return f"SELECT *, {extras} FROM {self._subquery(op.child)}"
+        return f"SELECT *, {extras} FROM {self._subquery(op.child, alias)}"
 
-    def _rel_xtrasort(self, op: XtraSort) -> str:
+    def _rel_xtrasort(self, op: XtraSort, alias) -> str:
         # Q's null ordering: nulls are the smallest values, so ascending
         # sorts put them first (PG's default is NULLS LAST for ASC)
         keys = ", ".join(
@@ -159,22 +151,22 @@ class Serializer:
             + (" DESC NULLS LAST" if descending else " NULLS FIRST")
             for scalar, descending in op.sort_items
         )
-        return f"SELECT * FROM {self._subquery(op.child)} ORDER BY {keys}"
+        return f"SELECT * FROM {self._subquery(op.child, alias)} ORDER BY {keys}"
 
-    def _rel_xtralimit(self, op: XtraLimit) -> str:
-        sql = f"SELECT * FROM {self._subquery(op.child)} LIMIT {op.count}"
+    def _rel_xtralimit(self, op: XtraLimit, alias) -> str:
+        sql = f"SELECT * FROM {self._subquery(op.child, alias)} LIMIT {op.count}"
         if op.offset:
             sql += f" OFFSET {op.offset}"
         return sql
 
-    def _rel_xtraunionall(self, op: XtraUnionAll) -> str:
+    def _rel_xtraunionall(self, op: XtraUnionAll, alias) -> str:
         return (
-            f"SELECT * FROM ({self._rel(op.left)} UNION ALL "
-            f"{self._rel(op.right)}) AS {self._next_alias()}"
+            f"SELECT * FROM ({self._rel(op.left, alias)} UNION ALL "
+            f"{self._rel(op.right, alias)}) AS hq_t{next(alias)}"
         )
 
-    def _rel_xtradistinct(self, op: XtraDistinct) -> str:
-        return f"SELECT DISTINCT * FROM {self._subquery(op.child)}"
+    def _rel_xtradistinct(self, op: XtraDistinct, alias) -> str:
+        return f"SELECT DISTINCT * FROM {self._subquery(op.child, alias)}"
 
     # -- scalars -----------------------------------------------------------------
 

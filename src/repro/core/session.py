@@ -1,22 +1,23 @@
 """HyperQSession: orchestration over the translation pipeline (Figure 1).
 
-A session owns a session-level variable scope, a metadata interface, one
+A session owns a session-level variable scope, one
 :class:`~repro.core.pipeline.TranslationPipeline` (built once; the active
-scope is passed per statement), the translation cache, the Protocol
-Translator, and the eager-materialization machinery.  ``execute`` runs Q
-text end-to-end against the backend; ``reply`` does the same for the QIPC
-server and returns the framed response; ``translate`` stops after
-serialization and returns the SQL (plus stage timings), which is what the
-evaluation section measures.
+scope is passed per statement), the Protocol Translator and the
+eager-materialization machinery; the metadata interface and both caches
+are its platform's.  ``execute`` runs Q text end-to-end against the
+backend; ``reply`` does the same for the QIPC server and returns the
+framed response; ``translate`` stops after serialization and returns the
+SQL (plus stage timings), which is what the evaluation section measures.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
-from repro.cache import QueryExecutor, ResultCache, TempDataTier
-from repro.config import HyperQConfig, MaterializationMode
+from repro.cache import QueryExecutor, TempDataTier
+from repro.config import MaterializationMode
 from repro.core.algebrizer.binder import BoundScalar, BoundTable
 from repro.core.crosscompiler import ProtocolTranslator
 from repro.core.materialize import (
@@ -26,10 +27,8 @@ from repro.core.materialize import (
     MaterializationStep,
     Materializer,
 )
-from repro.core.metadata import BackendPort, MetadataInterface
 from repro.core.pipeline import (
     StageTimings,
-    TranslationCache,
     TranslationPipeline,
     TranslationResult,
     TranslationUnit,
@@ -38,7 +37,6 @@ from repro.core.pipeline import (
 from repro.core.scopes import (
     LocalScope,
     Scope,
-    ServerScope,
     SessionScope,
     VarKind,
 )
@@ -49,14 +47,16 @@ from repro.errors import (
     QTypeError,
     TranslationError,
 )
-from repro.obs import configure as obs_configure
 from repro.obs import get_logger, metrics, tracing
 from repro.qipc.encode import encode_reply
 from repro.qipc.messages import resend
 from repro.qlang import ast
 from repro.qlang.parser import parse
 from repro.qlang.values import QValue
-from repro.wlm import QueryClass, WorkloadManager, classify_program, request_scope
+from repro.wlm import QueryClass, classify_program, request_scope
+
+if TYPE_CHECKING:
+    from repro.core.platform import HyperQ
 
 #: Q messages run through sessions, labelled mode=execute|translate
 RUNS_TOTAL = metrics.counter(
@@ -104,51 +104,31 @@ class ExecutionOutcome:
 
 
 class HyperQSession:
-    def __init__(
-        self,
-        backend: BackendPort,
-        server_scope: ServerScope | None = None,
-        config: HyperQConfig | None = None,
-        mdi: MetadataInterface | None = None,
-        translation_cache: TranslationCache | None = None,
-        wlm: WorkloadManager | None = None,
-        result_cache: ResultCache | None = None,
-    ):
-        self.config = config or HyperQConfig()
-        obs_configure(self.config.observability)
-        # workload management: a server passes its shared manager (one
-        # admission domain per deployment) along with an already-wrapped
-        # backend; a standalone session builds a private manager and wraps
-        # the backend itself so retries/breaker/faults apply to everything
-        # it executes.
-        if wlm is None and self.config.wlm.enabled:
-            wlm = WorkloadManager(self.config.wlm)
-            backend = wlm.wrap_backend(backend)
-        self.wlm = wlm
-        self.backend = backend
-        self.mdi = mdi or MetadataInterface(backend, self.config.metadata_cache)
-        self.server_scope = server_scope or ServerScope()
+    """One client's query life cycle over its platform's shared parts.
+
+    Config, backend, workload manager, MDI, server scope and both caches
+    all come from the :class:`~repro.core.platform.HyperQ` (or
+    :class:`~repro.server.hyperq_server.HyperQServer`) that creates the
+    session; what is the session's own is its scope (Figure 3), its
+    pipeline, its temp tier and its materialized relations.
+    """
+
+    def __init__(self, platform: HyperQ):
+        self.config = platform.config
+        self.wlm = platform.wlm
+        self.backend = platform.backend
+        self.mdi = platform.mdi
+        self.server_scope = platform.server_scope
         self.session_scope = SessionScope(self.server_scope)
-        # one pipeline per session (satellite of the Figure-1 refactor:
-        # no per-statement translator reconstruction); scope per call
+        # one pipeline per session (no per-statement translator
+        # reconstruction); scope per call
         self.pipeline = TranslationPipeline(self.mdi, self.config)
-        # the cache is usually shared across sessions (HyperQ/HyperQServer
-        # pass one in); a standalone session gets a private one
-        self.translation_cache = (
-            translation_cache
-            if translation_cache is not None
-            else TranslationCache(self.config.translation_cache)
-        )
+        self.translation_cache = platform.translation_cache
         self.materializer = Materializer(self.config)
-        # result cache: deployment-shared when the platform/server passes
-        # one in, private otherwise; temp tier: always session-private
-        # (temp relations are).  The executor is the only path to the
-        # backend from here down (lint rule HQ009).
-        self.result_cache = (
-            result_cache
-            if result_cache is not None
-            else ResultCache(self.config.result_cache)
-        )
+        # the result cache is deployment-shared; the temp tier is
+        # session-private (temp relations are).  The executor is the only
+        # path to the backend from here down (lint rule HQ009).
+        self.result_cache = platform.result_cache
         self.temp_tier = TempDataTier(self.config.temp_tier)
         self.executor = QueryExecutor(
             self.backend,

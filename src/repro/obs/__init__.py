@@ -48,7 +48,7 @@ def configure(config) -> None:
     """Apply an :class:`~repro.config.ObservabilityConfig` to the
     process-wide registry and tracer.
 
-    Sessions and servers call this with their ``HyperQConfig.observability``
+    Platforms and servers call this with their ``HyperQConfig.observability``
     so that a single config object controls the whole deployment.  The
     registry/tracer are process-global (like the paper's single Hyper-Q
     instance per backend), so the last configuration applied wins.

@@ -17,7 +17,7 @@ import math
 import struct
 
 from repro.errors import ProtocolError
-from repro.qipc.kernels import INT_NULLS, guid_bytes, pack_fixed
+from repro.qipc.kernels import INT_NULLS, STRUCT_CODES, guid_bytes, pack_fixed
 from repro.qipc.messages import MessageType, QipcMessage, frame
 from repro.qlang.qtypes import QType
 from repro.qlang.values import (
@@ -31,31 +31,9 @@ from repro.qlang.values import (
     QVector,
 )
 
-#: struct format per fixed-width Q type (atoms pack one element each)
-_FORMATS = {qtype: "<" + code for qtype, code in (
-    (QType.BOOLEAN, "b"),
-    (QType.BYTE, "B"),
-    (QType.SHORT, "h"),
-    (QType.INT, "i"),
-    (QType.LONG, "q"),
-    (QType.REAL, "f"),
-    (QType.FLOAT, "d"),
-    (QType.TIMESTAMP, "q"),
-    (QType.MONTH, "i"),
-    (QType.DATE, "i"),
-    (QType.DATETIME, "d"),
-    (QType.TIMESPAN, "q"),
-    (QType.MINUTE, "i"),
-    (QType.SECOND, "i"),
-    (QType.TIME, "i"),
-)}
-
-#: kept as the public-ish name earlier satellites referenced
-_INT_NULLS = INT_NULLS
-
 
 def _pack_raw(qtype: QType, raw) -> bytes:
-    fmt = _FORMATS[qtype]
+    fmt = "<" + STRUCT_CODES[qtype]
     if qtype in (QType.REAL, QType.FLOAT, QType.DATETIME):
         return struct.pack(fmt, float(raw))
     if qtype == QType.BOOLEAN:
@@ -125,10 +103,10 @@ def _encode_atom(atom: QAtom) -> bytes:
     if qtype == QType.GUID:
         return type_byte + guid_bytes(atom.value)
     raw = atom.value
-    if atom.is_null and qtype in _INT_NULLS:
-        raw = _INT_NULLS[qtype]
-    if isinstance(raw, float) and math.isnan(raw) and qtype in _INT_NULLS:
-        raw = _INT_NULLS[qtype]
+    if atom.is_null and qtype in INT_NULLS:
+        raw = INT_NULLS[qtype]
+    if isinstance(raw, float) and math.isnan(raw) and qtype in INT_NULLS:
+        raw = INT_NULLS[qtype]
     return type_byte + _pack_raw(qtype, raw)
 
 

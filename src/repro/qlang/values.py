@@ -412,57 +412,13 @@ class QLambda(QValue):
 # ---------------------------------------------------------------------------
 
 
-def q_bool(v: bool) -> QAtom:
-    return QAtom(QType.BOOLEAN, bool(v))
-
-
-def q_long(v: int) -> QAtom:
-    return QAtom(QType.LONG, int(v))
-
-
-def q_int(v: int) -> QAtom:
-    return QAtom(QType.INT, int(v))
-
-
-def q_float(v: float) -> QAtom:
-    return QAtom(QType.FLOAT, float(v))
-
-
-def q_symbol(v: str) -> QAtom:
-    return QAtom(QType.SYMBOL, v)
-
-
-def q_char(v: str) -> QAtom:
-    return QAtom(QType.CHAR, v)
-
-
 def q_string(v: str) -> QVector:
     """A q string is a char vector."""
     return QVector(QType.CHAR, list(v))
 
 
-def q_date(days: int) -> QAtom:
-    return QAtom(QType.DATE, int(days))
-
-
-def q_timestamp(nanos: int) -> QAtom:
-    return QAtom(QType.TIMESTAMP, int(nanos))
-
-
-def q_time(millis: int) -> QAtom:
-    return QAtom(QType.TIME, int(millis))
-
-
 def long_vector(items: Iterable[int]) -> QVector:
     return QVector(QType.LONG, [int(i) for i in items])
-
-
-def float_vector(items: Iterable[float]) -> QVector:
-    return QVector(QType.FLOAT, [float(f) for f in items])
-
-
-def symbol_vector(items: Iterable[str]) -> QVector:
-    return QVector(QType.SYMBOL, list(items))
 
 
 def bool_vector(items: Iterable[bool]) -> QVector:

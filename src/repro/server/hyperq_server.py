@@ -18,8 +18,7 @@ from repro.analysis.concurrency.locks import make_lock
 from repro.config import HyperQConfig
 from repro.core.backends import PooledBackend
 from repro.core.metadata import BackendPort
-from repro.core.platform import DirectGateway, HyperQ
-from repro.core.plugins import default_registry
+from repro.core.platform import HyperQ
 from repro.qipc.handshake import Authenticator
 from repro.qlang.interp import Interpreter
 from repro.qlang.values import QValue
@@ -139,22 +138,3 @@ class _HyperQHandler(ConnectionHandler):
 
     def close(self) -> None:
         self.session.close()
-
-
-# plugin registrations: the kdb endpoint and the PG gateways
-default_registry.register(
-    "kdb", "*", "endpoint", lambda *a, **kw: QipcEndpoint(*a, **kw)
-)
-default_registry.register(
-    "postgres", "*", "gateway",
-    lambda *a, **kw: _make_network_gateway(*a, **kw),
-)
-default_registry.register(
-    "postgres", "in-process", "gateway", lambda engine: DirectGateway(engine)
-)
-
-
-def _make_network_gateway(*args, **kwargs):
-    from repro.server.gateway import NetworkGateway
-
-    return NetworkGateway(*args, **kwargs)

@@ -309,24 +309,3 @@ def compute_aggregate(name: str, values: list, extra_args: list | None = None):
     if fn is None:
         raise SqlExecutionError(f"unknown aggregate {name!r}")
     return fn(values)
-
-
-# ---------------------------------------------------------------------------
-# Window functions (rank-style; aggregate-over-window handled by executor)
-# ---------------------------------------------------------------------------
-
-RANKING_WINDOW_FUNCTIONS = {
-    "row_number",
-    "rank",
-    "dense_rank",
-    "ntile",
-    "lead",
-    "lag",
-    "first_value",
-    "last_value",
-    "nth_value",
-}
-
-
-def is_window_capable(name: str) -> bool:
-    return name in RANKING_WINDOW_FUNCTIONS or is_aggregate(name)

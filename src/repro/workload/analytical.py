@@ -55,10 +55,6 @@ class WorkloadQuery:
     tables: tuple[str, ...]
     description: str
 
-    @property
-    def join_count(self) -> int:
-        return len(self.tables) - 1
-
 
 @dataclass
 class AnalyticalWorkload:

@@ -25,7 +25,6 @@ def rs(values, name="v"):
 
 
 def make_cache(**kwargs) -> ResultCache:
-    kwargs.setdefault("sweep_interval", 0.0)  # no background thread
     return ResultCache(ResultCacheConfig(**kwargs))
 
 
@@ -85,13 +84,54 @@ class TestInvalidation:
         assert cache.total_bytes == 0
 
     def test_ttl_sweep_retires_expired(self):
+        """A lookup that finds an expired entry drops it: not served,
+        counted in ``expirations``, its bytes released."""
         cache = make_cache(ttl_seconds=0.0001)
-        cache.fill(("k",), [], rs([1]))
+        cache.fill(("k",), ["t"], rs([1]))
         import time
 
         time.sleep(0.01)
-        assert cache.sweep() == 1
+        assert cache.fetch(("k",)) is None
+        assert cache.stats.expirations == 1
         assert len(cache) == 0
+        assert cache.total_bytes == 0
+        cache.on_write(["t"])  # the table index forgot the key too
+        assert cache.stats.invalidations == 0
+
+
+class TestLifetime:
+    """The cache owns no thread (TTL is checked on lookup): a platform
+    that fills and serves it starts none, and a dropped one is
+    collected together with its cache."""
+
+    Q = "select from trades where Price > 40.0"
+
+    def test_filling_and_serving_starts_no_thread(self):
+        before = threading.active_count()
+        hq, __ = make_platform()
+        session = hq.create_session()
+        try:
+            session.execute(self.Q)
+            session.execute(self.Q)
+        finally:
+            session.close()
+        assert len(hq.result_cache) == 1
+        assert hq.result_cache.stats.hits == 1
+        assert threading.active_count() == before
+
+    def test_a_dropped_platform_releases_its_cache(self):
+        import gc
+        import weakref
+
+        hq, __ = make_platform()
+        session = hq.create_session()
+        session.execute(self.Q)
+        session.close()
+        assert len(hq.result_cache) == 1
+        cache = weakref.ref(hq.result_cache)
+        del hq, session
+        gc.collect()
+        assert cache() is None
 
 
 class TestByteLru:
@@ -568,14 +608,15 @@ class TestReplyPath:
 
     def test_ttl_sweep_drops_the_reply(self):
         """A row the cache cannot see (written straight into the engine)
-        shows up once the TTL retires the entry and its reply."""
+        shows up once the TTL expires the entry: the next lookup drops
+        it with its reply and the read is framed afresh."""
         import time
 
         from repro.qipc.decode import decode_value
         from repro.qipc.messages import unframe
 
         hq, __ = make_platform(HyperQConfig(result_cache=ResultCacheConfig(
-            ttl_seconds=0.05, sweep_interval=0.0
+            ttl_seconds=0.05
         )))
         session = hq.create_session()
         try:
@@ -585,10 +626,11 @@ class TestReplyPath:
                 "('Z', CAST('10:00:00' AS time), 99.0, 7, 4)"
             )
             time.sleep(0.1)
-            assert hq.result_cache.sweep() == 1
-            assert rcache_stats(hq) == (0, 0)
             fresh = session.reply(self.Q)
             assert fresh != stale
+            assert hq.result_cache.stats.expirations == 1
+            # the only reply held is the fresh one, and it was not a hit
+            assert rcache_stats(hq) == (0, len(fresh))
             table = decode_value(unframe(fresh).payload)
             assert "Z" in table.column("Symbol").items
         finally:

@@ -4,11 +4,8 @@ import math
 
 import pytest
 
-from repro.core.crosscompiler import (
-    ProtocolTranslator,
-    StageTimings,
-    pivot_result,
-)
+from repro.core.crosscompiler import ProtocolTranslator, pivot_result
+from repro.core.pipeline import StageTimings, TranslationResult
 from repro.errors import TranslationError
 from repro.qlang.qtypes import QType
 from repro.qlang.values import (
@@ -133,8 +130,6 @@ class TestStageTimings:
 
 class TestProtocolTranslatorFsm:
     def test_execute_and_pivot_via_fsm(self):
-        from repro.core.crosscompiler import TranslationResult
-
         calls = []
 
         def execute(translation):

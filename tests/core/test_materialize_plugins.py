@@ -1,10 +1,9 @@
-"""Tests for the materializer and the plugin registry."""
+"""Tests for the materializer."""
 
 import pytest
 
 from repro.config import MaterializationMode
 from repro.core.materialize import Materializer
-from repro.core.plugins import PluginError, PluginRegistry
 from repro.core.scopes import VarKind
 from repro.qlang.parser import parse_expression
 from repro.qlang.qtypes import QType
@@ -82,41 +81,3 @@ class TestMaterializer:
         hq, session, materializer = setup
         materializer.store_function("f", "{x+1}", session.session_scope)
         assert session.session_scope.lookup("f").source == "{x+1}"
-
-
-class TestPluginRegistry:
-    def test_register_and_resolve_exact(self):
-        registry = PluginRegistry()
-        registry.register("kdb", "3.0", "endpoint", lambda: "v3")
-        assert registry.create("kdb", "3.0", "endpoint") == "v3"
-
-    def test_wildcard_fallback(self):
-        registry = PluginRegistry()
-        registry.register("postgres", "*", "gateway", lambda: "any")
-        assert registry.create("postgres", "9.2", "gateway") == "any"
-
-    def test_exact_beats_wildcard(self):
-        registry = PluginRegistry()
-        registry.register("kdb", "*", "endpoint", lambda: "any")
-        registry.register("kdb", "3.0", "endpoint", lambda: "v3")
-        assert registry.create("kdb", "3.0", "endpoint") == "v3"
-        assert registry.create("kdb", "2.8", "endpoint") == "any"
-
-    def test_duplicate_rejected(self):
-        registry = PluginRegistry()
-        registry.register("kdb", "3.0", "endpoint", lambda: 1)
-        with pytest.raises(PluginError):
-            registry.register("kdb", "3.0", "endpoint", lambda: 2)
-
-    def test_missing_raises(self):
-        registry = PluginRegistry()
-        with pytest.raises(PluginError):
-            registry.resolve("oracle", "12c", "gateway")
-
-    def test_default_registry_has_kdb_and_pg(self):
-        import repro.server.hyperq_server  # noqa: F401 — registers plugins
-        from repro.core.plugins import default_registry
-
-        systems = {(s, r) for s, __, r in default_registry.systems()}
-        assert ("kdb", "endpoint") in systems
-        assert ("postgres", "gateway") in systems

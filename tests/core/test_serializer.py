@@ -170,6 +170,41 @@ class TestRelational:
             serializer.serialize(Bogus())
 
 
+class TestConcurrentUse:
+    def test_shared_instance_numbers_aliases_per_call(self, serializer):
+        """One serializer serves every thread of a pipeline: each call
+        numbers its aliases from hq_t1, however the calls interleave."""
+        import re
+        import sys
+        import threading
+
+        op = get_op()
+        for depth in range(12):
+            op = XtraLimit(XtraUnionAll(op, get_op()), depth + 1)
+        expected = serializer.serialize(op)
+        aliases = re.findall(r"AS hq_t(\d+)", expected)
+        assert sorted(map(int, aliases)) == list(range(1, 25))
+        mismatches = []
+
+        def render():
+            for __ in range(30):
+                if serializer.serialize(op) != expected:
+                    mismatches.append(1)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=render) for __ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+
+
 class TestLiterals:
     def render(self, value, sql_type):
         return Serializer()._literal(value, sql_type)

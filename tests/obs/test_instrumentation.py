@@ -6,7 +6,7 @@ import pytest
 
 from repro.config import HyperQConfig, ObservabilityConfig
 from repro.core.platform import HyperQ
-from repro.obs import get_registry, get_tracer
+from repro.obs import configure, get_registry, get_tracer
 from repro.qlang.interp import Interpreter
 from repro.qlang.values import QDict
 from repro.server.client import QConnection
@@ -130,6 +130,23 @@ class TestOptOut:
         assert get_tracer().last_trace() is None
         runs = get_registry().get("hyperq_runs_total")
         assert runs.value(mode="execute") == 0.0
+
+    def test_a_session_keeps_the_configured_opt_out(self):
+        """Only a platform applies an observability config; a session it
+        creates inherits whatever is in force (the overhead bench turns
+        tracing off around an existing platform's sessions)."""
+        hq = make_hyperq()
+        configure(ObservabilityConfig(enabled=False))
+        session = hq.create_session()
+        try:
+            assert not get_tracer().enabled
+            assert not get_registry().enabled
+            session.execute("select from trades")
+        finally:
+            session.close()
+        assert get_tracer().last_trace() is None
+        assert not get_tracer().enabled
+        assert not get_registry().enabled
 
     def test_reenabling_restores_recording(self):
         session = make_hyperq(self.DISABLED).create_session()

@@ -23,7 +23,6 @@ result_cache.enabled
 result_cache.flight_timeout
 result_cache.max_bytes
 result_cache.min_produce_ms
-result_cache.sweep_interval
 result_cache.ttl_seconds
 server.heartbeat_seconds
 server.max_message_bytes
@@ -89,5 +88,5 @@ def settable_paths(value, prefix=""):
 
 
 def test_settable_surface_is_pinned():
-    assert len(SETTABLE) == 61
+    assert len(SETTABLE) == 60
     assert sorted(settable_paths(HyperQConfig())) == sorted(SETTABLE)
