@@ -120,7 +120,7 @@ BOUNDARIES = (
         "HQ009", "call", "*.backend.run_sql",
         "session/PT code reaches the backend through QueryExecutor, so the "
         "result cache sees every statement and writes bump table versions",
-        denied="repro.core.session repro.core.crosscompiler",
+        denied="repro.core.session repro.core.admin repro.core.crosscompiler",
     ),
     Boundary(
         "HQ010", "import",

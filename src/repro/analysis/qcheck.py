@@ -20,6 +20,7 @@ from repro.analysis.framework import (
     register,
     walk_q,
 )
+from repro.core.admin import VERBS
 from repro.core.algebrizer.binder import (
     _AGGREGATE_NAMES,
     _MONADIC_BINDINGS,
@@ -30,16 +31,18 @@ from repro.qlang import ast
 from repro.qlang.parser import INFIX_NAMES
 from repro.qlang.values import QAtom
 
-#: names the translator accepts in verb/function position without any
-#: scope binding (keyword verbs lex as plain NAME tokens)
+#: names the translator or the session's admin-verb registry accepts in
+#: verb/function position without any scope binding (keyword verbs lex
+#: as plain NAME tokens)
 BUILTIN_VERBS = (
     set(_MONADIC_BINDINGS)
     | set(_AGGREGATE_NAMES)
     | set(_UNIFORM_WINDOW_VERBS)
     | set(INFIX_NAMES)
+    | set(VERBS)
     | {"aj", "aj0", "ej", "where", "distinct", "til", "reverse", "string",
-       "asc", "desc", "group", "ungroup", "meta", "cols", "key", "value",
-       "type", "show", "enlist", "raze", "flip", "?"}
+       "asc", "desc", "group", "ungroup", "key", "value", "type", "show",
+       "enlist", "raze", "flip", "?"}
 )
 
 #: names valid in value position with no binding: the virtual row index

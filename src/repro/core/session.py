@@ -18,12 +18,11 @@ from typing import TYPE_CHECKING
 
 from repro.cache import QueryExecutor, TempDataTier
 from repro.config import MaterializationMode
+from repro.core.admin import match
 from repro.core.algebrizer.binder import BoundScalar, BoundTable
 from repro.core.crosscompiler import ProtocolTranslator
 from repro.core.materialize import (
     GLOBAL_PREFIX,
-    TEMP_TABLE_PREFIX,
-    VIEW_PREFIX,
     MaterializationStep,
     Materializer,
 )
@@ -41,7 +40,6 @@ from repro.core.scopes import (
     VarKind,
 )
 from repro.errors import (
-    QNameError,
     QNotSupportedError,
     QRankError,
     QTypeError,
@@ -385,10 +383,11 @@ class HyperQSession:
         if call is not None:
             outcome.mark_uncacheable()
             return self._invoke_function(call, scope, execute, outcome)
-        admin = self._try_admin(statement, scope, execute)
+        admin = match(statement) if execute else None
         if admin is not None:
             outcome.mark_uncacheable()
-            return admin
+            verb, argument = admin
+            return verb.answer(self, scope, argument)
         if (
             isinstance(statement, ast.BinOp)
             and statement.op in ("insert", "upsert")
@@ -404,243 +403,6 @@ class HyperQSession:
         if not execute:
             return None
         return self._respond(translation, outcome)
-
-    # -- management utilities --------------------------------------------------------
-
-    def _try_admin(self, statement: ast.Node, scope: Scope, execute: bool):
-        """kdb+-style management utilities, answered from Hyper-Q's own
-        metadata layer (the enterprise-tooling angle of Sections 2.1/5):
-
-        * ``tables[]``  — list backend tables as a symbol vector;
-        * ``cols t``    — column names of a table;
-        * ``meta t``    — per-column name and q type character;
-        * ``metrics[]`` — the observability snapshot as a Q dict of
-          ``sample name -> value`` (see docs/OBSERVABILITY.md);
-        * ``check "<q>"`` — run the qcheck analyzer over the quoted Q
-          source against the current scope and return the findings as a
-          table; ``check[]`` lists the rule catalog (docs/ANALYSIS.md);
-        * ``wlm[]`` — live workload-management state (queue depths,
-          breaker states, shed counts) as a Q table (docs/WLM.md);
-        * ``shards[]`` — per-shard health of a sharded backend (breaker
-          state, query/error counts, mean latency);
-        * ``rcache[]`` — result-cache and temp-tier counters
-          (docs/CACHING.md).
-        """
-        from repro.qlang.qtypes import QType
-        from repro.qlang.values import QTable, QVector
-
-        if not execute:
-            return None
-        if isinstance(statement, ast.Apply) and isinstance(
-            statement.func, ast.Name
-        ):
-            verb = statement.func.name
-            if verb == "check":
-                check = self._try_check(statement, scope)
-                if check is not None:
-                    return check
-            answer = _ADMIN_VERBS.get(verb)
-            if answer is not None and all(a is None for a in statement.args):
-                return answer(self)
-
-        target = self._admin_target(statement, ("cols", "meta"))
-        if target is None:
-            return None
-        verb, table_name = target
-        definition = scope.lookup(table_name)
-        if definition is not None and definition.meta is not None:
-            meta = definition.meta
-        else:
-            meta = self.mdi.lookup_table(table_name)
-        if meta is None:
-            raise QNameError(
-                f"{verb}: table {table_name!r} does not exist (searched "
-                f"local, session and server scopes, then the backend catalog)"
-            )
-        data_columns = meta.data_columns
-        if verb == "cols":
-            return QVector(QType.SYMBOL, [c.name for c in data_columns])
-        chars = [
-            _QTYPE_CHARS.get(c.sql_type, " ") for c in data_columns
-        ]
-        return QTable(
-            ["c", "t"],
-            [
-                QVector(QType.SYMBOL, [c.name for c in data_columns]),
-                QVector(QType.CHAR, chars),
-            ],
-        )
-
-    def _tables_qvector(self):
-        """``tables[]`` — backend table names, Hyper-Q's own relations
-        excluded, as a symbol vector."""
-        from repro.qlang.qtypes import QType
-        from repro.qlang.values import QVector
-
-        result = self.executor.run_sql(
-            "SELECT tablename FROM pg_tables ORDER BY tablename"
-        )
-        names = [
-            row[0]
-            for row in result.rows
-            if not row[0].startswith(
-                (TEMP_TABLE_PREFIX, VIEW_PREFIX, GLOBAL_PREFIX)
-            )
-        ]
-        return QVector(QType.SYMBOL, names)
-
-    def _wlm_qtable(self):
-        """``wlm[]`` — workload-management state as one Q table.
-
-        One row per admission class (``kind=`class``: quota, live
-        active/queued depth, admitted/shed totals), per circuit breaker
-        (``kind=`breaker``: state, consecutive failures, transition
-        count) and per fired fault point (``kind=`fault``).  An empty
-        table means workload management is disabled.
-        """
-        from repro.core.admin import admin_table
-        from repro.qlang.qtypes import QType
-
-        rows: list[tuple] = []
-        if self.wlm is not None:
-            snapshot = self.wlm.snapshot()
-            for name, stats in snapshot["classes"].items():
-                rows.append((
-                    name, "class", "ok", stats["limit"], stats["active"],
-                    stats["queued"], stats["admitted"], stats["shed"],
-                ))
-            for name, stats in snapshot["breakers"].items():
-                rows.append((
-                    name, "breaker", stats["state"],
-                    self.wlm.config.breaker.failure_threshold,
-                    stats["failures"], 0, stats["transitions"], 0,
-                ))
-            for point, count in snapshot["faults"].items():
-                rows.append((point, "fault", "armed", 0, count, 0, 0, 0))
-        return admin_table(
-            [
-                ("name", QType.SYMBOL), ("kind", QType.SYMBOL),
-                ("state", QType.SYMBOL), ("limit", QType.LONG),
-                ("active", QType.LONG), ("queued", QType.LONG),
-                ("admitted", QType.LONG), ("shed", QType.LONG),
-            ],
-            rows,
-        )
-
-    def _shards_qtable(self):
-        """``shards[]`` — per-shard health of a sharded backend.
-
-        One row per shard: breaker state (``closed`` when workload
-        management is off and shards run unwrapped), statements executed,
-        failures, mean statement latency in milliseconds, plus the shard
-        transport — ``mode`` is ``thread`` for in-process engines and
-        ``process`` for spawned worker processes, in which case
-        pid/restarts/rss_kb describe the worker process.  An empty table
-        means the backend is not sharded.
-        """
-        from repro.core.admin import admin_table
-        from repro.qlang.qtypes import QType
-
-        return admin_table(
-            [
-                ("shard", QType.LONG), ("state", QType.SYMBOL),
-                ("queries", QType.LONG), ("errors", QType.LONG),
-                ("mean_ms", QType.FLOAT), ("mode", QType.SYMBOL),
-                ("pid", QType.LONG), ("restarts", QType.LONG),
-                ("rss_kb", QType.LONG),
-            ],
-            [
-                (r["shard"], r["state"], r["queries"], r["errors"],
-                 r["mean_ms"], r["mode"], r["pid"], r["restarts"],
-                 r["rss_kb"])
-                for r in self.backend.shard_snapshot()
-            ],
-        )
-
-    def _rcache_qtable(self):
-        """``rcache[]`` — result-cache and temp-tier counters.
-
-        One ``(layer, stat, value)`` row per counter: the shared result
-        cache's lookups/hits/misses/evictions/bytes plus this session's
-        temp-tier handle and serve counts (docs/CACHING.md).
-        """
-        from repro.core.admin import admin_table
-        from repro.qlang.qtypes import QType
-
-        rows = [
-            ("rcache", name, value)
-            for name, value in self.result_cache.snapshot().as_rows()
-        ] + [
-            ("temptier", name, value)
-            for name, value in self.temp_tier.snapshot()
-        ]
-        return admin_table(
-            [
-                ("layer", QType.SYMBOL), ("stat", QType.SYMBOL),
-                ("value", QType.LONG),
-            ],
-            rows,
-        )
-
-    def _try_check(self, statement: ast.Apply, scope: Scope):
-        """``check "<q source>"`` — findings as a Q table; ``check[]`` —
-        the registered rule catalog.  Any other shape falls through to the
-        normal pipeline (so a user-defined ``check`` still binds)."""
-        from repro.qlang.qtypes import QType
-        from repro.qlang.values import QTable, QVector
-
-        args = [a for a in statement.args if a is not None]
-        analyzer = self.pipeline.analyzer
-        if not args:
-            rules = analyzer.rules
-            return QTable(
-                ["code", "name", "severity", "purpose"],
-                [
-                    QVector(QType.SYMBOL, [r.code for r in rules]),
-                    QVector(QType.SYMBOL, [r.name for r in rules]),
-                    QVector(
-                        QType.SYMBOL,
-                        [r.default_severity.label for r in rules],
-                    ),
-                    QVector(QType.SYMBOL, [r.purpose for r in rules]),
-                ],
-            )
-        if (
-            len(args) == 1
-            and isinstance(args[0], ast.Literal)
-            and isinstance(args[0].value, QVector)
-            and args[0].value.qtype == QType.CHAR
-        ):
-            source = "".join(args[0].value.items)
-            findings = analyzer.analyze_source(source, scope)
-            return QTable(
-                ["code", "severity", "rule", "pos", "message"],
-                [
-                    QVector(QType.SYMBOL, [f.code for f in findings]),
-                    QVector(
-                        QType.SYMBOL, [f.severity.label for f in findings]
-                    ),
-                    QVector(QType.SYMBOL, [f.rule for f in findings]),
-                    QVector(QType.LONG, [f.pos for f in findings]),
-                    QVector(QType.SYMBOL, [f.message for f in findings]),
-                ],
-            )
-        return None
-
-    @staticmethod
-    def _admin_target(statement: ast.Node, verbs: tuple[str, ...]):
-        if (
-            isinstance(statement, ast.Apply)
-            and isinstance(statement.func, ast.Name)
-            and statement.func.name in verbs
-        ):
-            args = [a for a in statement.args if a is not None]
-            if len(args) == 1 and isinstance(args[0], ast.Name):
-                return statement.func.name, args[0].name
-        if isinstance(statement, ast.UnOp) and statement.op in verbs:
-            if isinstance(statement.operand, ast.Name):
-                return statement.op, statement.operand.name
-        return None
 
     # -- the write path: `t insert rows --------------------------------------------
 
@@ -879,55 +641,6 @@ class HyperQSession:
             if isinstance(body_statement, ast.Return):
                 break
         return result
-
-
-#: zero-argument admin verbs (``verb[]``) and what answers each
-_ADMIN_VERBS = {
-    "metrics": lambda session: _metrics_qdict(),
-    "wlm": HyperQSession._wlm_qtable,
-    "shards": HyperQSession._shards_qtable,
-    "rcache": HyperQSession._rcache_qtable,
-    "tables": HyperQSession._tables_qvector,
-}
-
-#: SQL type -> q type character (as `meta` shows it)
-from repro.sqlengine.types import SqlType as _SqlType  # noqa: E402
-
-_QTYPE_CHARS = {
-    _SqlType.BOOLEAN: "b",
-    _SqlType.SMALLINT: "h",
-    _SqlType.INTEGER: "i",
-    _SqlType.BIGINT: "j",
-    _SqlType.REAL: "e",
-    _SqlType.DOUBLE: "f",
-    _SqlType.NUMERIC: "f",
-    _SqlType.VARCHAR: "s",
-    _SqlType.TEXT: "s",
-    _SqlType.CHAR: "c",
-    _SqlType.DATE: "d",
-    _SqlType.TIME: "t",
-    _SqlType.TIMESTAMP: "p",
-    _SqlType.INTERVAL: "n",
-    _SqlType.UUID: "g",
-}
-
-
-def _metrics_qdict() -> QValue:
-    """The process-wide metrics snapshot as a Q dict (admin command).
-
-    Flat sample names (``name{label=value}``) key a float vector, so a Q
-    client reads e.g. ``(metrics[])[`server_queries_total]`` — counters
-    and gauges report their value, histograms their ``_count``/``_sum``.
-    """
-    from repro.qlang.qtypes import QType
-    from repro.qlang.values import QDict, QVector
-
-    flat = metrics.get_registry().flat()
-    names = list(flat.keys())
-    return QDict(
-        QVector(QType.SYMBOL, names),
-        QVector(QType.FLOAT, [float(flat[name]) for name in names]),
-    )
 
 
 def _const_to_qvalue(scalar) -> QValue:

@@ -5,9 +5,9 @@ request is a metadata ping, a cheap keyed read, a scan-the-world
 aggregation, or a statement that writes backend state.  The classes (in
 ascending weight):
 
-* ``admin`` — answered from Hyper-Q's own metadata/metrics layer
-  (``tables[]``, ``cols``, ``meta``, ``metrics[]``, ``check``, ``wlm[]``)
-  or pure scope bookkeeping (function definitions);
+* ``admin`` — an admin verb, answered from Hyper-Q's own layers (the
+  registry in :mod:`repro.core.admin`), or pure scope bookkeeping
+  (function definitions);
 * ``point_lookup`` — a ``select``/``exec`` whose where-clause pins a
   column to a literal (no grouping), or a backend-free scalar expression;
 * ``analytical`` — everything else that only reads;
@@ -25,17 +25,13 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterable
 
+from repro.core import admin
 from repro.obs import metrics
 from repro.qlang import ast
 
 #: classification volume, labelled qclass=admin|point_lookup|...
 CLASSIFIED_TOTAL = metrics.counter(
     "wlm_classified_total", "Statements classified, by query class"
-)
-
-#: statements answered from Hyper-Q's own layers, never the backend data
-ADMIN_VERBS = frozenset(
-    {"tables", "cols", "meta", "metrics", "check", "wlm", "rcache"}
 )
 
 
@@ -90,7 +86,7 @@ def _classify(statement: ast.Node) -> QueryClass:
         "upsert",
     ):
         return QueryClass.MATERIALIZING
-    if _is_admin_verb(statement):
+    if admin.match(statement) is not None:
         return QueryClass.ADMIN
     template = _principal_template(statement)
     if template is not None:
@@ -103,16 +99,6 @@ def _classify(statement: ast.Node) -> QueryClass:
         return QueryClass.ANALYTICAL
     # scalar arithmetic, literals, variable reads: no backend scan
     return QueryClass.POINT_LOOKUP
-
-
-def _is_admin_verb(statement: ast.Node) -> bool:
-    if isinstance(statement, ast.Apply) and isinstance(
-        statement.func, ast.Name
-    ):
-        return statement.func.name in ADMIN_VERBS
-    if isinstance(statement, ast.UnOp):
-        return statement.op in ADMIN_VERBS
-    return False
 
 
 def _principal_template(statement: ast.Node) -> ast.Template | None:

@@ -616,6 +616,17 @@ class TestHQ009ExecutorChokePoint:
         )
         assert "HQ009" in lint_codes(path)
 
+    def test_fires_in_admin_registry(self, tmp_path):
+        path = _write(
+            tmp_path,
+            "src/repro/core/admin.py",
+            """\
+            def _tables(session, scope, arg):
+                return session.backend.run_sql("SELECT 1")
+            """,
+        )
+        assert "HQ009" in lint_codes(path)
+
     def test_executor_calls_allowed(self, tmp_path):
         path = _write(
             tmp_path,

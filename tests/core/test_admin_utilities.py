@@ -1,9 +1,15 @@
 """Tests for the kdb+-style management utilities served from the MDI."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.core.admin import VERBS
+from repro.qlang.parser import parse
 from repro.qlang.qtypes import QType
 from repro.qlang.values import QTable, QVector
+from repro.wlm import QueryClass, classify_statement
+from tests.core.conftest import MARKET_TABLES
 
 
 class TestTablesCommand:
@@ -117,6 +123,11 @@ class TestCheckCommand:
         result = session.execute('check "select from ("')
         assert "QC000" in result.column("code").items
 
+    @pytest.mark.parametrize("query", ["shards[]", "tables[]"])
+    def test_check_knows_every_admin_verb(self, session, query):
+        result = session.execute(f'check "{query}"')
+        assert len(result.column("code").items) == 0
+
     def test_check_does_not_shadow_user_function(self, session):
         """A user-defined ``check`` still wins over the admin command
         when applied to a non-string argument."""
@@ -124,3 +135,39 @@ class TestCheckCommand:
         result = session.execute("check[25]")
         assert isinstance(result, QTable)
         assert "Symbol" in result.columns
+
+
+@st.composite
+def verb_applications(draw):
+    """A registry verb or an ordinary name, applied to one argument
+    shape: none, a table name, a char literal, a long literal, or two
+    arguments."""
+    name = draw(st.sampled_from(sorted(VERBS) + ["count", "first", "foo"]))
+    argument = draw(st.one_of(
+        st.just("[]"),
+        st.sampled_from(MARKET_TABLES).map(" {}".format),
+        st.sampled_from(["1+1", "select from trades", "select from ("])
+        .map(' "{}"'.format),
+        st.integers(0, 9).map(" {}".format),
+        st.integers(0, 9).map("[trades;{}]".format),
+    ))
+    return name + argument
+
+
+# one session serves every example: admin verbs and reads leave its state
+# as it was
+@settings(
+    max_examples=150, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(query=verb_applications())
+def test_billed_admin_iff_answered_by_the_registry(session, query):
+    """The classifier bills ``admin`` exactly the statements the session
+    answers from the registry: no error and no backend SQL."""
+    (statement,) = parse(query).statements
+    billed_admin = classify_statement(statement) is QueryClass.ADMIN
+    try:
+        answered = not session.run(query).sql_statements
+    except Exception:
+        answered = False
+    assert billed_admin == answered, query

@@ -22,6 +22,10 @@ class TestAdminClass:
         assert classify("wlm[]") is QueryClass.ADMIN
         assert classify("cols trades") is QueryClass.ADMIN
         assert classify("meta trades") is QueryClass.ADMIN
+        assert classify("shards[]") is QueryClass.ADMIN
+        assert classify("rcache[]") is QueryClass.ADMIN
+        assert classify("check[]") is QueryClass.ADMIN
+        assert classify('check "1+1"') is QueryClass.ADMIN
 
     def test_function_definition_is_scope_bookkeeping(self):
         assert classify("f: {x + 1}") is QueryClass.ADMIN
