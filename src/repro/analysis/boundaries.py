@@ -128,6 +128,14 @@ BOUNDARIES = (
         _SPAWN_WHY, allowed=_SPAWNERS,
     ),
     Boundary("HQ010", "call", _OS_SPAWN, _SPAWN_WHY, allowed=_SPAWNERS),
+    Boundary(
+        "HQ011", "import",
+        "repro.wlm.classifier repro.wlm.classifier.* repro.wlm.classify_* "
+        "repro.wlm.QueryClass",
+        "the admission class is a billing label with one owner: the session "
+        "bills it, admission and the translation-cache replay read it",
+        allowed="repro.wlm repro.core.session",
+    ),
 )
 
 

@@ -4,34 +4,29 @@ Lint rule HQ009 forbids session/PT code from calling ``backend.run_sql``
 directly — the executor is the one place that knows, for each statement,
 
 * whether the temp-data tier can answer it without any backend at all;
-* whether the result cache may serve or fill it (WLM class gating,
-  version-keyed lookup, single-flight coalescing);
+* whether the result cache may serve or fill it (private relations
+  never; version-keyed lookup, single-flight coalescing);
 * which per-table version counters a write must bump so stale cached
   results become unreachable.
+
+Every translated statement is a read, whatever WLM class it was billed;
+writes (inserts, materializations, promotions, drops) come through
+:meth:`QueryExecutor.run_sql` with the relations they write.
 """
 
 from __future__ import annotations
 
 from repro.cache.result_cache import ResultCache, Served
 from repro.cache.temptier import TempDataTier
-from repro.config import HyperQConfig
 from repro.core.materialize import TEMP_TABLE_PREFIX, VIEW_PREFIX
 from repro.core.metadata import MetadataInterface
 from repro.core.pipeline import TranslationResult
 from repro.obs import metrics
 from repro.sqlengine.executor import ResultSet
-from repro.wlm.classifier import QueryClass
 
 RCACHE_BYPASS = metrics.counter(
     "rcache_bypass_total",
-    "Statements executed around the result cache (WLM class or tier data)",
-)
-
-#: admission classes whose results are safe and worthwhile to cache —
-#: repeated dashboard reads.  ``materializing`` writes, ``admin`` never
-#: reaches the backend data path at all.
-CACHEABLE_CLASSES = frozenset(
-    {QueryClass.ANALYTICAL.value, QueryClass.POINT_LOOKUP.value}
+    "Statements executed around the result cache (off, or private data)",
 )
 
 #: session-private relation prefixes: their names repeat across sessions
@@ -55,13 +50,11 @@ class QueryExecutor:
         mdi: MetadataInterface,
         result_cache: ResultCache | None = None,
         temp_tier: TempDataTier | None = None,
-        config: HyperQConfig | None = None,
     ):
         self.backend = backend
         self.mdi = mdi
         self.result_cache = result_cache
         self.temp_tier = temp_tier
-        self.config = config or HyperQConfig()
 
     # -- the translated-statement path ----------------------------------------
 
@@ -90,12 +83,6 @@ class QueryExecutor:
             for relation in lazy:
                 tier.ensure_materialized(relation, self.backend)
 
-        qclass = translation.query_class
-        if qclass == QueryClass.MATERIALIZING.value:
-            # writes bypass the cache and invalidate what they touch
-            result = self.backend.run_sql(translation.sql)
-            self._record_write(translation.tables)
-            return Served(result)
         if not self._cacheable(translation):
             RCACHE_BYPASS.inc()
             if self.result_cache is not None:
@@ -111,8 +98,6 @@ class QueryExecutor:
 
     def _cacheable(self, translation: TranslationResult) -> bool:
         if self.result_cache is None or not self.result_cache.enabled:
-            return False
-        if translation.query_class not in CACHEABLE_CLASSES:
             return False
         # tier relations, lazy or materialized, are temp tables too
         return not any(

@@ -53,7 +53,6 @@ from repro.errors import InvariantError, TranslationError, UntranslatableError
 from repro.obs import metrics, tracing
 from repro.qlang import ast
 from repro.sqlengine.types import SqlType
-from repro.wlm.classifier import classify_statement
 
 #: per-stage translation latency (Figure 7), labelled stage=parse|
 #: algebrize|optimize|serialize; shared with the session's parse stage
@@ -147,8 +146,8 @@ class TranslationResult:
     keys: list[str]
     timings: StageTimings
     rule_applications: dict[str, int] = field(default_factory=dict)
-    #: admission class of the statement (repro/wlm/classifier.py);
-    #: cached entries replay it so cache hits bill the right quota
+    #: the message's admission class, a billing label only: cached
+    #: entries replay it so cache hits bill the right quota
     query_class: str = "analytical"
     #: backend relations the statement reads (XtraGet scans, collected
     #: at serialize time) — the result cache keys on their versions
@@ -194,8 +193,8 @@ class TranslationUnit:
     diagnostics: list[str] = field(default_factory=list)
     #: per-pass execution trace, in run order
     stages: list[StageRecord] = field(default_factory=list)
-    #: admission class (repro/wlm): inherited from the request context
-    #: when one is active, else classified from the statement AST
+    #: admission class: copied from the request context, which the
+    #: session billed; ``analytical`` when none is set
     query_class: str = "analytical"
 
     def to_result(self) -> TranslationResult:
@@ -523,9 +522,8 @@ class TranslationPipeline:
         )
         context = tracing.current_context()
         deadline = context.deadline if context is not None else None
-        # the session's class for the whole message, when it set one
-        qclass = context.query_class if context is not None else None
-        unit.query_class = qclass or classify_statement(statement).value
+        # the session's class for the whole message, when it billed one
+        unit.query_class = getattr(context, "query_class", None) or "analytical"
         check_invariants = self.config.analysis.enabled
         for p in self._passes:
             if deadline is not None:

@@ -19,8 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 from repro.core.metadata import TableMeta
+from repro.errors import TranslationError
+from repro.qlang import ast
+from repro.qlang.parser import parse
 from repro.qlang.values import QValue
 
 
@@ -45,6 +49,29 @@ class VariableDef:
     value: QValue | None = None
     #: source text for FUNCTION entries (the paper stores functions as text)
     source: str | None = None
+
+    def function_lambda(self) -> ast.Lambda:
+        """A FUNCTION's stored source, re-parsed (done on every call)."""
+        statements = parse(self.source or "").statements
+        if len(statements) != 1 or not isinstance(statements[0], ast.Lambda):
+            raise TranslationError(
+                f"stored function {self.name!r} failed to re-parse"
+            )
+        return statements[0]
+
+
+#: a scope's ``lookup``: a name to its definition, or None
+Lookup = Callable[[str], VariableDef | None]
+
+
+def called_function(statement: ast.Node, lookup: Lookup) -> VariableDef | None:
+    """The stored function ``f`` when ``statement`` is a call ``f[args]``
+    and ``lookup`` resolves ``f`` to a FUNCTION, else None."""
+    if isinstance(statement, ast.Apply) and isinstance(statement.func, ast.Name):
+        definition = lookup(statement.func.name)
+        if definition is not None and definition.kind == VarKind.FUNCTION:
+            return definition
+    return None
 
 
 class Scope:

@@ -13,14 +13,14 @@ SQL (plus stage timings), which is what the evaluation section measures.
 from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.cache import QueryExecutor, TempDataTier
 from repro.config import MaterializationMode
 from repro.core.admin import match
-from repro.core.algebrizer.binder import BoundScalar, BoundTable
-from repro.core.crosscompiler import ProtocolTranslator
+from repro.core.algebrizer.binder import BoundScalar, BoundTable, _const_value
+from repro.core.crosscompiler import _SQL_TO_QTYPE, ProtocolTranslator
 from repro.core.materialize import (
     GLOBAL_PREFIX,
     MaterializationStep,
@@ -38,20 +38,20 @@ from repro.core.scopes import (
     Scope,
     SessionScope,
     VarKind,
+    VariableDef,
+    called_function,
 )
-from repro.errors import (
-    QNotSupportedError,
-    QRankError,
-    QTypeError,
-    TranslationError,
-)
+from repro.core.serializer import quote_ident
+from repro.core.xtra.scalars import SConst
+from repro.errors import QNotSupportedError, QRankError, QTypeError
 from repro.obs import get_logger, metrics, tracing
 from repro.qipc.encode import encode_reply
 from repro.qipc.messages import resend
 from repro.qlang import ast
 from repro.qlang.parser import parse
-from repro.qlang.values import QValue
-from repro.wlm import QueryClass, classify_program, request_scope
+from repro.qlang.qtypes import QType
+from repro.qlang.values import QAtom, QValue, QVector
+from repro.wlm import classify_program, request_scope
 
 if TYPE_CHECKING:
     from repro.core.platform import HyperQ
@@ -129,11 +129,7 @@ class HyperQSession:
         self.result_cache = platform.result_cache
         self.temp_tier = TempDataTier(self.config.temp_tier)
         self.executor = QueryExecutor(
-            self.backend,
-            self.mdi,
-            self.result_cache,
-            self.temp_tier,
-            self.config,
+            self.backend, self.mdi, self.result_cache, self.temp_tier
         )
         self.pt = ProtocolTranslator(
             self.executor.execute, self.executor.serve
@@ -192,8 +188,6 @@ class HyperQSession:
         """
         if self._closed:
             return []
-        from repro.core.serializer import quote_ident
-
         promoted_defs = {
             name: definition
             for name, definition in self.session_scope.local_entries().items()
@@ -288,8 +282,10 @@ class HyperQSession:
                 # neither cache may answer a multi-statement message
                 outcome.mark_uncacheable()
 
+            # billed after scope lookup: a stored-function call bills
+            # by its body, even when it shadows an admin verb
             qclass = (
-                classify_program(program.statements).value
+                classify_program(program.statements, scope.lookup).value
                 if self.wlm is not None
                 else "analytical"
             )
@@ -379,10 +375,12 @@ class HyperQSession:
             return None
         if isinstance(statement, ast.Return):
             return self._run_statement(statement.value, scope, execute, outcome)
-        call = self._as_function_call(statement, scope)
-        if call is not None:
+        function = called_function(statement, scope.lookup)
+        if function is not None:
             outcome.mark_uncacheable()
-            return self._invoke_function(call, scope, execute, outcome)
+            return self._invoke_function(
+                function, statement, scope, execute, outcome
+            )
         admin = match(statement) if execute else None
         if admin is not None:
             outcome.mark_uncacheable()
@@ -417,12 +415,12 @@ class HyperQSession:
 
         The appended rows continue the target's implicit order column:
         ``ordcol = 1 + max(existing) + row_number() over the new rows``.
+        Two backend statements: a ``count(*)`` for the first new index,
+        then the INSERT, whose command tag (``INSERT 0 n``) gives the
+        row count.  The count is not atomic with the INSERT, so two
+        concurrent writers to one table can be answered each other's
+        indices (ROADMAP item 7).
         """
-        from repro.core.algebrizer.binder import _const_value
-        from repro.core.serializer import quote_ident
-        from repro.qlang.qtypes import QType
-        from repro.qlang.values import QAtom, QVector
-
         target_value = _const_value(statement.left)
         if not (
             isinstance(target_value, QAtom)
@@ -480,11 +478,9 @@ class HyperQSession:
         before = self.executor.run_sql(
             f"SELECT count(*) FROM {quoted_target}"
         ).scalar()
-        self.executor.run_sql(insert_sql, invalidates=[relation])
-        after = self.executor.run_sql(
-            f"SELECT count(*) FROM {quoted_target}"
-        ).scalar()
-        return QVector(QType.LONG, list(range(before, after)))
+        tag = self.executor.run_sql(insert_sql, invalidates=[relation]).command
+        inserted = int(tag.split()[-1])  # INSERT 0 n
+        return QVector(QType.LONG, list(range(before, before + inserted)))
 
     # -- assignments & materialization ---------------------------------------------
 
@@ -583,8 +579,6 @@ class HyperQSession:
         self._materialized.append((step.relation, step.kind))
 
     def _scalar_value(self, unit: TranslationUnit, execute: bool) -> QValue:
-        from repro.core.xtra.scalars import SConst
-
         bound = unit.bound
         if isinstance(bound, BoundScalar) and isinstance(bound.scalar, SConst):
             return _const_to_qvalue(bound.scalar)
@@ -593,37 +587,16 @@ class HyperQSession:
                 "translate-only mode cannot evaluate non-literal scalar "
                 "assignments"
             )
-        # the message bills as materializing, but the value is a read: it
-        # must not record a write on the tables it reads
-        read = replace(unit.to_result(), query_class=QueryClass.ANALYTICAL.value)
-        return self.pt.respond(read)
+        return self.pt.respond(unit.to_result())
 
     # -- function unrolling ------------------------------------------------------------
 
-    def _as_function_call(self, statement: ast.Node, scope: Scope):
-        """Detect ``f[args...]`` where f is a stored FUNCTION variable."""
-        if not isinstance(statement, ast.Apply):
-            return None
-        if not isinstance(statement.func, ast.Name):
-            return None
-        definition = scope.lookup(statement.func.name)
-        if definition is None or definition.kind != VarKind.FUNCTION:
-            return None
-        return (definition, statement)
-
     def _invoke_function(
-        self, call, scope: Scope, execute: bool, outcome: ExecutionOutcome
+        self, definition: VariableDef, statement: ast.Apply, scope: Scope,
+        execute: bool, outcome: ExecutionOutcome,
     ) -> QValue | None:
-        definition, statement = call
         with stage_span(outcome.timings, "parse"):
-            program = parse(definition.source or "")
-        if len(program.statements) != 1 or not isinstance(
-            program.statements[0], ast.Lambda
-        ):
-            raise TranslationError(
-                f"stored function {definition.name!r} failed to re-parse"
-            )
-        lam: ast.Lambda = program.statements[0]
+            lam = definition.function_lambda()
         args = [a for a in statement.args if a is not None]
         if len(args) != len(lam.params) and args:
             raise QRankError(
@@ -645,9 +618,6 @@ class HyperQSession:
 
 def _const_to_qvalue(scalar) -> QValue:
     """Convert a bound literal back to its Q value for the variable store."""
-    from repro.core.crosscompiler import _SQL_TO_QTYPE
-    from repro.qlang.values import QAtom
-
     qtype = _SQL_TO_QTYPE.get(scalar.type_)
     if qtype is None:
         raise QTypeError(f"cannot store literal of type {scalar.type_}")

@@ -78,8 +78,9 @@ class RequestContext:
 
     The threads working on a request share this one object, so a retry
     counted on a shard thread shows on the request.  ``query_class`` is
-    None until the session classifies the request; while it is unset
-    the pipeline classifies each statement itself.
+    None until the session bills the request (it never does with the
+    WLM disabled); it is a billing label that admission and the
+    translation cache read, and no layer branches on it.
     """
 
     deadline: Deadline | None = None

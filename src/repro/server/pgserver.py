@@ -8,8 +8,9 @@ streaming, CommandComplete, ReadyForQuery, and error reporting.
 Like the QIPC endpoint, every connection is an FSM-driven protocol on
 the reactor: the loop thread polls complete frames out of a detached
 :class:`~repro.pgwire.codec.PgFrameStream` and statement execution runs
-on the worker pool, serialized across connections by ``_query_lock``
-(the engine, like kdb+, executes one statement at a time).
+on the worker pool.  The engine serializes itself: ``Engine.execute_all``
+holds the engine lock across a connection's whole statement batch (like
+kdb+, it executes one statement at a time); parsing runs outside it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import itertools
 import time
 from collections import deque
 
-from repro.analysis.concurrency.locks import make_lock
 from repro.core.fsm import Fsm
 from repro.errors import (
     AuthenticationError,
@@ -220,9 +220,7 @@ class PgProtocol(Protocol):
             QUERIES_TOTAL.inc(kind="simple", server="pgwire")
             try:
                 try:
-                    # like the paper's kdb+, the engine runs serially
-                    with self.server._query_lock:
-                        results = self.server.engine.execute_all(sql)
+                    results = self.server.engine.execute_all(sql)
                 except ReproError as exc:
                     ERRORS_TOTAL.inc(
                         error=type(exc).__name__, server="pgwire"
@@ -279,8 +277,6 @@ class PgWireServer(ReactorServer):
         super().__init__(host, port, server_config)
         self.engine = engine or Engine()
         self.auth = auth or TrustAuth()
-        # like the paper's kdb+, requests are executed serially
-        self._query_lock = make_lock("server.pg_query")
         self._next_pid = itertools.count(1000)
 
     def build_protocol(self) -> PgProtocol:

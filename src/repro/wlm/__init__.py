@@ -89,7 +89,7 @@ class WorkloadManager:
 
     # -- request lifecycle -------------------------------------------------
 
-    def admit(self, query_class: QueryClass | str):
+    def admit(self, query_class: str):
         """Context manager holding one admission slot (see
         :meth:`AdmissionController.admit`)."""
         return self.admission.admit(query_class)

@@ -33,7 +33,6 @@ from repro.analysis.concurrency.locks import make_condition
 from repro.config import WlmClassPolicy, WlmConfig
 from repro.errors import WlmShedError
 from repro.obs import metrics
-from repro.wlm.classifier import QueryClass
 from repro.wlm.deadline import current_deadline
 
 ADMITTED_TOTAL = metrics.counter(
@@ -91,7 +90,7 @@ class AdmissionController:
         return state
 
     @contextmanager
-    def admit(self, query_class: QueryClass | str):
+    def admit(self, query_class: str):
         """Hold one admission slot of ``query_class`` for the body.
 
         Raises :class:`WlmShedError` instead of waiting when the queue is
@@ -99,16 +98,11 @@ class AdmissionController:
         whichever is sooner) when no slot frees up.  Yields the seconds
         spent queued.
         """
-        name = (
-            query_class.value
-            if isinstance(query_class, QueryClass)
-            else str(query_class)
-        )
-        queued_seconds = self._acquire(name)
+        queued_seconds = self._acquire(query_class)
         try:
             yield queued_seconds
         finally:
-            self._release(name)
+            self._release(query_class)
 
     # -- mechanics ---------------------------------------------------------
 

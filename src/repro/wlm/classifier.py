@@ -10,14 +10,16 @@ ascending weight):
   (function definitions);
 * ``point_lookup`` — a ``select``/``exec`` whose where-clause pins a
   column to a literal (no grouping), or a backend-free scalar expression;
-* ``analytical`` — everything else that only reads;
-* ``materializing`` — assignments, inserts/upserts, ``update``/``delete``
-  templates: statements that create or mutate backend relations.
+* ``analytical`` — everything else that only reads, Q's functional
+  ``update``/``delete`` templates included;
+* ``materializing`` — assignments of data and inserts/upserts.
 
-Classification is purely syntactic over the Q AST (the same tree the
-qcheck analysis pass walks), so it costs microseconds and never touches
-the backend.  A multi-statement message bills the *heaviest* statement's
-class — one admission decision per message.
+Classification is syntactic over the Q AST, so it costs microseconds and
+never touches the backend; given the session scope's ``lookup``, a
+stored-function call bills by its body.  A multi-statement message bills
+its *heaviest* statement's class.  The class is a billing label only:
+the session bills it, admission and the translation-cache replay read
+it, and lint rule HQ011 keeps it out of every other layer.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from enum import Enum
 from typing import Iterable
 
 from repro.core import admin
+from repro.core.scopes import Lookup, VariableDef, called_function
 from repro.obs import metrics
 from repro.qlang import ast
 
@@ -56,42 +59,45 @@ _WEIGHTS = {
 }
 
 
-def classify_statement(statement: ast.Node) -> QueryClass:
-    """Classify one top-level statement by its AST shape."""
-    qclass = _classify(statement)
+def classify_statement(statement: ast.Node, lookup: Lookup | None = None) -> QueryClass:
+    """Classify one top-level statement by its AST shape; with ``lookup``,
+    a stored-function call by its body."""
+    qclass = _classify(statement, lookup, frozenset())
     CLASSIFIED_TOTAL.inc(qclass=qclass.value)
     return qclass
 
 
-def classify_program(statements: Iterable[ast.Node]) -> QueryClass:
+def classify_program(
+    statements: Iterable[ast.Node], lookup: Lookup | None = None
+) -> QueryClass:
     """A message's class is its heaviest statement's class."""
-    heaviest = QueryClass.ADMIN
-    for statement in statements:
-        qclass = classify_statement(statement)
-        if qclass.weight > heaviest.weight:
-            heaviest = qclass
-    return heaviest
+    classes = (classify_statement(statement, lookup) for statement in statements)
+    return _heaviest(classes, QueryClass.ADMIN)
 
 
-def _classify(statement: ast.Node) -> QueryClass:
+def _heaviest(classes: Iterable[QueryClass], floor: QueryClass) -> QueryClass:
+    return max((floor, *classes), key=lambda qclass: qclass.weight)
+
+
+def _classify(
+    statement: ast.Node, lookup: Lookup | None, calling: frozenset
+) -> QueryClass:
     if isinstance(statement, ast.Return):
-        return _classify(statement.value)
+        return _classify(statement.value, lookup, calling)
     if isinstance(statement, ast.Assign):
         # storing a function is scope bookkeeping; storing data is not
         if isinstance(statement.value, ast.Lambda):
             return QueryClass.ADMIN
         return QueryClass.MATERIALIZING
-    if isinstance(statement, ast.BinOp) and statement.op in (
-        "insert",
-        "upsert",
-    ):
+    if isinstance(statement, ast.BinOp) and statement.op in ("insert", "upsert"):
         return QueryClass.MATERIALIZING
+    function = called_function(statement, lookup) if lookup else None
+    if function is not None:
+        return _classify_call(statement, function, lookup, calling)
     if admin.match(statement) is not None:
         return QueryClass.ADMIN
     template = _principal_template(statement)
     if template is not None:
-        if template.kind in ("update", "delete"):
-            return QueryClass.MATERIALIZING
         if _is_point_lookup(template):
             return QueryClass.POINT_LOOKUP
         return QueryClass.ANALYTICAL
@@ -99,6 +105,20 @@ def _classify(statement: ast.Node) -> QueryClass:
         return QueryClass.ANALYTICAL
     # scalar arithmetic, literals, variable reads: no backend scan
     return QueryClass.POINT_LOOKUP
+
+
+def _classify_call(statement: ast.Apply, function: VariableDef, lookup: Lookup,
+                   calling: frozenset) -> QueryClass:
+    """The heaviest of the stored body's statements (re-parsed as the
+    session runs them) and the arguments; never ``admin``, since the
+    session runs the call.  A recursive call bills ``analytical``."""
+    if function.name in calling:
+        return QueryClass.ANALYTICAL
+    calling = calling | {function.name}
+    body = function.function_lambda().body
+    parts = body + [arg for arg in statement.args if arg is not None]
+    classes = (_classify(part, lookup, calling) for part in parts)
+    return _heaviest(classes, QueryClass.POINT_LOOKUP)
 
 
 def _principal_template(statement: ast.Node) -> ast.Template | None:

@@ -40,7 +40,7 @@ class TestRegistry:
         }
         assert codes == {
             "HQ001", "HQ002", "HQ003", "HQ004", "HQ005", "HQ006", "HQ007",
-            "HQ008", "HQ009", "HQ010",
+            "HQ008", "HQ009", "HQ010", "HQ011",
         }
 
     def test_every_row_has_a_reason_and_one_module_set(self):
@@ -737,6 +737,40 @@ class TestHQ010ProcessSpawn:
             """,
         )
         assert "HQ010" in lint_codes(path)
+
+
+class TestHQ011BillingClassOwner:
+    @pytest.mark.parametrize("source", [
+        "from repro.wlm.classifier import QueryClass\n",
+        "from repro.wlm import QueryClass\n",
+        "from repro.wlm import classify_statement\n",
+        "import repro.wlm.classifier\n",
+    ])
+    def test_fires_outside_the_owner(self, tmp_path, source):
+        path = _write(tmp_path, "src/repro/cache/executor.py", source)
+        assert "HQ011" in lint_codes(path)
+
+    def test_fires_in_pipeline(self, tmp_path):
+        path = _write(
+            tmp_path, "src/repro/core/pipeline.py",
+            "from repro.wlm.classifier import classify_statement\n",
+        )
+        assert "HQ011" in lint_codes(path)
+
+    def test_session_and_wlm_allowed(self, tmp_path):
+        for module in ("src/repro/core/session.py", "src/repro/wlm/admission.py"):
+            path = _write(
+                tmp_path, module,
+                "from repro.wlm import QueryClass, classify_program\n",
+            )
+            assert "HQ011" not in lint_codes(path)
+
+    def test_rest_of_wlm_free(self, tmp_path):
+        path = _write(
+            tmp_path, "src/repro/core/pipeline.py",
+            "from repro.wlm import WorkloadManager, request_scope\n",
+        )
+        assert "HQ011" not in lint_codes(path)
 
 
 class TestHQ008LockFactory:

@@ -8,7 +8,7 @@ from repro.core.admin import VERBS
 from repro.qlang.parser import parse
 from repro.qlang.qtypes import QType
 from repro.qlang.values import QTable, QVector
-from repro.wlm import QueryClass, classify_statement
+from repro.wlm import QueryClass, classify_program
 from tests.core.conftest import MARKET_TABLES
 
 
@@ -141,7 +141,9 @@ class TestCheckCommand:
 def verb_applications(draw):
     """A registry verb or an ordinary name, applied to one argument
     shape: none, a table name, a char literal, a long literal, or two
-    arguments."""
+    arguments; and the name of a stored function to define first, if
+    any: the applied name or another verb, so a function may shadow the
+    verb it is called as."""
     name = draw(st.sampled_from(sorted(VERBS) + ["count", "first", "foo"]))
     argument = draw(st.one_of(
         st.just("[]"),
@@ -151,23 +153,38 @@ def verb_applications(draw):
         st.integers(0, 9).map(" {}".format),
         st.integers(0, 9).map("[trades;{}]".format),
     ))
-    return name + argument
+    shadow = draw(st.one_of(
+        st.none(), st.just(name), st.sampled_from(sorted(VERBS))
+    ))
+    return shadow, name + argument
 
 
 # one session serves every example: admin verbs and reads leave its state
-# as it was
+# as it was, and a shadowing function is deleted again
 @settings(
     max_examples=150, deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(query=verb_applications())
-def test_billed_admin_iff_answered_by_the_registry(session, query):
-    """The classifier bills ``admin`` exactly the statements the session
-    answers from the registry: no error and no backend SQL."""
-    (statement,) = parse(query).statements
-    billed_admin = classify_statement(statement) is QueryClass.ADMIN
+@given(case=verb_applications())
+def test_billed_admin_iff_answered_by_the_registry(session, case):
+    """The classifier, given the session scope, bills ``admin`` exactly
+    the statements the session answers from the registry: no error and
+    no backend SQL.  A stored function named like a verb is run, so its
+    call is not billed ``admin``."""
+    shadow, query = case
+    scope = session.session_scope
+    if shadow is not None:
+        session.execute(f"{shadow}: {{[x] select from trades where Size > x}}")
     try:
-        answered = not session.run(query).sql_statements
-    except Exception:
-        answered = False
-    assert billed_admin == answered, query
+        billed_admin = (
+            classify_program(parse(query).statements, scope.lookup)
+            is QueryClass.ADMIN
+        )
+        try:
+            answered = not session.run(query).sql_statements
+        except Exception:
+            answered = False
+    finally:
+        if shadow is not None:
+            scope.delete(shadow)
+    assert billed_admin == answered, case

@@ -6,6 +6,8 @@ from repro.errors import QNotSupportedError, QTypeError
 from repro.qlang.qtypes import QType
 from repro.qlang.values import QVector
 
+from tests.cache.conftest import make_platform
+
 
 class TestInsert:
     def test_insert_returns_new_row_indices(self, session):
@@ -23,6 +25,28 @@ class TestInsert:
         result = session.execute("select from trades")
         assert len(result) == 6
         assert result.column("Symbol").items[-2:] == ["AAPL", "TSLA"]
+
+    def test_insert_issues_two_backend_statements(self):
+        """A ``count(*)`` for the first index, then the INSERT; its
+        command tag (``INSERT 0 n``) gives the row count."""
+        hq, gateway = make_platform()
+        session = hq.create_session()
+        rows = (
+            "([] Symbol:`A`B; Time:10:00:00 10:01:00; Price:1.0 2.0; "
+            "Size:1 2)"
+        )
+        try:
+            session.execute("select from trades")  # warm the metadata
+            results = []
+            for __ in range(2):
+                gateway.statements.clear()
+                results.append(session.execute(f"`trades insert {rows}"))
+                assert len(gateway.statements) == 2, gateway.statements
+        finally:
+            session.close()
+        assert results == [
+            QVector(QType.LONG, [4, 5]), QVector(QType.LONG, [6, 7])
+        ]
 
     def test_insert_column_order_independent(self, session):
         session.execute(

@@ -57,6 +57,17 @@ class TestQueryLifeCycle:
         outcome = session.translate("select Price from trades")
         assert 'ORDER BY "ordcol"' in outcome.sql_statements[0]
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "bind_template filters before _bind_update, so the where drops "
+        "the other rows; the reference interpreter agrees (ROADMAP item 1)"
+    ))
+    def test_update_where_keeps_every_row(self, session):
+        """kdb+: ``update … where`` returns every row and changes only
+        the rows the where selects."""
+        result = session.execute("update Size: 0 from trades where Symbol=`GOOG")
+        assert result.column("Symbol").items == ["GOOG", "IBM", "GOOG", "MSFT"]
+        assert result.column("Size").items == [0, 20, 0, 40]
+
 
 class TestVariables:
     def test_scalar_assignment_stays_in_variable_store(self, session):

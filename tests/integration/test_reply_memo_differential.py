@@ -12,10 +12,9 @@ the middle of the second pass.
 * On the cache-on server a spy on ``encode_value`` and ``compress`` must
   see no call while a second-pass read is answered from an entry that
   survived, and calls for every read whose entries a write stranded:
-  the insert strands the two trade scans.  The WLM classifier bills
-  Q's ``update``/``delete`` templates (queries 8, 16, 25) as
-  ``materializing``, so they run as writes too and strand every entry
-  over ``positions`` — the model below follows the classifier.
+  the insert strands the two trade scans.  It is the only write: Q's
+  ``update``/``delete`` templates (queries 8, 16, 25) return a modified
+  copy and are cached reads like the rest.
 """
 
 import socket
@@ -34,13 +33,11 @@ from repro.qipc.messages import (
     QipcMessage,
     frame,
 )
-from repro.qlang.parser import parse
 from repro.qlang.qtypes import QType
 from repro.qlang.values import QVector
 from repro.server.common import BufferedSocketReader
 from repro.server.hyperq_server import HyperQServer
 from repro.sqlengine.engine import Engine
-from repro.wlm import classify_program
 from repro.workload.analytical import AnalyticalConfig, generate
 from repro.workload.loader import load_table
 from repro.workload.taq import generate as generate_taq
@@ -177,9 +174,8 @@ def test_reply_frames_identical_and_hits_never_reencode(tables, monkeypatch):
     hits = stranded_by_insert = 0
     for index, (number, text, read, __, calls) in enumerate(on):
         tables_read = read.split()
-        if text == INSERT or _materializing(text):
-            for table in ["trades"] if text == INSERT else tables_read:
-                written_at[table] = index
+        if text == INSERT:
+            written_at["trades"] = index
             continue
         fresh = text not in framed_at or any(
             written_at.get(table, -1) > framed_at[text]
@@ -193,10 +189,7 @@ def test_reply_frames_identical_and_hits_never_reencode(tables, monkeypatch):
             hits += 1
             assert calls == 0, f"cache hit {text!r} re-encoded ({calls} calls)"
     assert stranded_by_insert == 2
-    assert hits >= 8
+    # every second-pass read but the two scans the insert stranded
+    assert hits == 28
     assert on_stats.reply_hits == hits
     assert off_stats.hits == 0 and off_stats.reply_hits == 0
-
-
-def _materializing(text: str) -> bool:
-    return classify_program(parse(text).statements).value == "materializing"

@@ -63,11 +63,11 @@ def test_every_statement_of_a_served_query_sees_the_dispatched_context(
     assert context.query_class == "analytical"
 
 
-def test_wlm_off_still_classifies_each_served_statement():
-    """With the WLM disabled nobody sets the context's class, so the
-    pipeline classifies every statement: a served ``update`` is billed
-    as materializing (bypasses the result cache, bumps the table
-    version) and a repeated one runs on the backend each time."""
+def test_wlm_off_served_update_is_a_cached_read():
+    """With the WLM disabled nobody sets the context's class and the
+    pipeline classifies nothing: a served ``update`` template is a read
+    like any other, so its repeat is a result-cache hit and no table
+    version moves."""
     engine = Engine()
     load_q_source(engine, Interpreter(), SOURCE, ["trades"])
     spy = _SpyGateway(engine)
@@ -84,11 +84,10 @@ def test_wlm_off_still_classifies_each_served_statement():
             bumps = server.mdi.table_version("trades") - before
             spy.statements.clear()
             q.query("select from trades")
-            q.query("select from trades")
             reads = len(spy.statements)
-    assert runs == 2
-    assert bumps == 2
-    assert reads == 1  # the read is still cacheable
+    assert runs == 1
+    assert bumps == 0
+    assert reads == 0  # the read's entry survived the update
 
 
 def test_shard_retries_reach_the_request_span(monkeypatch):

@@ -425,6 +425,18 @@ class TestTemplates:
         result = market.eval_text("update s: sums Size by Symbol from trades")
         assert result.column("s").items == [10, 20, 40, 40]
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "_eval_template applies the where before _run_update, so the "
+        "other rows are dropped; Hyper-Q's binder agrees (ROADMAP item 1)"
+    ))
+    def test_update_where_keeps_every_row(self, market):
+        """kdb+: ``update … where`` returns every row, changes only the
+        selected ones, and a new column is null on the rest."""
+        result = market.eval_text("update Size: 0 from trades where Symbol=`GOOG")
+        assert result.column("Size").items == [0, 20, 0, 40]
+        added = market.eval_text("update New: 1 from trades where Symbol=`GOOG")
+        assert added.column("New").items == [1, NULL_LONG, 1, NULL_LONG]
+
     def test_delete_rows(self, market):
         result = market.eval_text("delete from trades where Symbol=`GOOG")
         assert len(result) == 2
