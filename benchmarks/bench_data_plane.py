@@ -21,13 +21,13 @@ import time
 
 from conftest import bench_repeats, save_results
 
-from repro.core.crosscompiler import _SQL_TO_QTYPE, pivot_result
+from repro.core.crosscompiler import pivot_result
 from repro.pgwire import messages as m
 from repro.pgwire.codec import PgFrameStream, encode_backend, encode_data_rows
 from repro.qipc.encode import encode_value
 from repro.qipc.kernels import reference_encode_vector
 from repro.qipc.messages import MessageType, QipcMessage, frame
-from repro.qlang.qtypes import QType
+from repro.qlang.qtypes import QType, from_sql
 from repro.qlang.values import QVector
 from repro.server.gateway import _OID_TYPES, collect_result
 from repro.sqlengine.catalog import Column
@@ -154,8 +154,8 @@ def _legacy_pivot_vectors(result: ResultSet) -> tuple[list[str], list[QVector]]:
     names = [column.name for column in result.columns]
     vectors = []
     for i, column in enumerate(result.columns):
-        qtype = _SQL_TO_QTYPE.get(column.sql_type, QType.FLOAT)
-        null = qtype.null_value()
+        qtype = from_sql(column.sql_type)
+        null = qtype.spec.null
         raws = []
         for value in [row[i] for row in result.rows]:
             if value is None:

@@ -1,4 +1,4 @@
-"""The repo's own lint (``HQ0xx``): one boundary table plus four predicates.
+"""The repo's own lint (``HQ0xx``): one boundary table plus five predicates.
 
 Most architectural rules here say "X may only be called, constructed or
 imported from modules Y", so they are rows of :data:`BOUNDARIES`: a code,
@@ -11,8 +11,8 @@ threading as th; th.Lock()`` is ``threading.Lock``.  A root name the
 module did not import is qualified with the module's own name; a
 receiver that is not a name renders as ``?`` (hence ``*.recv``).
 
-HQ002, HQ003, the literal-timeout half of HQ004 and HQ005 judge values
-rather than names and stay small AST predicates.  Only ``repro`` modules
+HQ002, HQ003, the literal-timeout half of HQ004, HQ005 and HQ012 judge
+values rather than names and stay small AST predicates.  Only ``repro`` modules
 are in scope.  ``scripts/concheck.py`` runs all of it over the parse the
 CC rules use.  ``# hq: allow(HQ00x) <reason>`` on the offending line (or
 the line above) suppresses one finding; a pragma without a reason does
@@ -285,11 +285,35 @@ def per_element_wire(mod: ModuleInfo):
     yield from sorted(found.items())
 
 
+def type_table(mod: ModuleInfo):
+    """HQ012: a per-``QType`` table — a dict display with three or more
+    ``QType.*`` keys, or as many values — outside ``repro.qlang.qtypes``."""
+    if mod.name == "repro.qlang.qtypes":
+        return
+
+    def members(nodes) -> int:
+        return sum(
+            isinstance(node, ast.Attribute)
+            and _dotted(mod, node.value).rpartition(".")[2] == "QType"
+            for node in nodes
+        )
+
+    for node in ast.walk(mod.tree):
+        if isinstance(node, ast.Dict) and (
+            members(node.keys) >= 3 or members(node.values) >= 3
+        ):
+            yield node.lineno, (
+                "per-QType table — read the fact from the type's descriptor "
+                "(QType.spec in repro.qlang.qtypes) instead of keeping a copy"
+            )
+
+
 PREDICATES = (
     ("HQ002", silent_swallow),
     ("HQ003", metric_registry),
     ("HQ004", literal_timeout),
     ("HQ005", per_element_wire),
+    ("HQ012", type_table),
 )
 
 

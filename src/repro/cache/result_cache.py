@@ -42,7 +42,7 @@ import sys
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.analysis.concurrency.locks import make_lock
 from repro.config import ResultCacheConfig
@@ -404,15 +404,17 @@ class ResultCache:
     # -- admin snapshot --------------------------------------------------------
 
     def snapshot(self) -> ResultCacheStats:
-        """Stats for the ``rcache[]`` admin command / tests."""
+        """A copy of the stats, for the ``rcache[]`` admin command / tests."""
         with self._lock:
-            self.stats.entries = len(self._entries)
-            self.stats.bytes = self._bytes
-            self.stats.reply_bytes = sum(
-                len(entry.reply) for entry in self._entries.values()
-                if entry.reply is not None
+            return replace(
+                self.stats,
+                entries=len(self._entries),
+                bytes=self._bytes,
+                reply_bytes=sum(
+                    len(entry.reply) for entry in self._entries.values()
+                    if entry.reply is not None
+                ),
             )
-        return self.stats
 
     # -- internals -------------------------------------------------------------
 

@@ -18,19 +18,12 @@ from typing import TYPE_CHECKING, Callable
 from repro.errors import QNameError
 from repro.obs import metrics
 from repro.qlang import ast
-from repro.qlang.qtypes import QType
+from repro.qlang.qtypes import QType, from_sql
 from repro.qlang.values import QDict, QTable, QValue, QVector
 
 if TYPE_CHECKING:
     from repro.core.scopes import Scope
     from repro.core.session import HyperQSession
-
-#: Q column type -> per-cell coercion applied while pivoting rows
-_COERCERS = {
-    QType.SYMBOL: str,
-    QType.LONG: int,
-    QType.FLOAT: float,
-}
 
 
 def admin_table(spec: list[tuple[str, QType]], rows: list[tuple]) -> QTable:
@@ -41,12 +34,10 @@ def admin_table(spec: list[tuple[str, QType]], rows: list[tuple]) -> QTable:
     reports.  Empty ``rows`` yields the empty table of the same schema
     (the "feature disabled" answer).
     """
-    vectors = []
-    for index, (__, qtype) in enumerate(spec):
-        coerce = _COERCERS.get(qtype, str)
-        vectors.append(
-            QVector(qtype, [coerce(row[index]) for row in rows])
-        )
+    vectors = [
+        QVector(qtype, [qtype.spec.cell(row[index]) for row in rows])
+        for index, (__, qtype) in enumerate(spec)
+    ]
     return QTable([name for name, __ in spec], vectors)
 
 
@@ -112,11 +103,9 @@ def _cols(session: HyperQSession, scope: Scope, table_name: str) -> QValue:
 
 
 def _meta(session: HyperQSession, scope: Scope, table_name: str) -> QValue:
-    from repro.core.crosscompiler import _SQL_TO_QTYPE
-
     return admin_table(
         [("c", QType.SYMBOL), ("t", QType.CHAR)],
-        [(c.name, _SQL_TO_QTYPE[c.sql_type].char)
+        [(c.name, from_sql(c.sql_type).char)
          for c in _data_columns(session, scope, table_name, "meta")],
     )
 

@@ -826,54 +826,22 @@ def _symbol_names(value: QValue | None, verb: str) -> list[str]:
 
 
 def _atom_to_sql(atom: QAtom) -> tuple[object, SqlType]:
-    mapping = {
-        QType.BOOLEAN: SqlType.BOOLEAN,
-        QType.BYTE: SqlType.SMALLINT,
-        QType.SHORT: SqlType.SMALLINT,
-        QType.INT: SqlType.INTEGER,
-        QType.LONG: SqlType.BIGINT,
-        QType.REAL: SqlType.REAL,
-        QType.FLOAT: SqlType.DOUBLE,
-        QType.CHAR: SqlType.CHAR,
-        QType.SYMBOL: SqlType.VARCHAR,
-        QType.TIMESTAMP: SqlType.TIMESTAMP,
-        QType.MONTH: SqlType.DATE,
-        QType.DATE: SqlType.DATE,
-        QType.DATETIME: SqlType.TIMESTAMP,
-        QType.TIMESPAN: SqlType.INTERVAL,
-        QType.MINUTE: SqlType.TIME,
-        QType.SECOND: SqlType.TIME,
-        QType.TIME: SqlType.TIME,
-    }
-    sql_type = mapping[atom.qtype]
-    if atom.is_null:
-        return None, sql_type
-    value = atom.value
-    if atom.qtype == QType.MINUTE:
-        value = atom.value * 60_000  # minutes -> millis for TIME
-    elif atom.qtype == QType.SECOND:
-        value = atom.value * 1_000
-    return value, sql_type
+    return atom.qtype.sql_value(atom.value), atom.qtype.spec.sql
 
 
 def _qvalue_to_const_list(value: QValue) -> list[sc.SConst]:
     if isinstance(value, QAtom):
-        raw, sql_type = _atom_to_sql(value)
-        return [sc.SConst(raw, sql_type)]
+        return [sc.SConst(*_atom_to_sql(value))]
     if isinstance(value, QVector):
-        out = []
-        for raw in value.items:
-            atom = QAtom(value.qtype, raw)
-            payload, sql_type = _atom_to_sql(atom)
-            out.append(sc.SConst(payload, sql_type))
-        return out
+        sql_type = value.qtype.spec.sql
+        raws = value.qtype.sql_values(value.items)
+        return [sc.SConst(raw, sql_type) for raw in raws]
     if isinstance(value, QList):
         out = []
         for item in value.items:
             if not isinstance(item, QAtom):
                 raise QTypeError("nested lists are not valid 'in' operands")
-            payload, sql_type = _atom_to_sql(item)
-            out.append(sc.SConst(payload, sql_type))
+            out.append(sc.SConst(*_atom_to_sql(item)))
         return out
     raise QTypeError("expected a literal list")
 
@@ -883,14 +851,7 @@ def _qvalue_to_sql_column(value: QValue) -> tuple[list, SqlType]:
         raw, sql_type = _atom_to_sql(value)
         return [raw], sql_type
     if isinstance(value, QVector):
-        if value.qtype == QType.CHAR:
-            return ["".join(value.items)], SqlType.TEXT
-        raws = []
-        sql_type = SqlType.NULL
-        for raw in value.items:
-            payload, sql_type = _atom_to_sql(QAtom(value.qtype, raw))
-            raws.append(payload)
-        return raws, sql_type
+        return value.qtype.sql_values(value.items), value.qtype.spec.sql
     raise QTypeError("table literal columns must be atoms or typed vectors")
 
 

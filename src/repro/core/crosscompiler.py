@@ -18,7 +18,7 @@ from repro.core.fsm import Fsm
 from repro.core.pipeline import TranslationResult
 from repro.errors import TranslationError
 from repro.obs import tracing
-from repro.qlang.qtypes import QType
+from repro.qlang.qtypes import QType, from_sql
 from repro.qlang.values import (
     QDict,
     QKeyedTable,
@@ -37,51 +37,14 @@ __all__ = ["ProtocolTranslator", "pivot_result"]
 # Result pivoting (PT's response path, Figure 5)
 # ---------------------------------------------------------------------------
 
-_SQL_TO_QTYPE = {
-    SqlType.BOOLEAN: QType.BOOLEAN,
-    SqlType.SMALLINT: QType.SHORT,
-    SqlType.INTEGER: QType.INT,
-    SqlType.BIGINT: QType.LONG,
-    SqlType.REAL: QType.REAL,
-    SqlType.DOUBLE: QType.FLOAT,
-    SqlType.NUMERIC: QType.FLOAT,
-    SqlType.VARCHAR: QType.SYMBOL,
-    SqlType.TEXT: QType.SYMBOL,
-    SqlType.CHAR: QType.CHAR,
-    SqlType.DATE: QType.DATE,
-    SqlType.TIME: QType.TIME,
-    SqlType.TIMESTAMP: QType.TIMESTAMP,
-    SqlType.INTERVAL: QType.TIMESPAN,
-    SqlType.NULL: QType.LONG,
-    SqlType.UUID: QType.GUID,
-}
-
 
 def _is_internal(name: str) -> bool:
     return name == "ordcol" or name.startswith("hq_")
 
 
-def _converter_for(qtype: QType):
-    if qtype == QType.BOOLEAN:
-        return bool
-    if qtype in (QType.REAL, QType.FLOAT):
-        return float
-    if qtype in (QType.SYMBOL, QType.CHAR):
-        return str
-    return int
-
-
-#: Q-type -> per-value coercion, resolved once per column instead of an
-#: if/elif dispatch per cell
-_QTYPE_CONVERTERS = {
-    qtype: _converter_for(qtype) for qtype in set(_SQL_TO_QTYPE.values())
-}
-
-
 def _column_to_vector(values: list, sql_type: SqlType) -> QVector:
-    qtype = _SQL_TO_QTYPE.get(sql_type, QType.FLOAT)
-    null = qtype.null_value()
-    convert = _QTYPE_CONVERTERS.get(qtype, float)
+    qtype = from_sql(sql_type)
+    null, convert = qtype.spec.null, qtype.spec.cell
     raws = [null if value is None else convert(value) for value in values]
     return QVector(qtype, raws)
 

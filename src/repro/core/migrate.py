@@ -8,12 +8,15 @@
 interpreter, or any object exposing named Q tables) into a PG-compatible
 backend reachable through a :class:`~repro.core.metadata.BackendPort`:
 
-1. **schema mapping** — each Q column type maps to its PG type, with the
-   implicit ``ordcol`` appended (the report records every mapping and any
-   type degradations, e.g. ``minute``/``second`` -> ``time``);
-2. **data movement** — batched ``INSERT`` statements through the backend
-   port (so the same code path works against the in-process engine and a
-   remote PG-wire server);
+1. **schema mapping** — each Q column type maps to the PG type of its
+   :class:`~repro.qlang.qtypes.QTypeSpec`, with the implicit ``ordcol``
+   appended (the report records every mapping and the spec's degradation
+   note, e.g. ``month`` -> first-of-month ``date``, ``minute`` -> ``time``);
+2. **data movement** — each column goes through its type's one Q -> SQL
+   value conversion, the one the loader and the binder apply, and lands
+   as the serializer's typed literals in batched ``INSERT`` statements
+   through the backend port (so the same code path works against the
+   in-process engine and a remote PG-wire server);
 3. **verification** — row counts and, optionally, a side-by-side spot
    check of ``select from t`` through a Hyper-Q session.
 """
@@ -23,35 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.metadata import BackendPort, MetadataInterface
-from repro.core.serializer import quote_ident, quote_string
+from repro.core.serializer import quote_ident, sql_literal
 from repro.errors import QTypeError
-from repro.qlang.lexer import date_from_days
-from repro.qlang.qtypes import QType
 from repro.qlang.values import QKeyedTable, QTable, QVector
 from repro.sqlengine.types import SqlType
-
-#: Q -> PG schema mapping, with a note when the mapping loses precision
-_SCHEMA_MAP: dict[QType, tuple[SqlType, str | None]] = {
-    QType.BOOLEAN: (SqlType.BOOLEAN, None),
-    QType.BYTE: (SqlType.SMALLINT, "byte widens to smallint"),
-    QType.SHORT: (SqlType.SMALLINT, None),
-    QType.INT: (SqlType.INTEGER, None),
-    QType.LONG: (SqlType.BIGINT, None),
-    QType.REAL: (SqlType.REAL, None),
-    QType.FLOAT: (SqlType.DOUBLE, None),
-    QType.CHAR: (SqlType.CHAR, None),
-    QType.SYMBOL: (SqlType.VARCHAR, None),
-    QType.TIMESTAMP: (SqlType.TIMESTAMP, None),
-    QType.MONTH: (SqlType.DATE, "month degrades to first-of-month date"),
-    QType.DATE: (SqlType.DATE, None),
-    QType.DATETIME: (SqlType.TIMESTAMP, None),
-    QType.TIMESPAN: (SqlType.INTERVAL, None),
-    QType.MINUTE: (SqlType.TIME, "minute degrades to time"),
-    QType.SECOND: (SqlType.TIME, "second degrades to time"),
-    QType.TIME: (SqlType.TIME, None),
-}
-
-_TIME_SCALE = {QType.MINUTE: 60_000, QType.SECOND: 1_000}
 
 
 @dataclass
@@ -169,10 +147,10 @@ class DataMover:
                     f"column {name!r} is a general list; only typed vectors "
                     f"can be moved"
                 )
-            sql_type, note = _SCHEMA_MAP[column.qtype]
+            spec = column.qtype.spec
             mappings.append(
                 ColumnMapping(
-                    name, column.qtype.name.lower(), sql_type.value, note
+                    name, column.qtype.name.lower(), spec.sql.value, spec.note
                 )
             )
         mappings.append(
@@ -193,20 +171,20 @@ class DataMover:
     def _move_rows(
         self, name: str, table: QTable, mappings: list[ColumnMapping]
     ) -> int:
-        columns = [m.name for m in mappings]
-        column_list = ", ".join(quote_ident(c) for c in columns)
+        column_list = ", ".join(quote_ident(m.name) for m in mappings)
+        literals = [
+            [sql_literal(value, column.qtype.spec.sql)
+             for value in column.qtype.sql_values(column.items)]
+            for column in table.data
+        ]
         moved = 0
         n = len(table)
         for start in range(0, n, self.batch_rows):
             end = min(start + self.batch_rows, n)
-            values = []
-            for i in range(start, end):
-                cells = [
-                    self._render_cell(column, i)
-                    for column in table.data
-                ]
-                cells.append(str(i))  # ordcol
-                values.append("(" + ", ".join(cells) + ")")
+            values = [  # the last cell is the ordcol
+                "(" + ", ".join([*(cells[i] for cells in literals), str(i)]) + ")"
+                for i in range(start, end)
+            ]
             if values:
                 self.backend.run_sql(
                     f"INSERT INTO {quote_ident(name)} ({column_list}) "
@@ -215,30 +193,6 @@ class DataMover:
                 moved += end - start
         return moved
 
-    @staticmethod
-    def _render_cell(column: QVector, index: int) -> str:
-        qtype = column.qtype
-        raw = column.items[index]
-        if qtype.is_null(raw):
-            return "NULL"
-        if isinstance(raw, float) and raw != raw:
-            return "NULL"
-        if qtype == QType.SYMBOL or qtype == QType.CHAR:
-            return quote_string(str(raw))
-        if qtype == QType.BOOLEAN:
-            return "TRUE" if raw else "FALSE"
-        if qtype in (QType.DATE, QType.MONTH):
-            days = raw if qtype == QType.DATE else _month_to_days(raw)
-            y, m, d = date_from_days(days)
-            return f"'{y:04d}-{m:02d}-{d:02d}'"
-        if qtype in (QType.TIME, QType.MINUTE, QType.SECOND):
-            millis = raw * _TIME_SCALE.get(qtype, 1)
-            s, ms = divmod(millis, 1000)
-            return f"'{s // 3600:02d}:{s % 3600 // 60:02d}:{s % 60:02d}.{ms:03d}'"
-        if qtype in (QType.TIMESTAMP, QType.DATETIME):
-            return str(int(raw))
-        return repr(raw) if isinstance(raw, float) else str(raw)
-
     # -- verification ------------------------------------------------------------------
 
     def _verify_counts(self, name: str, expected: int) -> bool:
@@ -246,11 +200,3 @@ class DataMover:
             f"SELECT count(*) FROM {quote_ident(name)}"
         )
         return result.scalar() == expected
-
-
-def _month_to_days(months: int) -> int:
-    from repro.qlang.lexer import days_from_2000
-
-    year = 2000 + months // 12
-    month = months % 12 + 1
-    return days_from_2000(year, month, 1)

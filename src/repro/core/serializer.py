@@ -38,6 +38,49 @@ def quote_string(text: str) -> str:
     return "'" + text.replace("'", "''") + "'"
 
 
+def sql_literal(value, sql_type: SqlType) -> str:
+    """``value`` in its SQL encoding as a typed SQL literal."""
+    if value is None:
+        return f"NULL::{sql_type.value}"
+    if sql_type == SqlType.BOOLEAN:
+        return "TRUE" if value else "FALSE"
+    if sql_type in (SqlType.VARCHAR, SqlType.TEXT, SqlType.CHAR, SqlType.UUID):
+        return f"{quote_string(str(value))}::{sql_type.value}"
+    if sql_type == SqlType.DATE:
+        y, m, d = date_from_days(int(value))
+        return f"'{y:04d}-{m:02d}-{d:02d}'::date"
+    if sql_type == SqlType.TIME:
+        ms = int(value) % 1000
+        s = int(value) // 1000
+        return (
+            f"'{s // 3600:02d}:{s % 3600 // 60:02d}:{s % 60:02d}."
+            f"{ms:03d}'::time"
+        )
+    if sql_type == SqlType.TIMESTAMP:
+        days, nanos = divmod(int(value), 86_400_000_000_000)
+        y, m, d = date_from_days(days)
+        s, frac = divmod(nanos, 1_000_000_000)
+        return (
+            f"'{y:04d}-{m:02d}-{d:02d} {s // 3600:02d}:"
+            f"{s % 3600 // 60:02d}:{s % 60:02d}.{frac:09d}'"
+            f"::timestamp"
+        )
+    if sql_type == SqlType.INTERVAL:
+        return f"'{int(value)}'::interval"
+    if isinstance(value, float):
+        if value != value:
+            return f"NULL::{sql_type.value}"
+        if value in (float("inf"), float("-inf")):
+            return f"'{'-' if value < 0 else ''}Infinity'::{sql_type.value}"
+        text = repr(value)
+    else:
+        text = str(value)
+    # an untyped numeral reads back as bigint or double precision
+    if sql_type in (SqlType.SMALLINT, SqlType.INTEGER, SqlType.REAL):
+        return f"{text}::{sql_type.value}"
+    return text
+
+
 class Serializer:
     """Stateless XTRA-to-SQL serializer.
 
@@ -76,7 +119,7 @@ class Serializer:
     def _rel_xtraconsttable(self, op: XtraConstTable, alias) -> str:
         if not op.rows:
             items = ", ".join(
-                f"{self._literal(None, c.sql_type)} AS {quote_ident(c.name)}"
+                f"{sql_literal(None, c.sql_type)} AS {quote_ident(c.name)}"
                 for c in op.output
             )
             return f"SELECT {items} LIMIT 0"
@@ -84,7 +127,7 @@ class Serializer:
         for i, row in enumerate(op.rows):
             items = []
             for col, value in zip(op.output, row):
-                rendered = self._literal(value, col.sql_type)
+                rendered = sql_literal(value, col.sql_type)
                 if i == 0:
                     rendered += f" AS {quote_ident(col.name)}"
                 items.append(rendered)
@@ -172,7 +215,7 @@ class Serializer:
 
     def _scalar(self, scalar: sc.Scalar) -> str:
         if isinstance(scalar, sc.SConst):
-            return self._literal(scalar.value, scalar.type_)
+            return sql_literal(scalar.value, scalar.type_)
         if isinstance(scalar, sc.SColRef):
             return quote_ident(scalar.name)
         if isinstance(scalar, sc.SArith):
@@ -251,41 +294,3 @@ class Serializer:
         if scalar.frame:
             over.append(scalar.frame.upper())
         return f"{scalar.name}({args}) OVER ({' '.join(over)})"
-
-    # -- literals -----------------------------------------------------------------
-
-    def _literal(self, value, sql_type: SqlType) -> str:
-        if value is None:
-            return f"NULL::{sql_type.value}"
-        if sql_type == SqlType.BOOLEAN:
-            return "TRUE" if value else "FALSE"
-        if sql_type in (SqlType.VARCHAR, SqlType.TEXT, SqlType.CHAR):
-            return f"{quote_string(str(value))}::{sql_type.value}"
-        if sql_type == SqlType.DATE:
-            y, m, d = date_from_days(int(value))
-            return f"'{y:04d}-{m:02d}-{d:02d}'::date"
-        if sql_type == SqlType.TIME:
-            ms = int(value) % 1000
-            s = int(value) // 1000
-            return (
-                f"'{s // 3600:02d}:{s % 3600 // 60:02d}:{s % 60:02d}."
-                f"{ms:03d}'::time"
-            )
-        if sql_type == SqlType.TIMESTAMP:
-            days, nanos = divmod(int(value), 86_400_000_000_000)
-            y, m, d = date_from_days(days)
-            s, frac = divmod(nanos, 1_000_000_000)
-            return (
-                f"'{y:04d}-{m:02d}-{d:02d} {s // 3600:02d}:"
-                f"{s % 3600 // 60:02d}:{s % 60:02d}.{frac // 1000:06d}'"
-                f"::timestamp"
-            )
-        if sql_type == SqlType.INTERVAL:
-            return f"'{int(value)}'::interval"
-        if isinstance(value, float):
-            if value != value:
-                return "NULL::double precision"
-            if value in (float("inf"), float("-inf")):
-                return f"'{'-' if value < 0 else ''}Infinity'::double precision"
-            return repr(value)
-        return str(value)

@@ -20,7 +20,7 @@ from repro.cache import QueryExecutor, TempDataTier
 from repro.config import MaterializationMode
 from repro.core.admin import match
 from repro.core.algebrizer.binder import BoundScalar, BoundTable, _const_value
-from repro.core.crosscompiler import _SQL_TO_QTYPE, ProtocolTranslator
+from repro.core.crosscompiler import ProtocolTranslator
 from repro.core.materialize import (
     GLOBAL_PREFIX,
     MaterializationStep,
@@ -49,7 +49,7 @@ from repro.qipc.encode import encode_reply
 from repro.qipc.messages import resend
 from repro.qlang import ast
 from repro.qlang.parser import parse
-from repro.qlang.qtypes import QType
+from repro.qlang.qtypes import QType, from_sql
 from repro.qlang.values import QAtom, QValue, QVector
 from repro.wlm import classify_program, request_scope
 
@@ -618,9 +618,7 @@ class HyperQSession:
 
 def _const_to_qvalue(scalar) -> QValue:
     """Convert a bound literal back to its Q value for the variable store."""
-    qtype = _SQL_TO_QTYPE.get(scalar.type_)
-    if qtype is None:
-        raise QTypeError(f"cannot store literal of type {scalar.type_}")
+    qtype = from_sql(scalar.type_)
     if scalar.value is None:
-        return QAtom(qtype, qtype.null_value())
+        return QAtom(qtype, qtype.spec.null)
     return QAtom(qtype, scalar.value)

@@ -23,24 +23,6 @@ from repro.qlang.values import (
     QVector,
 )
 
-_FIXED = {
-    QType.BOOLEAN: ("<b", 1),
-    QType.BYTE: ("<B", 1),
-    QType.SHORT: ("<h", 2),
-    QType.INT: ("<i", 4),
-    QType.LONG: ("<q", 8),
-    QType.REAL: ("<f", 4),
-    QType.FLOAT: ("<d", 8),
-    QType.TIMESTAMP: ("<q", 8),
-    QType.MONTH: ("<i", 4),
-    QType.DATE: ("<i", 4),
-    QType.DATETIME: ("<d", 8),
-    QType.TIMESPAN: ("<q", 8),
-    QType.MINUTE: ("<i", 4),
-    QType.SECOND: ("<i", 4),
-    QType.TIME: ("<i", 4),
-}
-
 
 class _Reader:
     __slots__ = ("data", "pos")
@@ -141,8 +123,8 @@ def _decode_atom(reader: _Reader, code: int) -> QAtom:
     if qtype == QType.GUID:
         raw = reader.take(16)
         return QAtom(qtype, _guid_text(raw))
-    fmt, size = _FIXED[qtype]
-    value = struct.unpack(fmt, reader.take(size))[0]
+    spec = qtype.spec
+    value = struct.unpack("<" + spec.struct, reader.take(spec.width))[0]
     if qtype == QType.BOOLEAN:
         value = bool(value)
     return QAtom(qtype, value)

@@ -17,7 +17,7 @@ import math
 import struct
 
 from repro.errors import ProtocolError
-from repro.qipc.kernels import INT_NULLS, STRUCT_CODES, guid_bytes, pack_fixed
+from repro.qipc.kernels import guid_bytes, pack_fixed, wire_null
 from repro.qipc.messages import MessageType, QipcMessage, frame
 from repro.qlang.qtypes import QType
 from repro.qlang.values import (
@@ -33,8 +33,8 @@ from repro.qlang.values import (
 
 
 def _pack_raw(qtype: QType, raw) -> bytes:
-    fmt = "<" + STRUCT_CODES[qtype]
-    if qtype in (QType.REAL, QType.FLOAT, QType.DATETIME):
+    fmt = "<" + qtype.spec.struct
+    if qtype.is_floating:
         return struct.pack(fmt, float(raw))
     if qtype == QType.BOOLEAN:
         return struct.pack(fmt, 1 if raw else 0)
@@ -103,10 +103,9 @@ def _encode_atom(atom: QAtom) -> bytes:
     if qtype == QType.GUID:
         return type_byte + guid_bytes(atom.value)
     raw = atom.value
-    if atom.is_null and qtype in INT_NULLS:
-        raw = INT_NULLS[qtype]
-    if isinstance(raw, float) and math.isnan(raw) and qtype in INT_NULLS:
-        raw = INT_NULLS[qtype]
+    null = wire_null(qtype)
+    if null is not None and isinstance(raw, float) and math.isnan(raw):
+        raw = null
     return type_byte + _pack_raw(qtype, raw)
 
 

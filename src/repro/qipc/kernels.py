@@ -17,49 +17,16 @@ import math
 import struct
 
 from repro.errors import ProtocolError
-from repro.qlang.qtypes import NULL_INT, NULL_LONG, NULL_SHORT, QType
-
-#: struct element code per fixed-width Q type (little-endian throughout)
-STRUCT_CODES = {
-    QType.BOOLEAN: "b",
-    QType.BYTE: "B",
-    QType.SHORT: "h",
-    QType.INT: "i",
-    QType.LONG: "q",
-    QType.REAL: "f",
-    QType.FLOAT: "d",
-    QType.TIMESTAMP: "q",
-    QType.MONTH: "i",
-    QType.DATE: "i",
-    QType.DATETIME: "d",
-    QType.TIMESPAN: "q",
-    QType.MINUTE: "i",
-    QType.SECOND: "i",
-    QType.TIME: "i",
-}
-
-ITEM_SIZES = {
-    qtype: struct.calcsize("<" + code) for qtype, code in STRUCT_CODES.items()
-}
-
-#: integer null sentinel per integral Q type (floats use NaN natively)
-INT_NULLS = {
-    QType.SHORT: NULL_SHORT,
-    QType.INT: NULL_INT,
-    QType.LONG: NULL_LONG,
-    QType.TIMESTAMP: NULL_LONG,
-    QType.TIMESPAN: NULL_LONG,
-    QType.MONTH: NULL_INT,
-    QType.DATE: NULL_INT,
-    QType.MINUTE: NULL_INT,
-    QType.SECOND: NULL_INT,
-    QType.TIME: NULL_INT,
-}
-
-_FLOATING = (QType.REAL, QType.FLOAT, QType.DATETIME)
+from repro.qlang.qtypes import QType
 
 
 # -- packing ------------------------------------------------------------------
+
+
+def wire_null(qtype: QType) -> int | None:
+    """The sentinel a NaN-coded null becomes in an integer vector of
+    ``qtype`` (the signed ``h``/``i``/``q`` types); None for the rest."""
+    return qtype.spec.null if qtype.spec.struct in ("h", "i", "q") else None
 
 
 def pack_fixed(qtype: QType, items) -> bytes:
@@ -76,7 +43,7 @@ def pack_fixed(qtype: QType, items) -> bytes:
     if qtype == QType.BOOLEAN:
         # normalize truthiness the way the scalar encoder does (1/0)
         return bytes([1 if item else 0 for item in items])
-    code = STRUCT_CODES[qtype]
+    code = qtype.spec.struct
     try:
         return struct.pack(f"<{len(items)}{code}", *items)
     except (struct.error, TypeError):
@@ -85,9 +52,9 @@ def pack_fixed(qtype: QType, items) -> bytes:
 
 def _normalized(qtype: QType, items) -> list:
     """Coerce items to their wire type, mapping NaN to the typed null."""
-    if qtype in _FLOATING:
+    if qtype.is_floating:
         return [float(item) for item in items]
-    null = INT_NULLS.get(qtype)
+    null = wire_null(qtype)
     return [
         null
         if null is not None and isinstance(item, float) and math.isnan(item)
@@ -103,13 +70,13 @@ def pack_fixed_reference(qtype: QType, items) -> bytes:
     coercion rules the original ``_encode_vector`` applied.  Slow on
     purpose — tests assert ``pack_fixed`` matches it byte-for-byte.
     """
-    fmt = "<" + STRUCT_CODES[qtype]
-    null = INT_NULLS.get(qtype)
+    fmt = "<" + qtype.spec.struct
+    null = wire_null(qtype)
     out = []
     for raw in items:
         if null is not None and isinstance(raw, float) and math.isnan(raw):
             raw = null
-        if qtype in _FLOATING:
+        if qtype.is_floating:
             out.append(struct.pack(fmt, float(raw)))
         elif qtype == QType.BOOLEAN:
             out.append(struct.pack(fmt, 1 if raw else 0))
@@ -140,14 +107,14 @@ def unpack_fixed(qtype: QType, data, offset: int, count: int) -> tuple[list, int
 
     Returns ``(values, next_offset)``; booleans come back as ``bool``.
     """
-    end = offset + count * ITEM_SIZES[qtype]
+    spec = qtype.spec
+    end = offset + count * spec.width
     if end > len(data):
         raise ProtocolError(
             f"QIPC payload truncated at offset {offset} "
             f"(needed {end - offset} bytes of {len(data) - offset})"
         )
-    code = STRUCT_CODES[qtype]
-    values = list(struct.unpack_from(f"<{count}{code}", data, offset))
+    values = list(struct.unpack_from(f"<{count}{spec.struct}", data, offset))
     if qtype == QType.BOOLEAN:
         values = [value != 0 for value in values]
     return values, end

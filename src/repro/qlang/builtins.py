@@ -25,7 +25,7 @@ from repro.errors import (
     QNotSupportedError,
     QTypeError,
 )
-from repro.qlang.qtypes import QType, promote
+from repro.qlang.qtypes import QType, promote, type_from_char, type_from_name
 from repro.qlang.values import (
     QAtom,
     QDict,
@@ -146,7 +146,7 @@ def _arith_atom(name: str, fn: Callable[[float, float], float]):
     def op(a: QAtom, b: QAtom) -> QAtom:
         result_type = _arith_result_type(name, a.qtype, b.qtype)
         if a.is_null or b.is_null:
-            return QAtom(result_type, result_type.null_value())
+            return QAtom(result_type, result_type.spec.null)
         try:
             raw = fn(a.value, b.value)
         except ZeroDivisionError:
@@ -155,7 +155,7 @@ def _arith_atom(name: str, fn: Callable[[float, float], float]):
                     float("-inf") if a.value < 0 else float("nan")
                 )
             else:
-                return QAtom(result_type, result_type.null_value())
+                return QAtom(result_type, result_type.spec.null)
         if result_type.is_floating:
             raw = float(raw)
         elif result_type.is_integral or result_type.is_temporal:
@@ -195,7 +195,7 @@ def q_and(a: QAtom, b: QAtom) -> QAtom:
     """``&`` — minimum (boolean AND on booleans)."""
     result_type = promote(a.qtype, b.qtype)
     if a.is_null or b.is_null:
-        return QAtom(result_type, result_type.null_value())
+        return QAtom(result_type, result_type.spec.null)
     return QAtom(result_type, min(a.value, b.value))
 
 
@@ -203,14 +203,14 @@ def q_or(a: QAtom, b: QAtom) -> QAtom:
     """``|`` — maximum (boolean OR on booleans)."""
     result_type = promote(a.qtype, b.qtype)
     if a.is_null or b.is_null:
-        return QAtom(result_type, result_type.null_value())
+        return QAtom(result_type, result_type.spec.null)
     return QAtom(result_type, max(a.value, b.value))
 
 
 def xbar(a: QAtom, b: QAtom) -> QAtom:
     """``x xbar y`` — round y down to the nearest multiple of x."""
     if a.is_null or b.is_null or a.value == 0:
-        return QAtom(b.qtype, b.qtype.null_value())
+        return QAtom(b.qtype, b.qtype.spec.null)
     bucket = math.floor(b.value / a.value) * a.value
     if b.qtype.is_integral or b.qtype.is_temporal:
         bucket = int(bucket)
@@ -269,7 +269,7 @@ def _monad(fn, result_type: QType | None = None, keep_int: bool = False):
         if keep_int and a.qtype.is_integral:
             rtype = a.qtype
         if a.is_null:
-            return QAtom(rtype, rtype.null_value())
+            return QAtom(rtype, rtype.spec.null)
         raw = fn(a.value)
         if rtype.is_floating:
             raw = float(raw)
@@ -322,7 +322,7 @@ def first(value: QValue) -> QValue:
     if isinstance(value, (QVector, QList, QTable)) and len(value) > 0:
         return value.atom_at(0)
     if isinstance(value, QVector):
-        return QAtom(value.qtype, value.qtype.null_value())
+        return QAtom(value.qtype, value.qtype.spec.null)
     if isinstance(value, QDict):
         return first(value.values)
     if isinstance(value, QAtom):
@@ -336,7 +336,7 @@ def last(value: QValue) -> QValue:
     if isinstance(value, (QVector, QList, QTable)) and len(value) > 0:
         return value.atom_at(len(value) - 1)
     if isinstance(value, QVector):
-        return QAtom(value.qtype, value.qtype.null_value())
+        return QAtom(value.qtype, value.qtype.spec.null)
     if isinstance(value, QDict):
         return last(value.values)
     if isinstance(value, QAtom):
@@ -548,7 +548,7 @@ def fills(value: QValue) -> QValue:
     """``fills`` — forward-fill nulls."""
     if not isinstance(value, QVector):
         raise QTypeError("fills expects a typed vector")
-    out, prev = [], value.qtype.null_value()
+    out, prev = [], value.qtype.spec.null
     for raw in value.items:
         if not value.qtype.is_null(raw):
             prev = raw
@@ -564,7 +564,7 @@ def deltas(value: QValue) -> QValue:
     out = [value.items[0]]
     for prev, cur in zip(value.items, value.items[1:]):
         if value.qtype.is_null(prev) or value.qtype.is_null(cur):
-            out.append(value.qtype.null_value())
+            out.append(value.qtype.spec.null)
         else:
             out.append(cur - prev)
     return QVector(value.qtype, out)
@@ -577,7 +577,7 @@ def _running(fn, value: QValue, skip_null=True) -> QValue:
     acc = None
     for raw in value.items:
         if value.qtype.is_null(raw) and skip_null:
-            out.append(acc if acc is not None else value.qtype.null_value())
+            out.append(acc if acc is not None else value.qtype.spec.null)
             continue
         acc = raw if acc is None else fn(acc, raw)
         out.append(acc)
@@ -616,7 +616,7 @@ def next_(value: QValue) -> QValue:
         raise QTypeError("next expects a typed vector")
     if not value.items:
         return value
-    return QVector(value.qtype, value.items[1:] + [value.qtype.null_value()])
+    return QVector(value.qtype, value.items[1:] + [value.qtype.spec.null])
 
 
 def prev_(value: QValue) -> QValue:
@@ -624,14 +624,14 @@ def prev_(value: QValue) -> QValue:
         raise QTypeError("prev expects a typed vector")
     if not value.items:
         return value
-    return QVector(value.qtype, [value.qtype.null_value()] + value.items[:-1])
+    return QVector(value.qtype, [value.qtype.spec.null] + value.items[:-1])
 
 
 def xprev(n: QAtom, value: QValue) -> QValue:
     if not isinstance(value, QVector):
         raise QTypeError("xprev expects a typed vector")
     shift = int(n.value)
-    null = value.qtype.null_value()
+    null = value.qtype.spec.null
     items = value.items
     out = [
         items[i - shift] if 0 <= i - shift < len(items) else null
@@ -671,7 +671,7 @@ def q_sum(value: QValue) -> QAtom:
     if not raws:
         # q: sum of the empty list is 0, but sum of an all-null list is null
         if length_of(value) > 0:
-            return QAtom(result_type, result_type.null_value())
+            return QAtom(result_type, result_type.spec.null)
         return QAtom(result_type, 0.0 if qtype.is_floating else 0)
     return QAtom(result_type, sum(raws))
 
@@ -686,14 +686,14 @@ def q_avg(value: QValue) -> QAtom:
 def q_min(value: QValue) -> QAtom:
     qtype, raws = _non_null_raws(value)
     if not raws:
-        return QAtom(qtype, qtype.null_value())
+        return QAtom(qtype, qtype.spec.null)
     return QAtom(qtype, min(raws))
 
 
 def q_max(value: QValue) -> QAtom:
     qtype, raws = _non_null_raws(value)
     if not raws:
-        return QAtom(qtype, qtype.null_value())
+        return QAtom(qtype, qtype.spec.null)
     return QAtom(qtype, max(raws))
 
 
@@ -807,14 +807,14 @@ def mcount(n: QAtom, value: QValue) -> QVector:
 
 def mmax(n: QAtom, value: QValue) -> QVector:
     assert isinstance(value, QVector)
-    null = value.qtype.null_value()
+    null = value.qtype.spec.null
     out = _moving(lambda c: max(c) if c else null, n, value)
     return QVector(value.qtype, out)
 
 
 def mmin(n: QAtom, value: QValue) -> QVector:
     assert isinstance(value, QVector)
-    null = value.qtype.null_value()
+    null = value.qtype.spec.null
     out = _moving(lambda c: min(c) if c else null, n, value)
     return QVector(value.qtype, out)
 
@@ -1078,26 +1078,6 @@ def _collapse(items: list[QValue]) -> QValue:
 # Casting ($)
 # ---------------------------------------------------------------------------
 
-_CAST_NAMES = {
-    "boolean": QType.BOOLEAN,
-    "byte": QType.BYTE,
-    "short": QType.SHORT,
-    "int": QType.INT,
-    "long": QType.LONG,
-    "real": QType.REAL,
-    "float": QType.FLOAT,
-    "char": QType.CHAR,
-    "symbol": QType.SYMBOL,
-    "timestamp": QType.TIMESTAMP,
-    "month": QType.MONTH,
-    "date": QType.DATE,
-    "datetime": QType.DATETIME,
-    "timespan": QType.TIMESPAN,
-    "minute": QType.MINUTE,
-    "second": QType.SECOND,
-    "time": QType.TIME,
-}
-
 
 def cast(target: QValue, value: QValue) -> QValue:
     """``$`` — cast; the left operand names the target type."""
@@ -1105,13 +1085,11 @@ def cast(target: QValue, value: QValue) -> QValue:
         name = target.value
         if name == "":
             return _tok_to_symbol(value)
-        qtype = _CAST_NAMES.get(name)
+        qtype = type_from_name(name)
         if qtype is None:
             raise QDomainError(f"unknown cast target `{name}")
         return _cast_to(qtype, value)
     if isinstance(target, QAtom) and target.qtype == QType.CHAR:
-        from repro.qlang.qtypes import type_from_char
-
         return _cast_to(type_from_char(target.value), value)
     raise QTypeError("cast expects a symbol or char type name on the left")
 
@@ -1132,7 +1110,7 @@ def _tok_to_symbol(value: QValue) -> QValue:
 def _cast_to(qtype: QType, value: QValue) -> QValue:
     def conv(atom: QAtom) -> QAtom:
         if atom.is_null:
-            return QAtom(qtype, qtype.null_value())
+            return QAtom(qtype, qtype.spec.null)
         raw = atom.value
         if qtype == QType.SYMBOL:
             return QAtom(qtype, str(raw))
@@ -1207,7 +1185,7 @@ def index_at(container: QValue, index: QValue) -> QValue:
             if isinstance(container, QVector):
                 if 0 <= i < len(container):
                     return container.atom_at(i)
-                return QAtom(container.qtype, container.qtype.null_value())
+                return QAtom(container.qtype, container.qtype.spec.null)
             if 0 <= i < len(container):
                 return container.items[i]
             raise QDomainError(f"index {i} out of range")
@@ -1225,9 +1203,9 @@ def null_row(table: QTable) -> QDict:
     values: list[QValue] = []
     for col in table.data:
         if isinstance(col, QVector):
-            values.append(QAtom(col.qtype, col.qtype.null_value()))
+            values.append(QAtom(col.qtype, col.qtype.spec.null))
         else:
-            values.append(QAtom(QType.LONG, QType.LONG.null_value()))
+            values.append(QAtom(QType.LONG, QType.LONG.spec.null))
     return QDict(keys, QList(values))
 
 

@@ -115,13 +115,13 @@ def _asof_type(table: QTable, name: str) -> QType:
 
 def _pick(col: QValue, matches: Sequence[int | None]) -> QValue:
     if isinstance(col, QVector):
-        null = col.qtype.null_value()
+        null = col.qtype.spec.null
         return QVector(
             col.qtype,
             [col.items[m] if m is not None else null for m in matches],
         )
     if isinstance(col, QList):
-        null_atom = QAtom(QType.LONG, QType.LONG.null_value())
+        null_atom = QAtom(QType.LONG, QType.LONG.spec.null)
         return QList(
             [col.items[m] if m is not None else null_atom for m in matches]
         )
@@ -249,18 +249,18 @@ def union_join(left: QTable, right: QTable) -> QTable:
 
 def _append_nulls(col: QValue, count: int) -> QValue:
     if isinstance(col, QVector):
-        return QVector(col.qtype, col.items + [col.qtype.null_value()] * count)
+        return QVector(col.qtype, col.items + [col.qtype.spec.null] * count)
     if isinstance(col, QList):
-        null_atom = QAtom(QType.LONG, QType.LONG.null_value())
+        null_atom = QAtom(QType.LONG, QType.LONG.spec.null)
         return QList(col.items + [null_atom] * count)
     raise QTypeError("uj column is not a list")
 
 
 def _prepend_nulls(col: QValue, count: int) -> QValue:
     if isinstance(col, QVector):
-        return QVector(col.qtype, [col.qtype.null_value()] * count + col.items)
+        return QVector(col.qtype, [col.qtype.spec.null] * count + col.items)
     if isinstance(col, QList):
-        null_atom = QAtom(QType.LONG, QType.LONG.null_value())
+        null_atom = QAtom(QType.LONG, QType.LONG.spec.null)
         return QList([null_atom] * count + col.items)
     raise QTypeError("uj column is not a list")
 

@@ -25,13 +25,7 @@ from dataclasses import dataclass
 from enum import Enum, auto
 
 from repro.errors import QSyntaxError
-from repro.qlang.qtypes import (
-    INF_LONG,
-    NULL_INT,
-    NULL_LONG,
-    NULL_SHORT,
-    QType,
-)
+from repro.qlang.qtypes import INF_LONG, QType, type_from_char
 from repro.qlang.values import QAtom, QVector
 
 
@@ -185,32 +179,6 @@ def _time_to_nanos(text: str) -> int:
     return (int(h) * 3600 + int(m) * 60 + int(sec)) * 1_000_000_000 + nanos
 
 
-_NULL_BY_SUFFIX = {
-    "j": QAtom(QType.LONG, NULL_LONG),
-    "": QAtom(QType.LONG, NULL_LONG),
-    "i": QAtom(QType.INT, NULL_INT),
-    "h": QAtom(QType.SHORT, NULL_SHORT),
-    "e": QAtom(QType.REAL, float("nan")),
-    "f": QAtom(QType.FLOAT, float("nan")),
-    "p": QAtom(QType.TIMESTAMP, NULL_LONG),
-    "d": QAtom(QType.DATE, NULL_INT),
-    "t": QAtom(QType.TIME, NULL_INT),
-    "z": QAtom(QType.DATETIME, float("nan")),
-    "n": QAtom(QType.TIMESPAN, NULL_LONG),
-    "u": QAtom(QType.MINUTE, NULL_INT),
-    "v": QAtom(QType.SECOND, NULL_INT),
-    "m": QAtom(QType.MONTH, NULL_INT),
-}
-
-_INT_SUFFIX_TYPES = {
-    "j": QType.LONG,
-    "i": QType.INT,
-    "h": QType.SHORT,
-    "e": QType.REAL,
-    "f": QType.FLOAT,
-}
-
-
 def _parse_number(text: str) -> QAtom:
     sign = 1
     body = text
@@ -224,10 +192,9 @@ def _parse_number(text: str) -> QAtom:
         if body[1] == "w" and not suffix:
             return QAtom(QType.FLOAT, sign * float("inf"))
         if body[1] == "N":
-            atom = _NULL_BY_SUFFIX.get(suffix)
-            if atom is None:
-                raise QSyntaxError(f"bad null literal {text!r}")
-            return atom
+            # _NUMBER_RE admits only the suffixes of nullable types
+            qtype = type_from_char(suffix or "j")
+            return QAtom(qtype, qtype.spec.null)
         # 0W / -0W infinities
         if suffix in ("", "j"):
             return QAtom(QType.LONG, sign * INF_LONG)
@@ -244,7 +211,7 @@ def _parse_number(text: str) -> QAtom:
     if is_float:
         qtype = QType.REAL if suffix == "e" else QType.FLOAT
         return QAtom(qtype, sign * float(body))
-    qtype = _INT_SUFFIX_TYPES.get(suffix, QType.LONG)
+    qtype = type_from_char(suffix or "j")
     if qtype in (QType.REAL, QType.FLOAT):
         return QAtom(qtype, sign * float(body))
     return QAtom(qtype, sign * int(body))

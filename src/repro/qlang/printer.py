@@ -27,7 +27,7 @@ def format_atom_raw(atom: QAtom) -> str:
     """Format an atom's payload without any quoting/backtick decoration."""
     qtype, raw = atom.qtype, atom.value
     if atom.is_null:
-        return _NULL_DISPLAY.get(qtype, "0N")
+        return qtype.spec.null_literal
     if qtype == QType.BOOLEAN:
         return "1" if raw else "0"
     if qtype == QType.SYMBOL or qtype == QType.CHAR:
@@ -69,32 +69,6 @@ def format_atom_raw(atom: QAtom) -> str:
     return str(raw)
 
 
-_NULL_DISPLAY = {
-    QType.LONG: "0N",
-    QType.INT: "0Ni",
-    QType.SHORT: "0Nh",
-    QType.FLOAT: "0n",
-    QType.REAL: "0Ne",
-    QType.SYMBOL: "`",
-    QType.CHAR: " ",
-    QType.DATE: "0Nd",
-    QType.TIME: "0Nt",
-    QType.TIMESTAMP: "0Np",
-    QType.MONTH: "0Nm",
-    QType.MINUTE: "0Nu",
-    QType.SECOND: "0Nv",
-    QType.TIMESPAN: "0Nn",
-    QType.DATETIME: "0Nz",
-}
-
-_TYPE_SUFFIX = {
-    QType.BOOLEAN: "b",
-    QType.SHORT: "h",
-    QType.INT: "i",
-    QType.REAL: "e",
-}
-
-
 def format_value(value: QValue, max_rows: int = 20) -> str:
     """Format any Q value in an approximate q-console style."""
     if isinstance(value, QAtom):
@@ -127,10 +101,9 @@ def _format_atom(atom: QAtom) -> str:
         return f"`{text}"
     if atom.qtype == QType.CHAR:
         return f'"{text}"'
-    suffix = _TYPE_SUFFIX.get(atom.qtype, "")
     if atom.qtype == QType.BOOLEAN:
         return text + "b"
-    return text + suffix if not atom.is_null else text
+    return text if atom.is_null else text + _suffix(atom.qtype)
 
 
 def _format_vector(vector: QVector) -> str:
@@ -145,10 +118,15 @@ def _format_vector(vector: QVector) -> str:
     if vector.qtype == QType.BOOLEAN:
         return "".join("1" if b else "0" for b in vector.items) + "b"
     parts = [format_atom_raw(QAtom(vector.qtype, raw)) for raw in vector.items]
-    suffix = _TYPE_SUFFIX.get(vector.qtype, "")
     if not parts:
         return f"`{vector.qtype.name.lower()}$()"
-    return " ".join(parts) + suffix
+    return " ".join(parts) + _suffix(vector.qtype)
+
+
+def _suffix(qtype: QType) -> str:
+    """The type char q appends to a number the lexer would otherwise read
+    as a long or a float."""
+    return qtype.char if qtype in (QType.SHORT, QType.INT, QType.REAL) else ""
 
 
 def _format_table(table: QTable, max_rows: int) -> str:

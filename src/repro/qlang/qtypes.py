@@ -1,4 +1,4 @@
-"""The Q/kdb+ type system: type codes, typed nulls, infinities, promotion.
+"""The Q/kdb+ type system: one descriptor per type, typed nulls, promotion.
 
 kdb+ identifies types by a small integer: a *positive* code denotes a typed
 vector, the *negative* of the same code denotes an atom, ``0`` is a general
@@ -6,38 +6,54 @@ list, and codes >= 98 are compound structures (table, dictionary, lambda).
 This module models the scalar portion of that scheme; compound values live
 in :mod:`repro.qlang.values`.
 
-Temporal encodings follow kdb+ conventions:
+Every per-type fact lives in one frozen :class:`QTypeSpec` per
+:class:`QType`, read as the member attribute ``qtype.spec``: the type
+char, the QIPC struct code and width, the typed null and how the console
+writes it, the SQL type of the paper's Section 3.2.2 mapping (with a note
+where it degrades the type), the one Q -> SQL value conversion the
+binder, the loader and ``DataMover`` all apply, the comparator family,
+and the per-cell converter of the result pivot.  The SQL -> Q pivot map
+(:func:`from_sql`, step 6) is derived from the same rows.  No other
+module keeps a per-type table; lint rule HQ012 holds that.
 
-=========  =============================================
-type       stored as
-=========  =============================================
-timestamp  nanoseconds since 2000.01.01D00:00:00
-month      months since 2000.01m
-date       days since 2000.01.01
-timespan   nanoseconds
-minute     minutes since midnight
-second     seconds since midnight
-time       milliseconds since midnight
-=========  =============================================
+A boolean has no null in q: ``0b`` is a value, and only the pivot's fill
+for a SQL NULL.  Temporal encodings follow kdb+ conventions; the SQL
+column stores the engine's encoding of the mapped type:
+
+=========  =======================================  ============================
+type       stored as                                in SQL
+=========  =======================================  ============================
+timestamp  nanoseconds since 2000.01.01D00:00:00    timestamp, the same
+month      months since 2000.01m                    date: the first of the month
+date       days since 2000.01.01                    date, the same
+datetime   days since 2000.01.01, as a float        timestamp: nanoseconds
+timespan   nanoseconds                              interval, the same
+minute     minutes since midnight                   time: milliseconds
+second     seconds since midnight                   time: milliseconds
+time       milliseconds since midnight              time, the same
+=========  =======================================  ============================
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+import struct
+from dataclasses import dataclass, field
+from datetime import date
 from enum import Enum
+from typing import Callable
 
 from repro.errors import QTypeError
-
-#: kdb+ epoch (2000.01.01) expressed as days since the Unix epoch.
-KDB_EPOCH_UNIX_DAYS = 10957
+from repro.sqlengine.types import SqlType
 
 NULL_SHORT = -(2**15)
 NULL_INT = -(2**31)
 NULL_LONG = -(2**63)
-INF_SHORT = 2**15 - 1
-INF_INT = 2**31 - 1
 INF_LONG = 2**63 - 1
+
+_NAN = float("nan")
+_NULL_GUID = "00000000-0000-0000-0000-000000000000"
+_EPOCH_ORDINAL = date(2000, 1, 1).toordinal()
+_NANOS_PER_DAY = 86_400_000_000_000
 
 
 class QType(Enum):
@@ -62,6 +78,8 @@ class QType(Enum):
     SECOND = 18
     TIME = 19
 
+    spec: QTypeSpec
+
     @property
     def code(self) -> int:
         return self.value
@@ -69,100 +87,174 @@ class QType(Enum):
     @property
     def char(self) -> str:
         """Single-character type name as shown by ``meta`` in q."""
-        return _TYPE_CHARS[self]
+        return self.spec.char
 
     @property
     def is_numeric(self) -> bool:
-        return self in _NUMERIC_TYPES
+        return self.spec.family in ("bool", "number")
 
     @property
     def is_integral(self) -> bool:
-        return self in _INTEGRAL_TYPES
+        return self.is_numeric and not self.is_floating
 
     @property
     def is_temporal(self) -> bool:
-        return self in _TEMPORAL_TYPES
+        return self.spec.family in ("days", "nanos", "intraday")
 
     @property
     def is_floating(self) -> bool:
-        return self in (QType.REAL, QType.FLOAT, QType.DATETIME)
-
-    def null_value(self):
-        """The typed null for this type (``0N``, ``0n``, `` ` `` ...)."""
-        return _NULLS[self]
+        return self.spec.struct in ("f", "d")
 
     def is_null(self, raw) -> bool:
-        """True when ``raw`` is this type's null sentinel."""
-        null = _NULLS[self]
-        if isinstance(null, float) and math.isnan(null):
-            return isinstance(raw, float) and math.isnan(raw)
-        return raw == null
+        """True when ``raw`` is this type's null; never for a boolean."""
+        null = self.spec.null
+        if null != null:  # NaN-coded
+            return raw != raw
+        return self.spec.nullable and raw == null
+
+    def sql_values(self, items) -> list:
+        """The SQL-side values of Q raws of this type: a null (or a NaN)
+        becomes None, the rest go through the type's one conversion."""
+        spec = self.spec
+        null = spec.null if spec.nullable else _NO_NULL
+        convert = spec.to_sql
+        if convert is None:
+            return [None if x == null or x != x else x for x in items]
+        return [None if x == null or x != x else convert(x) for x in items]
+
+    def sql_value(self, raw):
+        """:meth:`sql_values` of one raw."""
+        return self.sql_values((raw,))[0]
 
 
-_TYPE_CHARS = {
-    QType.BOOLEAN: "b",
-    QType.GUID: "g",
-    QType.BYTE: "x",
-    QType.SHORT: "h",
-    QType.INT: "i",
-    QType.LONG: "j",
-    QType.REAL: "e",
-    QType.FLOAT: "f",
-    QType.CHAR: "c",
-    QType.SYMBOL: "s",
-    QType.TIMESTAMP: "p",
-    QType.MONTH: "m",
-    QType.DATE: "d",
-    QType.DATETIME: "z",
-    QType.TIMESPAN: "n",
-    QType.MINUTE: "u",
-    QType.SECOND: "v",
-    QType.TIME: "t",
+_NO_NULL = object()
+
+
+@dataclass(frozen=True)
+class QTypeSpec:
+    """Everything the translator knows about one Q type."""
+
+    char: str
+    #: QIPC ``struct`` code of a fixed-width item; None for GUID, char
+    #: and symbol, which the codecs frame themselves
+    struct: str | None
+    #: the typed null; a boolean's ``0b`` is only the pivot's NULL fill
+    null: object
+    #: the null as the console shows it; None when the type has no null
+    null_literal: str | None
+    sql: SqlType
+    #: comparator equivalence class: values of one family compare after
+    #: :meth:`QType.sql_values` puts both in the SQL encoding
+    family: str
+    #: how the SQL mapping loses information, when it does
+    note: str | None = None
+    #: Q raw -> SQL raw; None is the identity
+    to_sql: Callable | None = None
+    #: bytes per fixed-width QIPC item; 0 without a struct code
+    width: int = field(init=False)
+    #: SQL cell -> Q raw, applied by the result pivot
+    cell: Callable = field(init=False)
+
+    def __post_init__(self) -> None:
+        code = self.struct
+        width = struct.calcsize("<" + code) if code else 0
+        object.__setattr__(self, "width", width)
+        cell = (
+            str if code is None
+            else bool if code == "b"
+            else float if code in ("f", "d")
+            else int
+        )
+        object.__setattr__(self, "cell", cell)
+
+    @property
+    def nullable(self) -> bool:
+        return self.null_literal is not None
+
+
+def _first_of_month(months: int) -> int:
+    year, month = divmod(months, 12)
+    return date(2000 + year, month + 1, 1).toordinal() - _EPOCH_ORDINAL
+
+
+def _days_to_nanos(days: float) -> int:
+    return round(days * _NANOS_PER_DAY)
+
+
+def _minutes_to_millis(minutes: int) -> int:
+    return minutes * 60_000
+
+
+def _seconds_to_millis(seconds: int) -> int:
+    return seconds * 1_000
+
+
+_S = SqlType
+_SPECS = {
+    #                  char struct null  null literal SQL type   family
+    QType.BOOLEAN: QTypeSpec("b", "b", False, None, _S.BOOLEAN, "bool"),
+    QType.GUID: QTypeSpec("g", None, _NULL_GUID, "0Ng", _S.UUID, "guid"),
+    QType.BYTE: QTypeSpec(
+        "x", "B", 0, "0x00", _S.SMALLINT, "number",
+        note="byte widens to smallint",
+    ),
+    QType.SHORT: QTypeSpec("h", "h", NULL_SHORT, "0Nh", _S.SMALLINT, "number"),
+    QType.INT: QTypeSpec("i", "i", NULL_INT, "0Ni", _S.INTEGER, "number"),
+    QType.LONG: QTypeSpec("j", "q", NULL_LONG, "0N", _S.BIGINT, "number"),
+    QType.REAL: QTypeSpec("e", "f", _NAN, "0Ne", _S.REAL, "number"),
+    QType.FLOAT: QTypeSpec("f", "d", _NAN, "0n", _S.DOUBLE, "number"),
+    QType.CHAR: QTypeSpec("c", None, " ", " ", _S.CHAR, "text"),
+    QType.SYMBOL: QTypeSpec("s", None, "", "`", _S.VARCHAR, "text"),
+    QType.TIMESTAMP: QTypeSpec("p", "q", NULL_LONG, "0Np", _S.TIMESTAMP, "nanos"),
+    QType.MONTH: QTypeSpec(
+        "m", "i", NULL_INT, "0Nm", _S.DATE, "days",
+        note="month degrades to first-of-month date", to_sql=_first_of_month,
+    ),
+    QType.DATE: QTypeSpec("d", "i", NULL_INT, "0Nd", _S.DATE, "days"),
+    QType.DATETIME: QTypeSpec(
+        "z", "d", _NAN, "0Nz", _S.TIMESTAMP, "nanos",
+        note="datetime degrades to timestamp", to_sql=_days_to_nanos,
+    ),
+    QType.TIMESPAN: QTypeSpec("n", "q", NULL_LONG, "0Nn", _S.INTERVAL, "nanos"),
+    QType.MINUTE: QTypeSpec(
+        "u", "i", NULL_INT, "0Nu", _S.TIME, "intraday",
+        note="minute degrades to time", to_sql=_minutes_to_millis,
+    ),
+    QType.SECOND: QTypeSpec(
+        "v", "i", NULL_INT, "0Nv", _S.TIME, "intraday",
+        note="second degrades to time", to_sql=_seconds_to_millis,
+    ),
+    QType.TIME: QTypeSpec("t", "i", NULL_INT, "0Nt", _S.TIME, "intraday"),
 }
 
-_NUMERIC_TYPES = {
-    QType.BOOLEAN,
-    QType.BYTE,
-    QType.SHORT,
-    QType.INT,
-    QType.LONG,
-    QType.REAL,
-    QType.FLOAT,
-}
+for _qtype in QType:
+    _qtype.spec = _SPECS[_qtype]
 
-_INTEGRAL_TYPES = {QType.BOOLEAN, QType.BYTE, QType.SHORT, QType.INT, QType.LONG}
 
-_TEMPORAL_TYPES = {
-    QType.TIMESTAMP,
-    QType.MONTH,
-    QType.DATE,
-    QType.DATETIME,
-    QType.TIMESPAN,
-    QType.MINUTE,
-    QType.SECOND,
-    QType.TIME,
-}
+def _pivot_map() -> dict[SqlType, QType]:
+    """SQL type -> the Q type its column pivots to: the one type mapped
+    to it without degradation, plus the SQL-only types' aliases."""
+    pivot = dict(
+        ((_S.NUMERIC, QType.FLOAT), (_S.TEXT, QType.SYMBOL), (_S.NULL, QType.LONG))
+    )
+    for qtype in QType:
+        if qtype.spec.note is None:
+            if qtype.spec.sql in pivot:
+                raise TypeError(
+                    f"{qtype.spec.sql} pivots to both {pivot[qtype.spec.sql]} "
+                    f"and {qtype}"
+                )
+            pivot[qtype.spec.sql] = qtype
+    return pivot
 
-_NULLS = {
-    QType.BOOLEAN: False,  # q has no boolean null; 0b is the conventional fill
-    QType.GUID: "00000000-0000-0000-0000-000000000000",
-    QType.BYTE: 0,
-    QType.SHORT: NULL_SHORT,
-    QType.INT: NULL_INT,
-    QType.LONG: NULL_LONG,
-    QType.REAL: float("nan"),
-    QType.FLOAT: float("nan"),
-    QType.CHAR: " ",
-    QType.SYMBOL: "",
-    QType.TIMESTAMP: NULL_LONG,
-    QType.MONTH: NULL_INT,
-    QType.DATE: NULL_INT,
-    QType.DATETIME: float("nan"),
-    QType.TIMESPAN: NULL_LONG,
-    QType.MINUTE: NULL_INT,
-    QType.SECOND: NULL_INT,
-    QType.TIME: NULL_INT,
-}
+
+_FROM_SQL = _pivot_map()
+
+
+def from_sql(sql_type: SqlType) -> QType:
+    """The Q type a SQL column of ``sql_type`` pivots to (step 6)."""
+    return _FROM_SQL[sql_type]
+
 
 #: Numeric promotion order for dyadic arithmetic (wider wins).
 _PROMOTION_ORDER = [
@@ -203,45 +295,8 @@ def promote(left: QType, right: QType) -> QType:
     )
 
 
-@dataclass(frozen=True)
-class TypeInfo:
-    """Static description of a Q type used by binder and wire codecs."""
-
-    qtype: QType
-    wire_size: int  # bytes per element in QIPC
-    sql_name: str  # PostgreSQL type the binder maps this Q type to
-
-
-#: Q -> SQL type mapping used by the binder (Section 3.2.2 of the paper:
-#: ints map to integer types, symbol maps to varchar, strings to text).
-TYPE_INFO = {
-    QType.BOOLEAN: TypeInfo(QType.BOOLEAN, 1, "boolean"),
-    QType.GUID: TypeInfo(QType.GUID, 16, "uuid"),
-    QType.BYTE: TypeInfo(QType.BYTE, 1, "smallint"),
-    QType.SHORT: TypeInfo(QType.SHORT, 2, "smallint"),
-    QType.INT: TypeInfo(QType.INT, 4, "integer"),
-    QType.LONG: TypeInfo(QType.LONG, 8, "bigint"),
-    QType.REAL: TypeInfo(QType.REAL, 4, "real"),
-    QType.FLOAT: TypeInfo(QType.FLOAT, 8, "double precision"),
-    QType.CHAR: TypeInfo(QType.CHAR, 1, "char(1)"),
-    QType.SYMBOL: TypeInfo(QType.SYMBOL, 0, "varchar"),
-    QType.TIMESTAMP: TypeInfo(QType.TIMESTAMP, 8, "timestamp"),
-    QType.MONTH: TypeInfo(QType.MONTH, 4, "date"),
-    QType.DATE: TypeInfo(QType.DATE, 4, "date"),
-    QType.DATETIME: TypeInfo(QType.DATETIME, 8, "timestamp"),
-    QType.TIMESPAN: TypeInfo(QType.TIMESPAN, 8, "interval"),
-    QType.MINUTE: TypeInfo(QType.MINUTE, 4, "time"),
-    QType.SECOND: TypeInfo(QType.SECOND, 4, "time"),
-    QType.TIME: TypeInfo(QType.TIME, 4, "time"),
-}
-
-
-def sql_type_for(qtype: QType) -> str:
-    """PostgreSQL type name the binder emits for a Q type."""
-    return TYPE_INFO[qtype].sql_name
-
-
 _BY_CHAR = {t.char: t for t in QType}
+_BY_NAME = {t.name.lower(): t for t in QType}
 
 
 def type_from_char(char: str) -> QType:
@@ -250,3 +305,8 @@ def type_from_char(char: str) -> QType:
         return _BY_CHAR[char]
     except KeyError:
         raise QTypeError(f"unknown type character {char!r}") from None
+
+
+def type_from_name(name: str) -> QType | None:
+    """The QType a cast names (`` `long$``), or None."""
+    return _BY_NAME.get(name)

@@ -133,7 +133,7 @@ class QVector(QValue):
 
     def take(self, indices: Sequence[int]) -> "QVector":
         """Index the vector by a list of positions; -like q's ``x idx``."""
-        null = self.qtype.null_value()
+        null = self.qtype.spec.null
         n = len(self.items)
         picked = [self.items[i] if 0 <= i < n else null for i in indices]
         return QVector(self.qtype, picked)
@@ -460,8 +460,8 @@ def take_value(value: QValue, indices: Sequence[int]) -> QValue:
 def null_like(value: QValue) -> QValue:
     """A typed null appropriate for elements of ``value``."""
     if isinstance(value, QVector):
-        return QAtom(value.qtype, value.qtype.null_value())
-    return QAtom(QType.LONG, QType.LONG.null_value())
+        return QAtom(value.qtype, value.qtype.spec.null)
+    return QAtom(QType.LONG, QType.LONG.spec.null)
 
 
 def q_match(a: QValue, b: QValue) -> bool:

@@ -5,14 +5,16 @@ ints come back as bigints, minutes come back as times — so comparison
 normalizes values to *equivalence classes* before comparing:
 
 * numeric values compare with a relative tolerance;
-* temporal values are converted to a canonical unit per kind;
+* values compare within their type's comparator family, each in the
+  SQL encoding of its type (:meth:`~repro.qlang.qtypes.QType.sql_values`),
+  so a minute meets the time it became and a month the first-of-month
+  date;
 * symbol and string payloads compare as text;
 * tables compare column-by-column in row order (Q order is load-bearing).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.qlang.qtypes import QType
@@ -28,17 +30,6 @@ from repro.qlang.values import (
 
 REL_TOLERANCE = 1e-9
 ABS_TOLERANCE = 1e-12
-
-#: canonical-unit scale per temporal type -> milliseconds / days
-_TEMPORAL_SCALE = {
-    QType.MINUTE: ("intraday", 60_000),
-    QType.SECOND: ("intraday", 1_000),
-    QType.TIME: ("intraday", 1),
-    QType.TIMESTAMP: ("nanos", 1),
-    QType.TIMESPAN: ("nanos", 1),
-    QType.DATE: ("days", 1),
-    QType.MONTH: ("months", 1),
-}
 
 
 @dataclass
@@ -57,31 +48,6 @@ def mismatch(reason: str) -> Comparison:
 MATCH = Comparison(True)
 
 
-def _kind(qtype: QType) -> str:
-    if qtype in _TEMPORAL_SCALE:
-        return _TEMPORAL_SCALE[qtype][0]
-    if qtype in (QType.SYMBOL, QType.CHAR):
-        return "text"
-    if qtype == QType.BOOLEAN:
-        return "bool"
-    if qtype.is_numeric:
-        return "number"
-    return qtype.name
-
-
-def _canonical(qtype: QType, raw):
-    if qtype.is_null(raw):
-        return None
-    if isinstance(raw, float) and math.isnan(raw):
-        return None
-    scale = _TEMPORAL_SCALE.get(qtype)
-    if scale is not None:
-        return raw * scale[1]
-    if qtype == QType.BOOLEAN:
-        return bool(raw)
-    return raw
-
-
 def _values_equal(a, b) -> bool:
     if a is None or b is None:
         return a is None and b is None
@@ -98,11 +64,11 @@ def _values_equal(a, b) -> bool:
 
 
 def compare_atoms(a: QAtom, b: QAtom, path: str = "") -> Comparison:
-    if _kind(a.qtype) != _kind(b.qtype):
+    if a.qtype.spec.family != b.qtype.spec.family:
         return mismatch(
             f"{path}: type kinds differ ({a.qtype.name} vs {b.qtype.name})"
         )
-    if not _values_equal(_canonical(a.qtype, a.value), _canonical(b.qtype, b.value)):
+    if not _values_equal(a.qtype.sql_value(a.value), b.qtype.sql_value(b.value)):
         return mismatch(f"{path}: {a.value!r} != {b.value!r}")
     return MATCH
 
@@ -110,13 +76,14 @@ def compare_atoms(a: QAtom, b: QAtom, path: str = "") -> Comparison:
 def compare_vectors(a: QVector, b: QVector, path: str = "") -> Comparison:
     if len(a) != len(b):
         return mismatch(f"{path}: lengths differ ({len(a)} vs {len(b)})")
-    if _kind(a.qtype) != _kind(b.qtype):
+    if a.qtype.spec.family != b.qtype.spec.family:
         return mismatch(
             f"{path}: type kinds differ ({a.qtype.name} vs {b.qtype.name})"
         )
-    for i, (x, y) in enumerate(zip(a.items, b.items)):
-        if not _values_equal(_canonical(a.qtype, x), _canonical(b.qtype, y)):
-            return mismatch(f"{path}[{i}]: {x!r} != {y!r}")
+    sql_a, sql_b = a.qtype.sql_values(a.items), b.qtype.sql_values(b.items)
+    for i, (x, y) in enumerate(zip(sql_a, sql_b)):
+        if not _values_equal(x, y):
+            return mismatch(f"{path}[{i}]: {a.items[i]!r} != {b.items[i]!r}")
     return MATCH
 
 

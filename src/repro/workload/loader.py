@@ -11,33 +11,10 @@ from __future__ import annotations
 
 from repro.errors import QTypeError
 from repro.qlang.interp import Interpreter
-from repro.qlang.qtypes import QType
 from repro.qlang.values import QKeyedTable, QTable, QVector
 from repro.sqlengine.catalog import Column
 from repro.sqlengine.engine import Engine
 from repro.sqlengine.types import SqlType
-
-_QTYPE_TO_SQL = {
-    QType.BOOLEAN: SqlType.BOOLEAN,
-    QType.BYTE: SqlType.SMALLINT,
-    QType.SHORT: SqlType.SMALLINT,
-    QType.INT: SqlType.INTEGER,
-    QType.LONG: SqlType.BIGINT,
-    QType.REAL: SqlType.REAL,
-    QType.FLOAT: SqlType.DOUBLE,
-    QType.CHAR: SqlType.CHAR,
-    QType.SYMBOL: SqlType.VARCHAR,
-    QType.TIMESTAMP: SqlType.TIMESTAMP,
-    QType.MONTH: SqlType.DATE,
-    QType.DATE: SqlType.DATE,
-    QType.DATETIME: SqlType.TIMESTAMP,
-    QType.TIMESPAN: SqlType.INTERVAL,
-    QType.MINUTE: SqlType.TIME,
-    QType.SECOND: SqlType.TIME,
-    QType.TIME: SqlType.TIME,
-}
-
-_TIME_SCALE = {QType.MINUTE: 60_000, QType.SECOND: 1_000}
 
 
 def qtable_to_columns(
@@ -63,18 +40,8 @@ def qtable_to_columns(
             raise QTypeError(
                 f"column {col_name!r} is a general list; only typed vectors load"
             )
-        sql_type = _QTYPE_TO_SQL[col.qtype]
-        columns.append(Column(col_name, sql_type))
-        scale = _TIME_SCALE.get(col.qtype, 1)
-        values = []
-        for raw in col.items:
-            if col.qtype.is_null(raw):
-                values.append(None)
-            elif isinstance(raw, float) and raw != raw:
-                values.append(None)
-            else:
-                values.append(raw * scale if scale != 1 else raw)
-        raw_columns.append(values)
+        columns.append(Column(col_name, col.qtype.spec.sql))
+        raw_columns.append(col.qtype.sql_values(col.items))
 
     columns.append(Column("ordcol", SqlType.BIGINT))
     row_count = len(table)

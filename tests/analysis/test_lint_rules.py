@@ -40,7 +40,7 @@ class TestRegistry:
         }
         assert codes == {
             "HQ001", "HQ002", "HQ003", "HQ004", "HQ005", "HQ006", "HQ007",
-            "HQ008", "HQ009", "HQ010", "HQ011",
+            "HQ008", "HQ009", "HQ010", "HQ011", "HQ012",
         }
 
     def test_every_row_has_a_reason_and_one_module_set(self):
@@ -771,6 +771,43 @@ class TestHQ011BillingClassOwner:
             "from repro.wlm import WorkloadManager, request_scope\n",
         )
         assert "HQ011" not in lint_codes(path)
+
+
+class TestHQ012OneTypeTable:
+    KEYED = """\
+        from repro.qlang.qtypes import QType
+
+        WIDTHS = {QType.SHORT: 2, QType.INT: 4, QType.LONG: 8}
+    """
+    VALUED = """\
+        from repro.qlang import qtypes
+
+        BY_NAME = {"h": qtypes.QType.SHORT, "i": qtypes.QType.INT,
+                   "j": qtypes.QType.LONG}
+    """
+
+    @pytest.mark.parametrize("source", [KEYED, VALUED], ids=["keys", "values"])
+    def test_table_fires_outside_qtypes(self, tmp_path, source):
+        path = _write(tmp_path, "src/repro/qipc/widths.py", source)
+        assert "HQ012" in lint_codes(path)
+
+    def test_qtypes_is_the_home(self, tmp_path):
+        path = _write(tmp_path, "src/repro/qlang/qtypes.py", self.KEYED)
+        assert "HQ012" not in lint_codes(path)
+
+    def test_two_entries_and_descriptor_reads_are_clean(self, tmp_path):
+        path = _write(
+            tmp_path, "src/repro/qipc/ok.py",
+            """\
+            from repro.qlang.qtypes import QType
+
+            TEXT = {QType.SYMBOL: "s", QType.CHAR: "c"}
+
+            def width(qtype):
+                return qtype.spec.width
+            """,
+        )
+        assert "HQ012" not in lint_codes(path)
 
 
 class TestHQ008LockFactory:

@@ -450,6 +450,18 @@ class TestCounters:
         assert stats.lookups == stats.hits + stats.misses
         assert stats.hits == 8 * 250
 
+    def test_snapshots_around_a_pass_differ(self):
+        hq, __ = make_platform()
+        q = "select sum Size by Symbol from trades"
+        before = hq.result_cache.snapshot()
+        hq.q(q)
+        hq.q(q)
+        after = hq.result_cache.snapshot()
+        assert before is not after
+        assert (before.lookups, before.hits, before.entries) == (0, 0, 0)
+        assert after.hits >= 1 and after.entries >= 1
+        assert after != before
+
 
 class TestReplyMemo:
     """The memoised QIPC reply frame on a result-cache entry."""

@@ -6,10 +6,11 @@ from repro.core.migrate import DataMover
 from repro.core.platform import HyperQ
 from repro.errors import QTypeError
 from repro.qlang.interp import Interpreter
-from repro.qlang.qtypes import QType
+from repro.qlang.qtypes import NULL_INT, NULL_LONG, NULL_SHORT, QType
 from repro.qlang.values import QAtom, QList, QTable, QVector
 from repro.sqlengine.engine import Engine
 from repro.testing.comparators import compare_values
+from repro.workload.loader import load_table
 
 
 @pytest.fixture()
@@ -142,3 +143,103 @@ class TestEndToEndMigration:
 
         mover.migrate(q_tables(source, ["trades"]), verify_with=check)
         assert seen == ["trades"]
+
+
+def _every_type_table() -> QTable:
+    """One column per Q type, nulls and a boolean ``0b`` included."""
+    guid = "deadbeef-cafe-babe-f00d-0123456789ab"
+    columns = {
+        QType.BOOLEAN: [True, False, True],
+        QType.GUID: [guid, QType.GUID.spec.null, guid],
+        QType.BYTE: [7, 0, 255],
+        QType.SHORT: [-3, NULL_SHORT, 300],
+        QType.INT: [-3, NULL_INT, 70_000],
+        QType.LONG: [-3, NULL_LONG, 2**40],
+        QType.REAL: [1.5, float("nan"), -0.25],
+        QType.FLOAT: [3.14159, float("nan"), float("inf")],
+        QType.CHAR: ["a", " ", "z"],
+        QType.SYMBOL: ["GOOG", "", "naïve"],
+        QType.TIMESTAMP: [1, NULL_LONG, 366 * 86_400_000_000_000 + 123],
+        QType.MONTH: [12, NULL_INT, -13],
+        QType.DATE: [366, NULL_INT, -400],
+        QType.DATETIME: [366.5, float("nan"), -1.25],
+        QType.TIMESPAN: [5, NULL_LONG, 86_400_000_000_001],
+        QType.MINUTE: [90, NULL_INT, 0],
+        QType.SECOND: [3_601, NULL_INT, 59],
+        QType.TIME: [43_200_001, NULL_INT, 0],
+    }
+    return QTable(
+        [qtype.name.lower() for qtype in columns],
+        [QVector(qtype, raws) for qtype, raws in columns.items()],
+    )
+
+
+class TestOneConversion:
+    """The loader, DataMover and the binder apply one Q -> SQL value
+    conversion, so a query answers the same over either loading path."""
+
+    @staticmethod
+    def _loaded(source: str, name: str):
+        interp = Interpreter()
+        interp.eval_text(source)
+        table = interp.get_global(name)
+        loaded, moved = HyperQ(), HyperQ()
+        load_table(loaded.engine, name, table, mdi=loaded.mdi)
+        DataMover(moved.backend, mdi=moved.mdi).migrate_table(name, table)
+        return interp, {"loader": loaded, "DataMover": moved}
+
+    def test_loader_and_mover_store_identical_values(self):
+        table = _every_type_table()
+        loaded, moved = HyperQ(), HyperQ()
+        load_table(loaded.engine, "every", table)
+        DataMover(moved.backend).migrate_table("every", table)
+        select = 'SELECT * FROM "every" ORDER BY "ordcol"'
+        left = loaded.engine.execute(select)
+        right = moved.engine.execute(select)
+        assert [c.sql_type for c in left.columns] == [
+            c.sql_type for c in right.columns
+        ]
+        assert left.rows == right.rows
+
+    def test_boolean_false_is_not_stored_as_null(self):
+        interp, platforms = self._loaded(
+            "tt: ([] b:1001b; j:1 2 3 4)", "tt"
+        )
+        query = "exec j from tt where not b"
+        assert interp.eval_text(query) == QVector(QType.LONG, [2, 3])
+        for path, hq in platforms.items():
+            assert hq.q(query) == QVector(QType.LONG, [2, 3]), path
+
+    def test_month_filter_matches_the_reference(self):
+        interp, platforms = self._loaded(
+            "tt: ([] m:2001.01m 2001.02m; j:1 2)", "tt"
+        )
+        query = "select from tt where m=2001.02m"
+        expected = len(interp.eval_text(query))
+        assert expected == 1
+        for path, hq in platforms.items():
+            result = hq.q(query)
+            assert len(result) == expected, path
+            assert compare_values(interp.eval_text(query), result), path
+
+    def test_month_reads_back_as_its_first_day(self):
+        __, platforms = self._loaded("tt: ([] m:2001.01m 2001.02m)", "tt")
+        for path, hq in platforms.items():
+            days = hq.q("exec m from tt")
+            assert days == QVector(QType.DATE, [366, 397]), path
+
+    def test_datetime_lands_as_nanoseconds(self):
+        table = QTable(["z"], [QVector(QType.DATETIME, [366.5])])
+        for hq, load in (
+            (HyperQ(), lambda hq: load_table(hq.engine, "tz", table)),
+            (HyperQ(), lambda hq: DataMover(hq.backend).migrate_table("tz", table)),
+        ):
+            load(hq)
+            stored = hq.engine.execute('SELECT "z" FROM "tz"').scalar()
+            assert stored == 366.5 * 86_400_000_000_000
+
+    def test_datetime_degradation_is_noted(self):
+        table = QTable(["z"], [QVector(QType.DATETIME, [1.0])])
+        report = DataMover(HyperQ().backend).migrate_table("tz", table)
+        assert report.columns[0].sql_type == "timestamp"
+        assert "timestamp" in report.columns[0].note

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.serializer import Serializer, quote_ident, quote_string
+from repro.core.serializer import Serializer, quote_ident, quote_string, sql_literal
 from repro.core.xtra import scalars as sc
 from repro.core.xtra.ops import (
     XtraColumn,
@@ -207,7 +207,7 @@ class TestConcurrentUse:
 
 class TestLiterals:
     def render(self, value, sql_type):
-        return Serializer()._literal(value, sql_type)
+        return sql_literal(value, sql_type)
 
     def test_null_typed(self):
         assert self.render(None, SqlType.BIGINT) == "NULL::bigint"

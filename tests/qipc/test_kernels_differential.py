@@ -16,14 +16,13 @@ from repro.errors import ProtocolError
 from repro.qipc.decode import decode_value
 from repro.qipc.encode import encode_value
 from repro.qipc.kernels import (
-    INT_NULLS,
-    STRUCT_CODES,
     guid_bytes,
     pack_fixed,
     pack_fixed_reference,
     reference_encode_vector,
     unpack_fixed,
     unpack_symbols,
+    wire_null,
 )
 from repro.qlang.qtypes import (
     NULL_INT,
@@ -72,7 +71,7 @@ class TestEncoderDifferential:
 
     @pytest.mark.parametrize(
         "qtype",
-        sorted(set(STRUCT_CODES), key=lambda t: t.code),
+        [t for t in QType if t.spec.struct is not None],
         ids=lambda t: t.name,
     )
     def test_empty_vector_matches_reference(self, qtype):
@@ -80,7 +79,9 @@ class TestEncoderDifferential:
         assert encode_value(vector) == reference_encode_vector(vector)
 
     @pytest.mark.parametrize(
-        "qtype", sorted(INT_NULLS, key=lambda t: t.code), ids=lambda t: t.name
+        "qtype",
+        [t for t in QType if wire_null(t) is not None],
+        ids=lambda t: t.name,
     )
     def test_nan_coded_null_in_integral_vector(self, qtype):
         # the engine encodes SQL NULL as the qtype's null; a float NaN

@@ -39,6 +39,23 @@ def atom(value):
     return QAtom(QType.LONG, value)
 
 
+class TestBooleans:
+    """q has no boolean null: ``0b`` is a value like ``1b``."""
+
+    @pytest.mark.parametrize("query, expected", [
+        ("not 0b", QAtom(QType.BOOLEAN, True)),
+        ("not 1001b", QVector(QType.BOOLEAN, [False, True, True, False])),
+        ("null 1001b", QVector(QType.BOOLEAN, [False] * 4)),
+        ("where not 1001b", QVector(QType.LONG, [1, 2])),
+        (
+            "tt: ([] b:1001b; j:1 2 3 4); exec j from tt where not b",
+            QVector(QType.LONG, [2, 3]),
+        ),
+    ])
+    def test_zero_b_is_not_null(self, interp, query, expected):
+        assert q_match(interp.eval_text(query), expected)
+
+
 class TestScalars:
     def test_right_to_left(self, interp):
         assert interp.eval_text("2*3+4") == atom(14)

@@ -1,16 +1,19 @@
 """Unit tests for the Q value model and type system."""
 
+import dataclasses
 import math
 
 import pytest
 
-from repro.errors import QLengthError, QTypeError
+from repro.errors import QDomainError, QLengthError, QNotSupportedError, QTypeError
+from repro.qlang import qtypes
+from repro.qlang.interp import Interpreter
 from repro.qlang.qtypes import (
     NULL_INT,
     NULL_LONG,
     QType,
+    from_sql,
     promote,
-    sql_type_for,
     type_from_char,
 )
 from repro.qlang.values import (
@@ -27,6 +30,7 @@ from repro.qlang.values import (
     take_value,
     vector_of_atoms,
 )
+from repro.sqlengine.types import SqlType
 
 
 class TestQTypeSystem:
@@ -45,10 +49,10 @@ class TestQTypeSystem:
             type_from_char("?")
 
     def test_null_values(self):
-        assert QType.LONG.null_value() == NULL_LONG
-        assert QType.INT.null_value() == NULL_INT
-        assert math.isnan(QType.FLOAT.null_value())
-        assert QType.SYMBOL.null_value() == ""
+        assert QType.LONG.spec.null == NULL_LONG
+        assert QType.INT.spec.null == NULL_INT
+        assert math.isnan(QType.FLOAT.spec.null)
+        assert QType.SYMBOL.spec.null == ""
 
     def test_is_null_nan_aware(self):
         assert QType.FLOAT.is_null(float("nan"))
@@ -68,9 +72,76 @@ class TestQTypeSystem:
             promote(QType.SYMBOL, QType.LONG)
 
     def test_sql_mapping(self):
-        assert sql_type_for(QType.LONG) == "bigint"
-        assert sql_type_for(QType.SYMBOL) == "varchar"
-        assert sql_type_for(QType.FLOAT) == "double precision"
+        assert QType.LONG.spec.sql.value == "bigint"
+        assert QType.SYMBOL.spec.sql.value == "varchar"
+        assert QType.FLOAT.spec.sql.value == "double precision"
+
+
+class TestTypeDescriptor:
+    def test_pivot_map_takes_the_undegraded_type(self):
+        assert from_sql(SqlType.SMALLINT) is QType.SHORT
+        assert from_sql(SqlType.DATE) is QType.DATE
+        assert from_sql(SqlType.TIME) is QType.TIME
+        assert from_sql(SqlType.TIMESTAMP) is QType.TIMESTAMP
+        assert from_sql(SqlType.UUID) is QType.GUID
+
+    def test_sql_only_types_have_aliases(self):
+        assert from_sql(SqlType.NUMERIC) is QType.FLOAT
+        assert from_sql(SqlType.TEXT) is QType.SYMBOL
+        assert from_sql(SqlType.NULL) is QType.LONG
+
+    def test_every_sql_type_pivots(self):
+        for sql_type in SqlType:
+            assert isinstance(from_sql(sql_type), QType)
+
+    def test_an_ambiguous_pivot_fails(self, monkeypatch):
+        # two undegraded Q types on one SQL type: the derivation refuses
+        month = dataclasses.replace(QType.MONTH.spec, note=None)
+        monkeypatch.setattr(QType.MONTH, "spec", month)
+        with pytest.raises(TypeError, match="pivots to both"):
+            qtypes._pivot_map()
+
+    def test_every_degradation_is_noted(self):
+        noted = {t for t in QType if t.spec.note is not None}
+        assert noted == {
+            QType.BYTE, QType.MONTH, QType.DATETIME, QType.MINUTE, QType.SECOND
+        }
+
+    def test_one_conversion(self):
+        assert QType.MONTH.sql_values([12, 13, NULL_INT]) == [366, 397, None]
+        assert QType.DATETIME.sql_value(366.5) == 366.5 * 86_400_000_000_000
+        assert QType.MINUTE.sql_value(90) == 90 * 60_000
+        assert QType.SECOND.sql_value(90) == 90_000
+        assert QType.FLOAT.sql_values([1.5, float("nan")]) == [1.5, None]
+        assert QType.LONG.sql_values([NULL_LONG, float("nan"), 3]) == [None, None, 3]
+
+    def test_wire_widths(self):
+        assert QType.LONG.spec.width == 8
+        assert QType.MONTH.spec.width == 4
+        assert QType.BOOLEAN.spec.width == 1
+        assert QType.SYMBOL.spec.struct is None
+
+    def test_boolean_has_no_null(self):
+        # q has no boolean null: 0b is a value like 1b
+        assert not QType.BOOLEAN.is_null(False)
+        assert not QType.BOOLEAN.spec.nullable
+        assert QType.BOOLEAN.sql_values([True, False]) == [True, False]
+
+
+class TestCastNames:
+    def test_every_type_is_a_cast_target(self):
+        interp = Interpreter()
+        assert interp.eval_text("`short$7") == QAtom(QType.SHORT, 7)
+        assert interp.eval_text("`month$13") == QAtom(QType.MONTH, 13)
+
+    def test_guid_is_named_but_not_castable(self):
+        # the name resolves; the conversion itself is unsupported
+        with pytest.raises(QNotSupportedError):
+            Interpreter().eval_text("`guid$7")
+
+    def test_unknown_name(self):
+        with pytest.raises(QDomainError):
+            Interpreter().eval_text("`nosuch$7")
 
 
 class TestAtomsAndVectors:
