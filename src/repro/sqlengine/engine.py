@@ -13,7 +13,7 @@ from repro.errors import SqlExecutionError
 from repro.sqlengine import sqlast as sa
 from repro.sqlengine.catalog import Catalog, Column, Table
 from repro.sqlengine.executor import Executor, ResultSet
-from repro.sqlengine.expr import EvalContext, evaluate
+from repro.sqlengine.expr import Layout, RelColumn, compile_expr
 from repro.sqlengine.parser import parse_sql
 from repro.sqlengine.types import cast_value
 
@@ -106,13 +106,13 @@ class Engine:
             positions = list(range(len(table.columns)))
         incoming: list[list] = []
         if statement.rows is not None:
+            layout = Layout([], executor=self.executor)
             for row_exprs in statement.rows:
                 if len(row_exprs) != len(positions):
                     raise SqlExecutionError(
                         "INSERT value count does not match column count"
                     )
-                ctx = EvalContext(None, executor=self.executor)
-                incoming.append([evaluate(e, ctx) for e in row_exprs])
+                incoming.append([compile_expr(e, layout)(()) for e in row_exprs])
         else:
             assert statement.query is not None
             result = self.executor.execute_select(statement.query)
@@ -129,11 +129,10 @@ class Engine:
             table.rows.append(new_row)
         return ResultSet([], [], command=f"INSERT 0 {len(incoming)}")
 
-    def _table_relation(self, table: Table):
-        from repro.sqlengine.executor import RelColumn, Relation
-
+    def _table_layout(self, table: Table) -> Layout:
+        """The slots of a stored row; DML closures read the stored lists."""
         columns = [RelColumn(table.name, c.name, c.sql_type) for c in table.columns]
-        return Relation(columns, [tuple(r) for r in table.rows])
+        return Layout(columns, executor=self.executor)
 
     def _run_delete(self, statement: sa.Delete) -> ResultSet:
         table = self.catalog.table(statement.table)
@@ -141,29 +140,29 @@ class Engine:
             removed = len(table.rows)
             table.rows.clear()
             return ResultSet([], [], command=f"DELETE {removed}")
-        relation = self._table_relation(table)
-        kept = []
-        for stored, row in zip(table.rows, relation.rows):
-            ctx = EvalContext(relation.scope(row), executor=self.executor)
-            if evaluate(statement.where, ctx) is not True:
-                kept.append(stored)
+        where = compile_expr(statement.where, self._table_layout(table))
+        kept = [stored for stored in table.rows if where(stored) is not True]
         removed = len(table.rows) - len(kept)
         table.rows = kept
         return ResultSet([], [], command=f"DELETE {removed}")
 
     def _run_update(self, statement: sa.Update) -> ResultSet:
         table = self.catalog.table(statement.table)
-        relation = self._table_relation(table)
-        positions = [table.column_index(name) for name, __ in statement.assignments]
+        layout = self._table_layout(table)
+        where = None
+        if statement.where is not None:
+            where = compile_expr(statement.where, layout)
+        assignments = [
+            (table.column_index(name), compile_expr(expr, layout))
+            for name, expr in statement.assignments
+        ]
         updated = 0
-        for stored, row in zip(table.rows, relation.rows):
-            ctx = EvalContext(relation.scope(row), executor=self.executor)
-            where = statement.where
-            if where is not None and evaluate(where, ctx) is not True:
+        for stored in table.rows:
+            if where is not None and where(stored) is not True:
                 continue
-            for pos, (__, expr) in zip(positions, statement.assignments):
-                stored[pos] = cast_value(
-                    evaluate(expr, ctx), table.columns[pos].sql_type
-                )
+            # every assignment reads the row as it was before this update
+            values = [value(stored) for __, value in assignments]
+            for (pos, __), value in zip(assignments, values):
+                stored[pos] = cast_value(value, table.columns[pos].sql_type)
             updated += 1
         return ResultSet([], [], command=f"UPDATE {updated}")

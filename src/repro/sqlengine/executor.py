@@ -1,77 +1,52 @@
-"""Volcano-lite executor for the SQL subset.
+"""Plan-once executor for the SQL subset.
 
-The executor interprets :mod:`repro.sqlengine.sqlast` trees directly over
-row-major in-memory tables.  A hash-join fast path handles the equality
-part of join conditions (the shape Hyper-Q emits for as-of joins: symbol
-equality plus a time-range residual), everything else falls back to a
-nested loop.
+:meth:`Executor.plan` lowers a SELECT once per statement.  FROM items
+become scan and join closures, and every clause -- WHERE, GROUP BY keys,
+aggregate arguments, HAVING, window arguments and keys, join keys and
+residuals, ORDER BY keys and the select list -- compiles once through
+:func:`~repro.sqlengine.expr.compile_expr` into a closure over the row
+tuple, each column already a slot index.  Running the plan is passes over
+row-major tuples: a projection of plain columns is one ``itemgetter``,
+and one that is the identity over its input is no pass at all.  A hash
+join handles the equality conjuncts of a join condition (null-safe per
+key for ``IS NOT DISTINCT FROM``, the shape Hyper-Q emits for every Q
+join); everything else falls back to a nested loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import Callable, NamedTuple
 
 from repro.errors import SqlExecutionError
 from repro.sqlengine import sqlast as sa
 from repro.sqlengine.catalog import Catalog, Column, Table, View
-from repro.sqlengine.expr import EvalContext, Scope, evaluate, infer_type
-from repro.sqlengine.functions import compute_aggregate, is_aggregate
+from repro.sqlengine.expr import Layout, RelColumn, compile_expr, infer_type
+from repro.sqlengine.functions import (
+    NULL_KEEPING_AGGREGATES,
+    compute_aggregate,
+    is_aggregate,
+)
 from repro.sqlengine.types import SqlType, promote
-from repro.sqlengine.window import compute_window_values
+from repro.sqlengine.window import compute_window_values, sort_column
+
+Rows = list[tuple]
 
 
-@dataclass
-class RelColumn:
-    table: str | None
-    name: str
-    sql_type: SqlType
+class Plan(NamedTuple):
+    """A SELECT lowered once: its output columns and the function that runs it."""
+
+    columns: list[Column]
+    run: Callable[[], Rows]
 
 
-@dataclass
-class Relation:
-    """An intermediate result: column metadata plus row tuples."""
+class Source(NamedTuple):
+    """A FROM item lowered once.  ``table`` is the stored table when the
+    item names one directly, whose rows a projection may read in place."""
 
     columns: list[RelColumn]
-    rows: list[tuple]
-    _by_qualified: dict = field(default=None, repr=False)  # type: ignore[assignment]
-    _by_name: dict = field(default=None, repr=False)  # type: ignore[assignment]
-    _ambiguous: set = field(default=None, repr=False)  # type: ignore[assignment]
-
-    def _build_lookup(self) -> None:
-        by_qualified: dict[tuple[str, str], int] = {}
-        by_name: dict[str, int] = {}
-        ambiguous: set[str] = set()
-        for i, col in enumerate(self.columns):
-            if col.table is not None:
-                by_qualified.setdefault((col.table, col.name), i)
-            if col.name in by_name:
-                ambiguous.add(col.name)
-            else:
-                by_name[col.name] = i
-        self._by_qualified = by_qualified
-        self._by_name = by_name
-        self._ambiguous = ambiguous
-
-    def scope(self, row: tuple, parent: Scope | None = None) -> Scope:
-        if self._by_qualified is None:
-            self._build_lookup()
-        return Scope(self._by_qualified, self._by_name, self._ambiguous, row, parent)
-
-    def can_resolve(self, ref: sa.ColumnRef) -> bool:
-        if self._by_qualified is None:
-            self._build_lookup()
-        if ref.table is not None:
-            return (ref.table, ref.name) in self._by_qualified
-        return ref.name in self._by_name and ref.name not in self._ambiguous
-
-    def column_type(self, ref: sa.ColumnRef) -> SqlType:
-        if self._by_qualified is None:
-            self._build_lookup()
-        if ref.table is not None:
-            index = self._by_qualified.get((ref.table, ref.name))
-        else:
-            index = self._by_name.get(ref.name)
-        return self.columns[index].sql_type if index is not None else SqlType.NULL
+    run: Callable[[], Rows]
+    table: Table | None = None
 
 
 class ResultSet:
@@ -158,14 +133,6 @@ class ResultSet:
         )
 
 
-@dataclass
-class _RowState:
-    """A pre-projection row: scope payload plus precomputed node values."""
-
-    row: tuple
-    replacements: dict
-
-
 class Executor:
     def __init__(self, catalog: Catalog):
         self.catalog = catalog
@@ -175,477 +142,351 @@ class Executor:
     def execute_select(
         self,
         select: sa.Select,
-        outer: Scope | None = None,
+        outer: Layout | None = None,
         limit_hint: int | None = None,
     ) -> ResultSet:
-        result = self._execute_core(select, outer)
-        if select.set_op is not None and select.set_right is not None:
-            right = self.execute_select(select.set_right, outer)
-            result = _apply_set_op(result, select.set_op, right)
-            if select.order_by:
-                result = self._sort_result(result, select.order_by)
-        if select.offset is not None:
-            offset = int(self._const(select.offset))
-            result.rows = result.rows[offset:]
-        if select.limit is not None:
-            limit = int(self._const(select.limit))
-            result.rows = result.rows[:limit]
+        """Run ``select``.  A subquery (``outer`` is the layout it was
+        compiled against) reuses the plan made when it was compiled."""
+        plan = outer.subplans.get(id(select)) if outer is not None else None
+        if plan is None:
+            plan = self.plan(select, outer)
+        rows = plan.run()
         if limit_hint is not None:
-            result.rows = result.rows[:limit_hint]
-        return result
+            rows = rows[:limit_hint]
+        return ResultSet(plan.columns, rows)
+
+    def plan(self, select: sa.Select, outer: Layout | None = None) -> Plan:
+        plan = self._plan_core(select, outer)
+        if select.set_op is not None and select.set_right is not None:
+            plan = self._plan_set_op(select, plan, self.plan(select.set_right, outer))
+        if select.offset is None and select.limit is None:
+            return plan
+        offset = int(self._const(select.offset)) if select.offset is not None else None
+        limit = int(self._const(select.limit)) if select.limit is not None else None
+        run = plan.run
+        return Plan(plan.columns, lambda: run()[offset:][:limit])
 
     def _const(self, expr: sa.Expr):
-        return evaluate(expr, EvalContext(None, executor=self))
+        return compile_expr(expr, Layout([], executor=self))(())
+
+    def _plan_set_op(self, select: sa.Select, left: Plan, right: Plan) -> Plan:
+        if len(left.columns) != len(right.columns):
+            raise SqlExecutionError("set operation inputs differ in column count")
+        columns = [
+            Column(lc.name, promote_or_left(lc.sql_type, rc.sql_type))
+            for lc, rc in zip(left.columns, right.columns)
+        ]
+        sort = None
+        if select.order_by:
+            layout = Layout(_relabel(None, columns), executor=self)
+            sort = _plan_order(select.order_by, layout, columns)
+        op = select.set_op
+
+        def run() -> Rows:
+            rows = _apply_set_op(left.run(), op, right.run())
+            return sort(rows, rows) if sort else rows
+
+        return Plan(columns, run)
 
     # -- core SELECT --------------------------------------------------------------
 
-    def _execute_core(self, select: sa.Select, outer: Scope | None) -> ResultSet:
-        relation = (
-            self._execute_from(select.from_clause, outer)
-            if select.from_clause is not None
-            else Relation([], [()])
-        )
-
-        # WHERE
-        if select.where is not None:
-            kept = []
-            for row in relation.rows:
-                ctx = EvalContext(relation.scope(row, outer), executor=self)
-                if evaluate(select.where, ctx) is True:
-                    kept.append(row)
-            relation = Relation(relation.columns, kept)
+    def _plan_core(self, select: sa.Select, outer: Layout | None) -> Plan:
+        source = Source([], lambda: [()])
+        if select.from_clause is not None:
+            source = self._plan_from(select.from_clause, outer)
+        columns, scan = source.columns, source.run
+        layout = Layout(columns, outer, self)
+        where = _plan_filter(select.where, layout)
 
         aggregates = _collect_aggregates(select)
+        group = None
+        if select.group_by or aggregates:
+            group = _plan_grouping(select.group_by, aggregates, layout)
+            layout = layout.extend(aggregates)  # one slot per aggregate value
+        having = _plan_filter(select.having, layout)
+
         windows = _collect_windows(select)
-        grouped = bool(select.group_by) or bool(aggregates)
+        window_values = [_plan_window(node, layout) for node in windows]
+        if windows:
+            layout = layout.extend(windows)
 
-        if grouped:
-            states = self._grouped_states(select, relation, aggregates, outer)
-        else:
-            states = [_RowState(row, {}) for row in relation.rows]
-
-        # HAVING (evaluated with aggregate replacements)
-        if select.having is not None:
-            filtered = []
-            for state in states:
-                ctx = EvalContext(
-                    relation.scope(state.row, outer),
-                    replacements=state.replacements,
-                    executor=self,
-                )
-                if evaluate(select.having, ctx) is True:
-                    filtered.append(state)
-            states = filtered
-
-        # window functions over the (possibly grouped) row states
-        for node in windows:
-            self._compute_window(node, states, relation, outer)
-
-        # projection
-        items = self._expand_stars(select.items, relation)
-        self._validate_column_refs(select, items, relation, outer)
-        out_columns = self._output_columns(items, relation)
-        out_rows: list[tuple] = []
-        order_keys: list[tuple] = []
-        alias_index = {c.name: i for i, c in enumerate(out_columns)}
-
-        for state in states:
-            ctx = EvalContext(
-                relation.scope(state.row, outer),
-                replacements=state.replacements,
-                executor=self,
-            )
-            projected = tuple(evaluate(item.expr, ctx) for item in items)
-            out_rows.append(projected)
-            if select.order_by:
-                order_keys.append(
-                    self._order_key_for_row(
-                        select.order_by, ctx, projected, alias_index
-                    )
-                )
-
+        items = _expand_stars(select.items, columns)
+        out_columns = [
+            Column(item.alias or _derive_name(item.expr),
+                   infer_type(item.expr, layout.column_type))
+            for item in items
+        ]
+        project = _plan_projection([item.expr for item in items], layout)
+        stored = source.table
+        if stored is not None and project is not None and not (group or windows):
+            # the projection copies each row it keeps, so nothing before
+            # it needs a copy of the stored rows
+            scan = lambda: stored.rows  # noqa: E731
+        order = None
         if select.order_by and select.set_op is None:
-            paired = sorted(zip(order_keys, range(len(out_rows))), key=lambda p: p[0])
-            out_rows = [out_rows[i] for __, i in paired]
+            order = _plan_order(select.order_by, layout, out_columns)
+        distinct = select.distinct
 
-        if select.distinct:
-            out_rows = _dedupe(out_rows)
+        def run() -> Rows:
+            rows = scan()
+            if where:
+                rows = where(rows)
+            if group:
+                rows = group(rows)
+            if having:
+                rows = having(rows)
+            if window_values:
+                values = [compute(rows) for compute in window_values]
+                rows = [row + extra for row, extra in zip(rows, zip(*values))]
+            out = project(rows) if project else rows
+            if order:
+                out = order(rows, out)
+            return _dedupe(out) if distinct else out
 
-        return ResultSet(out_columns, out_rows)
-
-    def _order_key_for_row(self, order_by, ctx, projected, alias_index):
-        from repro.sqlengine.window import _order_key
-
-        key = []
-        for item in order_by:
-            value = self._order_value(item.expr, ctx, projected, alias_index)
-            key.append(_order_key(value, item.descending, item.nulls_first))
-        return tuple(key)
-
-    def _order_value(self, expr, ctx, projected, alias_index):
-        if isinstance(expr, sa.Literal) and isinstance(expr.value, int):
-            ordinal = expr.value - 1
-            if 0 <= ordinal < len(projected):
-                return projected[ordinal]
-        if isinstance(expr, sa.ColumnRef) and expr.table is None:
-            if ctx.scope is not None and ctx.scope.find(expr) is not None:
-                return evaluate(expr, ctx)
-            if expr.name in alias_index:
-                return projected[alias_index[expr.name]]
-        return evaluate(expr, ctx)
-
-    def _sort_result(self, result: ResultSet, order_by) -> ResultSet:
-        relation = Relation(
-            [RelColumn(None, c.name, c.sql_type) for c in result.columns],
-            result.rows,
-        )
-        keyed = []
-        alias_index = {c.name: i for i, c in enumerate(result.columns)}
-        for row in result.rows:
-            ctx = EvalContext(relation.scope(row), executor=self)
-            keyed.append(self._order_key_for_row(order_by, ctx, row, alias_index))
-        paired = sorted(zip(keyed, range(len(result.rows))), key=lambda p: p[0])
-        result.rows = [result.rows[i] for __, i in paired]
-        return result
-
-    # -- grouping -------------------------------------------------------------------
-
-    def _grouped_states(
-        self,
-        select: sa.Select,
-        relation: Relation,
-        aggregates: list[sa.FuncCall],
-        outer: Scope | None,
-    ) -> list[_RowState]:
-        groups: dict[tuple, list[tuple]] = {}
-        order: list[tuple] = []
-        if select.group_by:
-            for row in relation.rows:
-                ctx = EvalContext(relation.scope(row, outer), executor=self)
-                key = tuple(
-                    _hashable(evaluate(e, ctx)) for e in select.group_by
-                )
-                if key not in groups:
-                    groups[key] = []
-                    order.append(key)
-                groups[key].append(row)
-        else:
-            # implicit single group (may be empty)
-            groups[()] = list(relation.rows)
-            order.append(())
-
-        states: list[_RowState] = []
-        for key in order:
-            rows = groups[key]
-            if not rows and select.group_by:
-                continue
-            replacements: dict[int, object] = {}
-            for agg in aggregates:
-                replacements[id(agg)] = self._compute_group_aggregate(
-                    agg, rows, relation, outer
-                )
-            representative = rows[0] if rows else tuple([None] * len(relation.columns))
-            states.append(_RowState(representative, replacements))
-        return states
-
-    def _compute_group_aggregate(
-        self, agg: sa.FuncCall, rows: list[tuple], relation: Relation, outer
-    ):
-        if agg.star:
-            if agg.name != "count":
-                raise SqlExecutionError(f"{agg.name}(*) is not defined")
-            return len(rows)
-        from repro.sqlengine.functions import NULL_KEEPING_AGGREGATES
-
-        keep_nulls = agg.name in NULL_KEEPING_AGGREGATES
-        values = []
-        extra_args: list = []
-        for row in rows:
-            ctx = EvalContext(relation.scope(row, outer), executor=self)
-            value = evaluate(agg.args[0], ctx)
-            if value is not None or keep_nulls:
-                values.append(value)
-            if agg.name == "string_agg" and len(agg.args) > 1 and not extra_args:
-                extra_args.append(evaluate(agg.args[1], ctx))
-        if agg.distinct:
-            values = _dedupe_values(values)
-        return compute_aggregate(agg.name, values, extra_args)
-
-    # -- windows --------------------------------------------------------------------
-
-    def _compute_window(
-        self,
-        node: sa.WindowFunc,
-        states: list[_RowState],
-        relation: Relation,
-        outer: Scope | None,
-    ) -> None:
-        def eval_for_row(i: int, expr: sa.Expr):
-            state = states[i]
-            ctx = EvalContext(
-                relation.scope(state.row, outer),
-                replacements=state.replacements,
-                executor=self,
-            )
-            return evaluate(expr, ctx)
-
-        values = compute_window_values(node, len(states), eval_for_row)
-        for state, value in zip(states, values):
-            state.replacements[id(node)] = value
+        return Plan(out_columns, run)
 
     # -- FROM -----------------------------------------------------------------------
 
-    def _execute_from(self, table_expr: sa.TableExpr, outer: Scope | None) -> Relation:
+    def _plan_from(self, table_expr: sa.TableExpr, outer: Layout | None) -> Source:
         if isinstance(table_expr, sa.TableRef):
-            return self._scan_table(table_expr)
+            relation = self.catalog.resolve(table_expr.name, table_expr.schema)
+            label = table_expr.alias or table_expr.name
+            if isinstance(relation, View):
+                plan = self.plan(relation.query)
+                return Source(_relabel(label, plan.columns), plan.run)
+            columns = [RelColumn(label, c.name, c.sql_type) for c in relation.columns]
+            return Source(columns, lambda: list(map(tuple, relation.rows)), relation)
         if isinstance(table_expr, sa.SubqueryRef):
-            result = self.execute_select(table_expr.query, outer)
-            columns = [
-                RelColumn(table_expr.alias, c.name, c.sql_type)
-                for c in result.columns
-            ]
-            return Relation(columns, result.rows)
+            plan = self.plan(table_expr.query, outer)
+            return Source(_relabel(table_expr.alias, plan.columns), plan.run)
         if isinstance(table_expr, sa.Join):
-            return self._execute_join(table_expr, outer)
+            return self._plan_join(table_expr, outer)
         raise SqlExecutionError(f"unsupported FROM item {type(table_expr).__name__}")
 
-    def _scan_table(self, ref: sa.TableRef) -> Relation:
-        relation = self.catalog.resolve(ref.name, ref.schema)
-        label = ref.alias or ref.name
-        if isinstance(relation, View):
-            result = self.execute_select(relation.query)
-            columns = [
-                RelColumn(label, c.name, c.sql_type) for c in result.columns
-            ]
-            return Relation(columns, result.rows)
-        assert isinstance(relation, Table)
-        columns = [
-            RelColumn(label, col.name, col.sql_type) for col in relation.columns
-        ]
-        return Relation(columns, [tuple(row) for row in relation.rows])
-
-    def _execute_join(self, join: sa.Join, outer: Scope | None) -> Relation:
-        left = self._execute_from(join.left, outer)
-        right = self._execute_from(join.right, outer)
-        columns = left.columns + right.columns
-        null_right = tuple([None] * len(right.columns))
-        null_left = tuple([None] * len(left.columns))
+    def _plan_join(self, join: sa.Join, outer: Layout | None) -> Source:
+        left_columns, left_run, __ = self._plan_from(join.left, outer)
+        right_columns, right_run, __ = self._plan_from(join.right, outer)
+        columns = left_columns + right_columns
 
         if join.kind == "cross" or join.condition is None:
-            rows = [l + r for l in left.rows for r in right.rows]
-            return Relation(columns, rows)
+            def cross() -> Rows:
+                right_rows = right_run()
+                return [left + right for left in left_run() for right in right_rows]
 
-        combined = Relation(columns, [])
-        left_keys, right_keys, residual = _split_equi_condition(
-            join.condition, left, right
+            return Source(columns, cross)
+
+        left_layout = Layout(left_columns, outer, self)
+        right_layout = Layout(right_columns, outer, self)
+        keys, residual = _split_equi_condition(
+            join.condition, left_layout, right_layout
         )
+        test = None
+        if residual is not None:
+            test = compile_expr(residual, Layout(columns, outer, self))
+        null_safe = [safe for __, __, safe in keys]
+        left_key = _key_builder(
+            [compile_expr(e, left_layout) for e, __, __ in keys], null_safe
+        )
+        right_key = _key_builder(
+            [compile_expr(e, right_layout) for __, e, __ in keys], null_safe
+        )
+        kind = join.kind
+        # a right join probes with the right rows, so its output keeps their order
+        flip = kind == "right"
+        probe_key, build_key = (right_key, left_key) if flip else (left_key, right_key)
+        null_left = (None,) * len(left_columns)
+        null_right = (None,) * len(right_columns)
 
-        def matches_for(left_row: tuple, candidates: list[tuple]) -> list[tuple]:
-            found = []
-            for right_row in candidates:
-                if residual is None:
-                    found.append(right_row)
-                    continue
-                ctx = EvalContext(
-                    combined.scope(left_row + right_row, outer), executor=self
-                )
-                if evaluate(residual, ctx) is True:
-                    found.append(right_row)
-            return found
-
-        if left_keys:
-            # hash join on the equality conjuncts
-            index: dict[tuple, list[tuple]] = {}
-            for right_row in right.rows:
-                ctx = EvalContext(right.scope(right_row, outer), executor=self)
-                key = tuple(_hashable(evaluate(e, ctx)) for e in right_keys)
-                if any(k is None for k in key):
-                    continue  # NULL keys never match with '='
-                index.setdefault(key, []).append(right_row)
-            rows = []
-            matched_right: set[int] = set()
-            for left_row in left.rows:
-                ctx = EvalContext(left.scope(left_row, outer), executor=self)
-                key = tuple(_hashable(evaluate(e, ctx)) for e in left_keys)
-                candidates = index.get(key, []) if not any(
-                    k is None for k in key
-                ) else []
-                found = matches_for(left_row, candidates)
-                if found:
-                    for right_row in found:
-                        rows.append(left_row + right_row)
-                        if join.kind == "full":
-                            matched_right.add(id(right_row))
-                elif join.kind in ("left", "full"):
-                    rows.append(left_row + null_right)
-            if join.kind == "right":
-                rows = self._right_join_fallback(
-                    join, left, right, combined, outer
-                )
-            if join.kind == "full":
-                for right_row in right.rows:
-                    if id(right_row) not in matched_right:
-                        rows.append(null_left + right_row)
-            return Relation(columns, rows)
-
-        # nested loop
-        rows = []
-        matched_right_idx: set[int] = set()
-        for left_row in left.rows:
-            any_match = False
-            for ri, right_row in enumerate(right.rows):
-                ctx = EvalContext(
-                    combined.scope(left_row + right_row, outer), executor=self
-                )
-                if evaluate(join.condition, ctx) is True:
-                    rows.append(left_row + right_row)
-                    any_match = True
-                    matched_right_idx.add(ri)
-            if not any_match and join.kind in ("left", "full"):
-                rows.append(left_row + null_right)
-        if join.kind == "right":
-            rows = []
-            for ri, right_row in enumerate(right.rows):
-                any_match = False
-                for left_row in left.rows:
-                    ctx = EvalContext(
-                        combined.scope(left_row + right_row, outer), executor=self
-                    )
-                    if evaluate(join.condition, ctx) is True:
-                        rows.append(left_row + right_row)
-                        any_match = True
-                if not any_match:
-                    rows.append(null_left + right_row)
-        elif join.kind == "full":
-            for ri, right_row in enumerate(right.rows):
-                if ri not in matched_right_idx:
-                    rows.append(null_left + right_row)
-        return Relation(columns, rows)
-
-    def _right_join_fallback(self, join, left, right, combined, outer):
-        rows = []
-        for right_row in right.rows:
-            any_match = False
-            for left_row in left.rows:
-                ctx = EvalContext(
-                    combined.scope(left_row + right_row, outer), executor=self
-                )
-                if evaluate(join.condition, ctx) is True:
-                    rows.append(left_row + right_row)
-                    any_match = True
-            if not any_match:
-                rows.append(tuple([None] * len(left.columns)) + right_row)
-        return rows
-
-    # -- projection helpers ------------------------------------------------------------
-
-    def _expand_stars(
-        self, items: list[sa.SelectItem], relation: Relation
-    ) -> list[sa.SelectItem]:
-        out: list[sa.SelectItem] = []
-        for item in items:
-            if isinstance(item.expr, sa.Star):
-                for col in relation.columns:
-                    if item.expr.table is not None and col.table != item.expr.table:
-                        continue
-                    out.append(
-                        sa.SelectItem(
-                            sa.ColumnRef(col.name, table=col.table), alias=col.name
-                        )
-                    )
+        def run() -> Rows:
+            left_rows, right_rows = left_run(), right_run()
+            probes, build = (right_rows, left_rows) if flip else (left_rows, right_rows)
+            if keys:
+                index: dict[tuple, list[int]] = {}
+                for i, row in enumerate(build):
+                    key = build_key(row)
+                    if key is not None:
+                        index.setdefault(key, []).append(i)
+                candidates = lambda row: index.get(probe_key(row), ())  # noqa: E731
             else:
-                out.append(item)
-        return out
-
-    def _validate_column_refs(
-        self,
-        select: sa.Select,
-        items: list[sa.SelectItem],
-        relation: Relation,
-        outer: Scope | None,
-    ) -> None:
-        """Static name resolution, so bad references fail even on empty
-        tables (as they do at plan time in PostgreSQL)."""
-        exprs: list[sa.Expr] = [item.expr for item in items]
-        if select.where is not None:
-            exprs.append(select.where)
-        exprs.extend(select.group_by)
-        if select.having is not None:
-            exprs.append(select.having)
-
-        def walk(node) -> None:
-            if isinstance(node, sa.ColumnRef):
-                if node.table is None and node.name in relation._ambiguous:
-                    raise SqlExecutionError(
-                        f'column reference "{node.name}" is ambiguous'
-                    )
-                if relation.can_resolve(node):
-                    return
-                scope: Scope | None = outer
-                probe = sa.ColumnRef(node.name, node.table)
-                while scope is not None:
-                    try:
-                        if scope._local_index(probe) is not None:
-                            return
-                    except SqlExecutionError:
-                        return  # ambiguous in outer scope: defer to runtime
-                    scope = scope.parent
-                raise SqlExecutionError(
-                    f'column "{node.display}" does not exist'
+                every = range(len(build))
+                candidates = lambda row: every  # noqa: E731
+            rows: Rows = []
+            matched: set[int] = set()
+            for probe in probes:
+                found = False
+                for i in candidates(probe):
+                    row = build[i] + probe if flip else probe + build[i]
+                    if test is None or test(row) is True:
+                        rows.append(row)
+                        matched.add(i)
+                        found = True
+                if not found and kind != "inner":
+                    rows.append(null_left + probe if flip else probe + null_right)
+            if kind == "full":
+                rows.extend(
+                    null_left + row
+                    for i, row in enumerate(right_rows)
+                    if i not in matched
                 )
-            if isinstance(node, (sa.ScalarSubquery, sa.ExistsSubquery)):
-                return  # the subquery validates itself on execution
-            if isinstance(node, sa.InSubquery):
-                walk(node.operand)
-                return
-            if isinstance(node, sa.WindowFunc):
-                for arg in node.func.args:
-                    walk(arg)
-                for p in node.window.partition_by:
-                    walk(p)
-                for item in node.window.order_by:
-                    walk(item.expr)
-                return
-            for attr in ("left", "right", "operand", "low", "high", "pattern"):
-                child = getattr(node, attr, None)
-                if isinstance(child, sa.Expr):
-                    walk(child)
-            if isinstance(node, sa.FuncCall):
-                for arg in node.args:
-                    walk(arg)
-            if isinstance(node, sa.InList):
-                for item in node.items:
-                    walk(item)
-            if isinstance(node, sa.Case):
-                if node.operand is not None:
-                    walk(node.operand)
-                for c, r in node.branches:
-                    walk(c)
-                    walk(r)
-                if node.default is not None:
-                    walk(node.default)
-            if isinstance(node, sa.Cast):
-                walk(node.operand)
+            return rows
 
-        if relation._by_qualified is None:
-            relation._build_lookup()
-        for expr in exprs:
-            walk(expr)
+        return Source(columns, run)
 
-    def _output_columns(
-        self, items: list[sa.SelectItem], relation: Relation
-    ) -> list[Column]:
-        columns = []
-        for item in items:
-            name = item.alias or _derive_name(item.expr)
-            sql_type = infer_type(item.expr, relation.column_type)
-            columns.append(Column(name, sql_type))
-        return columns
+
+# ---------------------------------------------------------------------------
+# Clause planners
+# ---------------------------------------------------------------------------
+
+
+def _plan_filter(expr: sa.Expr | None, layout: Layout):
+    if expr is None:
+        return None
+    test = compile_expr(expr, layout)
+    return lambda rows: [row for row in rows if test(row) is True]
+
+
+def _plan_grouping(group_by: list[sa.Expr], aggregates: list[sa.FuncCall],
+                   layout: Layout) -> Callable[[Rows], Rows]:
+    """Rows -> one row per group: a representative input row followed by
+    the group's aggregate values."""
+    # NULL keys group together, as IS NOT DISTINCT FROM keys match
+    key_of = _key_builder([compile_expr(e, layout) for e in group_by],
+                          [True] * len(group_by))
+    folds = [_plan_aggregate(agg, layout) for agg in aggregates]
+    empty = (None,) * layout.width
+
+    def group(rows: Rows) -> Rows:
+        if group_by:
+            groups: dict[tuple, Rows] = {}
+            for row in rows:
+                key = key_of(row)
+                members = groups.get(key)
+                if members is None:
+                    groups[key] = [row]
+                else:
+                    members.append(row)
+            buckets = list(groups.values())
+        else:
+            buckets = [rows]  # implicit single group (may be empty)
+        return [
+            (members[0] if members else empty)
+            + tuple([fold(members) for fold in folds])
+            for members in buckets
+        ]
+
+    return group
+
+
+def _plan_aggregate(agg: sa.FuncCall, layout: Layout) -> Callable[[Rows], object]:
+    if agg.star:
+        if agg.name != "count":
+            raise SqlExecutionError(f"{agg.name}(*) is not defined")
+        return len
+    arg = compile_expr(agg.args[0], layout)
+    extra = None
+    if agg.name == "string_agg" and len(agg.args) > 1:
+        extra = compile_expr(agg.args[1], layout)
+    keep_nulls = agg.name in NULL_KEEPING_AGGREGATES
+
+    def fold(rows: Rows):
+        values = [v for v in map(arg, rows) if v is not None or keep_nulls]
+        if agg.distinct:
+            values = _dedupe_values(values)
+        extra_args = [extra(rows[0])] if extra is not None and rows else []
+        return compute_aggregate(agg.name, values, extra_args)
+
+    return fold
+
+
+def _plan_window(node: sa.WindowFunc, layout: Layout) -> Callable[[Rows], list]:
+    spec = node.window
+    args = [compile_expr(arg, layout) for arg in node.func.args]
+    partition = [compile_expr(e, layout) for e in spec.partition_by]
+    order = [compile_expr(item.expr, layout) for item in spec.order_by]
+    return lambda rows: compute_window_values(node, rows, args, partition, order)
+
+
+def _plan_projection(exprs: list[sa.Expr], layout: Layout):
+    """Rows -> projected rows, or None when the projection is the identity."""
+    slots = [_local_slot(e, layout) for e in exprs]
+    if None not in slots:
+        if slots == list(range(layout.width)):
+            return None
+        if len(slots) == 1:
+            (slot,) = slots
+            return lambda rows: [(row[slot],) for row in rows]
+        if slots:
+            getter = itemgetter(*slots)
+            return lambda rows: list(map(getter, rows))
+    fns = [compile_expr(e, layout) for e in exprs]
+    return lambda rows: [tuple([f(row) for f in fns]) for row in rows]
+
+
+def _local_slot(expr: sa.Expr, layout: Layout) -> int | None:
+    """The slot ``expr`` reads as is: a column of this layout, or an
+    aggregate or window value appended to the row."""
+    slot = layout.bound.get(id(expr))
+    if slot is not None or not isinstance(expr, sa.ColumnRef):
+        return slot
+    owner, slot = layout.resolve(expr)
+    return slot if owner is layout else None
+
+
+def _plan_order(order_by: list[sa.OrderItem], layout: Layout,
+                out_columns: list[Column]) -> Callable[[Rows, Rows], Rows]:
+    """sort(in_rows, out_rows): the output rows ordered by keys read from
+    the output row (an ordinal, or an output alias that names no input
+    column) or computed from the input row."""
+    alias_index = {c.name: i for i, c in enumerate(out_columns)}
+    keys = []
+    for item in order_by:
+        expr = item.expr
+        if isinstance(expr, sa.Literal) and isinstance(expr.value, int) \
+                and 0 <= expr.value - 1 < len(out_columns):
+            from_out, fn = True, itemgetter(expr.value - 1)
+        elif isinstance(expr, sa.ColumnRef) and expr.table is None \
+                and not layout.resolves(expr) and expr.name in alias_index:
+            from_out, fn = True, itemgetter(alias_index[expr.name])
+        else:
+            from_out, fn = False, compile_expr(expr, layout)
+        keys.append((from_out, fn, item.descending, item.nulls_first))
+
+    def sort(in_rows: Rows, out_rows: Rows) -> Rows:
+        columns = [
+            sort_column(list(map(fn, out_rows if from_out else in_rows)),
+                        descending, nulls_first)
+            for from_out, fn, descending, nulls_first in keys
+        ]
+        sort_keys = list(zip(*columns))
+        order = sorted(range(len(out_rows)), key=sort_keys.__getitem__)
+        return [out_rows[i] for i in order]
+
+    return sort
 
 
 # ---------------------------------------------------------------------------
 # Helpers
 # ---------------------------------------------------------------------------
+
+
+def _relabel(label: str | None, columns: list[Column]) -> list[RelColumn]:
+    return [RelColumn(label, c.name, c.sql_type) for c in columns]
+
+
+def _expand_stars(
+    items: list[sa.SelectItem], columns: list[RelColumn]
+) -> list[sa.SelectItem]:
+    out: list[sa.SelectItem] = []
+    for item in items:
+        if isinstance(item.expr, sa.Star):
+            out.extend(
+                sa.SelectItem(sa.ColumnRef(col.name, table=col.table), alias=col.name)
+                for col in columns
+                if item.expr.table is None or col.table == item.expr.table
+            )
+        else:
+            out.append(item)
+    return out
 
 
 def _hashable(value):
@@ -656,7 +497,31 @@ def _hashable(value):
     return value
 
 
-def _dedupe(rows: list[tuple]) -> list[tuple]:
+def _key_builder(fns: list[Callable], null_safe: list[bool]) -> Callable:
+    """Row -> hashable join key, or None when the row can match nothing: a
+    NULL in a key compared with '=' (not IS NOT DISTINCT FROM)."""
+
+    if len(fns) == 1:
+        (fn,), (safe,) = fns, null_safe
+
+        def single(row: tuple):
+            value = _hashable(fn(row))
+            return (value,) if value is not None or safe else None
+
+        return single
+
+    def key(row: tuple):
+        values = tuple([_hashable(f(row)) for f in fns])
+        if None in values and any(
+            v is None and not safe for v, safe in zip(values, null_safe)
+        ):
+            return None
+        return values
+
+    return key
+
+
+def _dedupe(rows: Rows) -> Rows:
     seen: set = set()
     out = []
     for row in rows:
@@ -690,91 +555,59 @@ def _derive_name(expr: sa.Expr) -> str:
     return "?column?"
 
 
+def _children(node: sa.Expr) -> tuple:
+    """The scalar sub-expressions of ``node`` (not those inside subqueries)."""
+    if isinstance(node, sa.BinaryOp):
+        return (node.left, node.right)
+    if isinstance(node, (sa.UnaryOp, sa.IsNull, sa.Cast, sa.InSubquery)):
+        return (node.operand,)
+    if isinstance(node, sa.InList):
+        return (node.operand, *node.items)
+    if isinstance(node, sa.Between):
+        return (node.operand, node.low, node.high)
+    if isinstance(node, sa.LikeOp):
+        return (node.operand, node.pattern)
+    if isinstance(node, sa.Case):
+        parts = [node.operand, *(e for branch in node.branches for e in branch),
+                 node.default]
+        return tuple(part for part in parts if part is not None)
+    if isinstance(node, sa.FuncCall):
+        return tuple(node.args)
+    if isinstance(node, sa.WindowFunc):
+        return (*node.func.args, *node.window.partition_by,
+                *(item.expr for item in node.window.order_by))
+    return ()
+
+
 def _collect_aggregates(select: sa.Select) -> list[sa.FuncCall]:
     found: list[sa.FuncCall] = []
 
-    def walk(node, in_window=False):
-        if isinstance(node, sa.WindowFunc):
-            for arg in node.func.args:
-                walk(arg, in_window=True)
-            for e in node.window.partition_by:
-                walk(e, in_window=True)
-            for item in node.window.order_by:
-                walk(item.expr, in_window=True)
-            return
-        if isinstance(node, sa.FuncCall):
-            if not in_window and (is_aggregate(node.name) or node.star):
-                found.append(node)
-                return  # do not descend: nested aggregates unsupported
-            for arg in node.args:
-                walk(arg, in_window)
-            return
-        if isinstance(node, sa.BinaryOp):
-            walk(node.left, in_window)
-            walk(node.right, in_window)
-        elif isinstance(node, sa.UnaryOp):
-            walk(node.operand, in_window)
-        elif isinstance(node, sa.IsNull):
-            walk(node.operand, in_window)
-        elif isinstance(node, sa.InList):
-            walk(node.operand, in_window)
-            for i in node.items:
-                walk(i, in_window)
-        elif isinstance(node, sa.Between):
-            walk(node.operand, in_window)
-            walk(node.low, in_window)
-            walk(node.high, in_window)
-        elif isinstance(node, sa.LikeOp):
-            walk(node.operand, in_window)
-            walk(node.pattern, in_window)
-        elif isinstance(node, sa.Cast):
-            walk(node.operand, in_window)
-        elif isinstance(node, sa.Case):
-            if node.operand:
-                walk(node.operand, in_window)
-            for c, r in node.branches:
-                walk(c, in_window)
-                walk(r, in_window)
-            if node.default:
-                walk(node.default, in_window)
+    def walk(node, in_window: bool) -> None:
+        if isinstance(node, sa.FuncCall) and not in_window \
+                and (is_aggregate(node.name) or node.star):
+            found.append(node)
+            return  # do not descend: nested aggregates unsupported
+        in_window = in_window or isinstance(node, sa.WindowFunc)
+        for child in _children(node):
+            walk(child, in_window)
 
-    for item in select.items:
-        if not isinstance(item.expr, sa.Star):
-            walk(item.expr)
+    exprs = [item.expr for item in select.items if not isinstance(item.expr, sa.Star)]
     if select.having is not None:
-        walk(select.having)
-    for item in select.order_by:
-        walk(item.expr)
+        exprs.append(select.having)
+    for expr in exprs + [item.expr for item in select.order_by]:
+        walk(expr, False)
     return found
 
 
 def _collect_windows(select: sa.Select) -> list[sa.WindowFunc]:
     found: list[sa.WindowFunc] = []
 
-    def walk(node):
+    def walk(node) -> None:
         if isinstance(node, sa.WindowFunc):
             found.append(node)
             return
-        if isinstance(node, sa.FuncCall):
-            for arg in node.args:
-                walk(arg)
-        elif isinstance(node, sa.BinaryOp):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, sa.UnaryOp):
-            walk(node.operand)
-        elif isinstance(node, sa.Cast):
-            walk(node.operand)
-        elif isinstance(node, sa.Case):
-            if node.operand:
-                walk(node.operand)
-            for c, r in node.branches:
-                walk(c)
-                walk(r)
-            if node.default:
-                walk(node.default)
-        elif isinstance(node, sa.IsNull):
-            walk(node.operand)
+        for child in _children(node):
+            walk(child)
 
     for item in select.items:
         if not isinstance(item.expr, sa.Star):
@@ -784,32 +617,24 @@ def _collect_windows(select: sa.Select) -> list[sa.WindowFunc]:
     return found
 
 
-def _split_equi_condition(
-    condition: sa.Expr, left: Relation, right: Relation
-):
-    """Split a join condition into hashable equality keys and a residual.
+def _split_equi_condition(condition: sa.Expr, left: Layout, right: Layout):
+    """Split a join condition into hash keys and a residual.
 
-    Returns (left_exprs, right_exprs, residual_expr_or_None).
+    Returns ([(left_expr, right_expr, null_safe)], residual); with no keys
+    the residual is the whole condition, and with keys it is None when
+    nothing else is left.
     """
-    conjuncts = _flatten_and(condition)
-    left_keys: list[sa.Expr] = []
-    right_keys: list[sa.Expr] = []
-    residual: list[sa.Expr] = []
-    for conjunct in conjuncts:
+    keys = []
+    residual: sa.Expr | None = None
+    for conjunct in _flatten_and(condition):
         pair = _equi_pair(conjunct, left, right)
-        if pair is None:
-            residual.append(conjunct)
+        if pair is not None:
+            keys.append(pair)
+        elif residual is None:
+            residual = conjunct
         else:
-            left_keys.append(pair[0])
-            right_keys.append(pair[1])
-    residual_expr: sa.Expr | None = None
-    for conjunct in residual:
-        residual_expr = (
-            conjunct
-            if residual_expr is None
-            else sa.BinaryOp("AND", residual_expr, conjunct)
-        )
-    return left_keys, right_keys, residual_expr
+            residual = sa.BinaryOp("AND", residual, conjunct)
+    return (keys, residual) if keys else ([], condition)
 
 
 def _flatten_and(expr: sa.Expr) -> list[sa.Expr]:
@@ -818,7 +643,7 @@ def _flatten_and(expr: sa.Expr) -> list[sa.Expr]:
     return [expr]
 
 
-def _equi_pair(expr: sa.Expr, left: Relation, right: Relation):
+def _equi_pair(expr: sa.Expr, left: Layout, right: Layout):
     if not isinstance(expr, sa.BinaryOp) or expr.op not in (
         "=",
         "IS NOT DISTINCT FROM",
@@ -832,66 +657,38 @@ def _equi_pair(expr: sa.Expr, left: Relation, right: Relation):
         in_left = all(left.can_resolve(r) for r in refs)
         in_right = all(right.can_resolve(r) for r in refs)
         if in_left and not in_right:
-            sides.append(("L", operand))
+            sides.append("L")
         elif in_right and not in_left:
-            sides.append(("R", operand))
+            sides.append("R")
         else:
             return None
-    if sides[0][0] == "L" and sides[1][0] == "R":
-        return sides[0][1], sides[1][1]
-    if sides[0][0] == "R" and sides[1][0] == "L":
-        return sides[1][1], sides[0][1]
+    null_safe = expr.op == "IS NOT DISTINCT FROM"
+    if sides == ["L", "R"]:
+        return expr.left, expr.right, null_safe
+    if sides == ["R", "L"]:
+        return expr.right, expr.left, null_safe
     return None
 
 
 def _column_refs(expr: sa.Expr) -> list[sa.ColumnRef]:
-    refs: list[sa.ColumnRef] = []
-
-    def walk(node):
-        if isinstance(node, sa.ColumnRef):
-            refs.append(node)
-        elif isinstance(node, sa.BinaryOp):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, sa.UnaryOp):
-            walk(node.operand)
-        elif isinstance(node, sa.Cast):
-            walk(node.operand)
-        elif isinstance(node, sa.FuncCall):
-            for arg in node.args:
-                walk(arg)
-
-    walk(expr)
-    return refs
+    if isinstance(expr, sa.ColumnRef):
+        return [expr]
+    return [ref for child in _children(expr) for ref in _column_refs(child)]
 
 
-def _apply_set_op(left: ResultSet, op: str, right: ResultSet) -> ResultSet:
-    if len(left.columns) != len(right.columns):
-        raise SqlExecutionError("set operation inputs differ in column count")
-    columns = [
-        Column(lc.name, promote_or_left(lc.sql_type, rc.sql_type))
-        for lc, rc in zip(left.columns, right.columns)
-    ]
+def _apply_set_op(left: Rows, op: str, right: Rows) -> Rows:
     if op == "union all":
-        return ResultSet(columns, left.rows + right.rows)
+        return left + right
     if op == "union":
-        return ResultSet(columns, _dedupe(left.rows + right.rows))
-    if op == "intersect":
-        right_set = {tuple(_hashable(v) for v in r) for r in right.rows}
-        rows = [
+        return _dedupe(left + right)
+    if op in ("intersect", "except"):
+        right_set = {tuple(_hashable(v) for v in r) for r in right}
+        keep = op == "intersect"
+        return [
             r
-            for r in _dedupe(left.rows)
-            if tuple(_hashable(v) for v in r) in right_set
+            for r in _dedupe(left)
+            if (tuple(_hashable(v) for v in r) in right_set) == keep
         ]
-        return ResultSet(columns, rows)
-    if op == "except":
-        right_set = {tuple(_hashable(v) for v in r) for r in right.rows}
-        rows = [
-            r
-            for r in _dedupe(left.rows)
-            if tuple(_hashable(v) for v in r) not in right_set
-        ]
-        return ResultSet(columns, rows)
     raise SqlExecutionError(f"unsupported set operation {op!r}")
 
 

@@ -1,4 +1,17 @@
-"""Scalar expression evaluation with PostgreSQL three-valued logic.
+"""Scalar expressions, compiled once per statement into closures over rows.
+
+:func:`compile_expr` lowers an expression against a :class:`Layout`, the
+slots of the rows it will run over, and returns a closure ``fn(row)``.
+Compiling does the per-statement work once:
+
+- every column reference becomes a slot index, or a slot of an enclosing
+  query's current row inside a correlated subquery, so an unknown or
+  ambiguous name fails before any row is read (at plan time, as in
+  PostgreSQL);
+- aggregate and window nodes read the slots where the executor appends
+  their values;
+- subtrees of literals fold to their value (``'BAC'::varchar`` is cast
+  once, not per row).
 
 ``None`` is SQL NULL.  Comparisons involving NULL yield NULL; ``AND``/``OR``
 follow Kleene logic; ``IS NOT DISTINCT FROM`` provides the null-safe
@@ -8,7 +21,11 @@ Section 3.3, "Correctness").
 
 from __future__ import annotations
 
+import operator
 import re
+from dataclasses import dataclass
+from functools import lru_cache
+from operator import itemgetter
 from typing import Callable
 
 from repro.errors import SqlExecutionError, SqlTypeError
@@ -22,180 +39,199 @@ from repro.sqlengine.functions import (
 from repro.sqlengine.types import SqlType, cast_value, promote
 
 
-class Scope:
-    """Column resolution for one row, chainable for correlated subqueries."""
+@dataclass
+class RelColumn:
+    table: str | None
+    name: str
+    sql_type: SqlType
 
-    __slots__ = ("by_qualified", "by_name", "ambiguous", "row", "parent")
 
-    def __init__(
-        self,
-        by_qualified: dict[tuple[str, str], int],
-        by_name: dict[str, int],
-        ambiguous: set[str],
-        row: tuple,
-        parent: "Scope | None" = None,
-    ):
-        self.by_qualified = by_qualified
-        self.by_name = by_name
-        self.ambiguous = ambiguous
-        self.row = row
+class Layout:
+    """What sits at each slot of the rows a compiled expression reads.
+
+    ``bound`` maps an aggregate or window node (by ``id``) to the slot the
+    executor appends its value at.  A subquery's layouts chain to the
+    layout it was compiled against (``parent``); a correlated reference
+    reads that layout's ``row``, which the subquery's closure sets to the
+    current outer row before it runs the subquery.  ``subplans`` keeps the
+    plans of subqueries compiled against this layout, and ``outer_refs``
+    counts references from nested layouts that resolved here, which is how
+    a subquery is known to be correlated.
+    """
+
+    __slots__ = ("columns", "parent", "executor", "bound", "width", "row",
+                 "subplans", "outer_refs", "_qualified", "_names", "_ambiguous")
+
+    def __init__(self, columns: list[RelColumn], parent: Layout | None = None,
+                 executor=None, bound: dict[int, int] | None = None):
+        if executor is None and parent is not None:
+            executor = parent.executor
+        self.columns = columns
         self.parent = parent
+        self.executor = executor
+        self.bound = bound or {}
+        self.width = len(columns) + len(self.bound)
+        self.row = None
+        self.subplans: dict[int, object] = {}
+        self.outer_refs = 0
+        self._qualified: dict[tuple[str, str], int] = {}
+        self._names: dict[str, int] = {}
+        self._ambiguous: set[str] = set()
+        for i, col in enumerate(columns):
+            if col.table is not None:
+                self._qualified.setdefault((col.table, col.name), i)
+            if col.name in self._names:
+                self._ambiguous.add(col.name)
+            else:
+                self._names[col.name] = i
 
-    def lookup(self, ref: sa.ColumnRef):
-        index = self.find(ref)
-        if index is None:
-            raise SqlExecutionError(f'column "{ref.display}" does not exist')
-        scope: Scope | None = self
-        while scope is not None:
-            idx = scope._local_index(ref)
-            if idx is not None:
-                return scope.row[idx]
-            scope = scope.parent
+    def extend(self, nodes: list[sa.Expr]) -> Layout:
+        """This layout plus one slot per node, appended after the rest."""
+        bound = dict(self.bound)
+        bound.update((id(node), self.width + k) for k, node in enumerate(nodes))
+        return Layout(self.columns, self.parent, self.executor, bound)
+
+    def _local(self, ref: sa.ColumnRef) -> int | None:
+        if ref.table is not None:
+            return self._qualified.get((ref.table, ref.name))
+        if ref.name in self._ambiguous:
+            raise SqlExecutionError(f'column reference "{ref.name}" is ambiguous')
+        return self._names.get(ref.name)
+
+    def resolve(self, ref: sa.ColumnRef) -> tuple[Layout, int]:
+        """The layout (this one or an enclosing one) and slot ``ref`` names."""
+        layout: Layout | None = self
+        while layout is not None:
+            slot = layout._local(ref)
+            if slot is not None:
+                if layout is not self:
+                    layout.outer_refs += 1
+                return layout, slot
+            layout = layout.parent
         raise SqlExecutionError(f'column "{ref.display}" does not exist')
 
-    def find(self, ref: sa.ColumnRef) -> int | None:
-        scope: Scope | None = self
-        while scope is not None:
-            idx = scope._local_index(ref)
-            if idx is not None:
-                return idx
-            scope = scope.parent
-        return None
-
-    def _local_index(self, ref: sa.ColumnRef) -> int | None:
-        if ref.table is not None:
-            return self.by_qualified.get((ref.table, ref.name))
-        if ref.name in self.ambiguous:
-            raise SqlExecutionError(f'column reference "{ref.name}" is ambiguous')
-        return self.by_name.get(ref.name)
-
-
-class EvalContext:
-    """Everything an expression needs: the row scope, precomputed values
-    for aggregate/window nodes, and an executor hook for subqueries."""
-
-    __slots__ = ("scope", "replacements", "executor")
-
-    def __init__(self, scope: Scope | None, replacements=None, executor=None):
-        self.scope = scope
-        self.replacements = replacements
-        self.executor = executor
-
-
-def evaluate(expr: sa.Expr, ctx: EvalContext):
-    if ctx.replacements is not None:
-        replaced = ctx.replacements.get(id(expr), _MISSING)
-        if replaced is not _MISSING:
-            return replaced
-    handler = _HANDLERS.get(type(expr))
-    if handler is None:
-        raise SqlExecutionError(f"cannot evaluate {type(expr).__name__}")
-    return handler(expr, ctx)
-
-
-_MISSING = object()
-
-
-def _eval_literal(expr: sa.Literal, ctx):
-    return expr.value
-
-
-def _eval_column(expr: sa.ColumnRef, ctx):
-    if ctx.scope is None:
-        raise SqlExecutionError(f'column "{expr.display}" used without a FROM clause')
-    return ctx.scope.lookup(expr)
-
-
-def _eval_unary(expr: sa.UnaryOp, ctx):
-    value = evaluate(expr.operand, ctx)
-    if expr.op == "NOT":
-        return None if value is None else (not value)
-    if value is None:
-        return None
-    return -value if expr.op == "-" else value
-
-
-def _numeric_binop(op: str, left, right):
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        if right == 0:
-            raise SqlExecutionError("division by zero")
-        if isinstance(left, int) and isinstance(right, int):
-            quotient = abs(left) // abs(right)
-            return quotient if (left >= 0) == (right >= 0) else -quotient
-        return left / right
-    if op == "%":
-        if right == 0:
-            raise SqlExecutionError("division by zero")
-        return left - right * int(left / right)
-    raise SqlExecutionError(f"unknown operator {op!r}")
-
-
-def _compare(op: str, left, right):
-    if left is None or right is None:
-        return None
-    try:
-        if op == "=":
-            return left == right
-        if op == "<>":
-            return left != right
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        if op == ">=":
-            return left >= right
-    except TypeError:
-        raise SqlTypeError(
-            f"cannot compare {type(left).__name__} with {type(right).__name__}"
-        ) from None
-    raise SqlExecutionError(f"unknown comparison {op!r}")
-
-
-def _eval_binary(expr: sa.BinaryOp, ctx):
-    op = expr.op
-    if op == "AND":
-        left = evaluate(expr.left, ctx)
-        if left is False:
-            return False
-        right = evaluate(expr.right, ctx)
-        if right is False:
-            return False
-        if left is None or right is None:
-            return None
-        return True
-    if op == "OR":
-        left = evaluate(expr.left, ctx)
-        if left is True:
-            return True
-        right = evaluate(expr.right, ctx)
-        if right is True:
-            return True
-        if left is None or right is None:
-            return None
+    def resolves(self, ref: sa.ColumnRef) -> bool:
+        layout: Layout | None = self
+        while layout is not None:
+            if layout._local(ref) is not None:
+                return True
+            layout = layout.parent
         return False
-    left = evaluate(expr.left, ctx)
-    right = evaluate(expr.right, ctx)
-    if op == "IS NOT DISTINCT FROM":
-        return _null_safe_equal(left, right)
-    if op == "IS DISTINCT FROM":
-        return not _null_safe_equal(left, right)
-    if op in ("=", "<>", "<", "<=", ">", ">="):
-        return _compare(op, left, right)
-    if op == "||":
+
+    def can_resolve(self, ref: sa.ColumnRef) -> bool:
+        """Whether ``ref`` names exactly one column of this layout."""
+        if ref.table is not None:
+            return (ref.table, ref.name) in self._qualified
+        return ref.name in self._names and ref.name not in self._ambiguous
+
+    def column_type(self, ref: sa.ColumnRef) -> SqlType:
+        if ref.table is not None:
+            index = self._qualified.get((ref.table, ref.name))
+        else:
+            index = self._names.get(ref.name)
+        return self.columns[index].sql_type if index is not None else SqlType.NULL
+
+
+def compile_expr(expr: sa.Expr, layout: Layout) -> Callable:
+    """Lower ``expr`` once into a closure over a row laid out as ``layout``."""
+    return _call(_compile(expr, layout))
+
+
+class _Const:
+    """A folded subtree: its value, known before any row is read."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+
+def _compile(expr: sa.Expr, layout: Layout):
+    slot = layout.bound.get(id(expr))
+    if slot is not None:
+        return itemgetter(slot)
+    compiler = _COMPILERS.get(type(expr))
+    if compiler is None:
+        raise SqlExecutionError(f"cannot evaluate {type(expr).__name__}")
+    return compiler(expr, layout)
+
+
+def _call(compiled) -> Callable:
+    if isinstance(compiled, _Const):
+        value = compiled.value
+        return lambda row: value
+    return compiled
+
+
+def _fold(fn: Callable, kids) -> object:
+    """``fn`` itself, or its value when every kid is a constant.  A fold
+    that raises (``1/0``) stays a closure, so the error is raised only for
+    rows that reach it (a CASE branch not taken raises nothing)."""
+    if all(isinstance(kid, _Const) for kid in kids):
+        try:
+            return _Const(fn(()))
+        except Exception:
+            return fn
+    return fn
+
+
+def _lift(op: Callable, *kids):
+    """A closure applying ``op`` to the kids' values of each row."""
+    if len(kids) == 2 and isinstance(kids[1], _Const) \
+            and not isinstance(kids[0], _Const):
+        first, second = kids[0], kids[1].value
+        return lambda row: op(first(row), second)
+    fns = [_call(kid) for kid in kids]
+    if len(fns) == 1:
+        (a,) = fns
+        fn = lambda row: op(a(row))  # noqa: E731
+    elif len(fns) == 2:
+        a, b = fns
+        fn = lambda row: op(a(row), b(row))  # noqa: E731
+    else:
+        fn = lambda row: op(*[f(row) for f in fns])  # noqa: E731
+    return _fold(fn, kids)
+
+
+# -- operators over values ----------------------------------------------------
+
+
+def _comparison(test: Callable) -> Callable:
+    def compare(left, right):
         if left is None or right is None:
             return None
-        return str(left) + str(right)
-    if left is None or right is None:
-        return None
-    return _numeric_binop(op, left, right)
+        try:
+            return test(left, right)
+        except TypeError:
+            raise SqlTypeError(
+                f"cannot compare {type(left).__name__} with {type(right).__name__}"
+            ) from None
+
+    return compare
+
+
+def _arithmetic(fn: Callable) -> Callable:
+    def apply(left, right):
+        if left is None or right is None:
+            return None
+        return fn(left, right)
+
+    return apply
+
+
+def _divide(left, right):
+    if right == 0:
+        raise SqlExecutionError("division by zero")
+    if isinstance(left, int) and isinstance(right, int):
+        quotient = abs(left) // abs(right)
+        return quotient if (left >= 0) == (right >= 0) else -quotient
+    return left / right
+
+
+def _modulo(left, right):
+    if right == 0:
+        raise SqlExecutionError("division by zero")
+    return left - right * int(left / right)
 
 
 def _null_safe_equal(left, right) -> bool:
@@ -206,37 +242,37 @@ def _null_safe_equal(left, right) -> bool:
     return bool(left == right)
 
 
-def _eval_isnull(expr: sa.IsNull, ctx):
-    value = evaluate(expr.operand, ctx)
-    return (value is not None) if expr.negated else (value is None)
+_BINARY: dict[str, Callable] = {
+    "=": _comparison(operator.eq),
+    "<>": _comparison(operator.ne),
+    "<": _comparison(operator.lt),
+    "<=": _comparison(operator.le),
+    ">": _comparison(operator.gt),
+    ">=": _comparison(operator.ge),
+    "IS NOT DISTINCT FROM": _null_safe_equal,
+    "IS DISTINCT FROM": lambda left, right: not _null_safe_equal(left, right),
+    "||": _arithmetic(lambda left, right: str(left) + str(right)),
+    "+": _arithmetic(operator.add),
+    "-": _arithmetic(operator.sub),
+    "*": _arithmetic(operator.mul),
+    "/": _arithmetic(_divide),
+    "%": _arithmetic(_modulo),
+}
 
 
-def _eval_inlist(expr: sa.InList, ctx):
-    value = evaluate(expr.operand, ctx)
+def _member(value, candidates, negated: bool):
     if value is None:
         return None
     saw_null = False
-    for item in expr.items:
-        candidate = evaluate(item, ctx)
+    for candidate in candidates:
         if candidate is None:
             saw_null = True
         elif candidate == value:
-            return not expr.negated
-    if saw_null:
-        return None
-    return expr.negated
+            return not negated
+    return None if saw_null else negated
 
 
-def _eval_between(expr: sa.Between, ctx):
-    value = evaluate(expr.operand, ctx)
-    low = evaluate(expr.low, ctx)
-    high = evaluate(expr.high, ctx)
-    if value is None or low is None or high is None:
-        return None
-    result = low <= value <= high
-    return (not result) if expr.negated else result
-
-
+@lru_cache(maxsize=256)
 def _like_to_regex(pattern: str) -> re.Pattern:
     out = []
     for ch in pattern:
@@ -249,34 +285,132 @@ def _like_to_regex(pattern: str) -> re.Pattern:
     return re.compile("^" + "".join(out) + "$", re.DOTALL)
 
 
-def _eval_like(expr: sa.LikeOp, ctx):
-    value = evaluate(expr.operand, ctx)
-    pattern = evaluate(expr.pattern, ctx)
-    if value is None or pattern is None:
-        return None
-    result = bool(_like_to_regex(str(pattern)).match(str(value)))
-    return (not result) if expr.negated else result
+# -- compilers, one per node type -----------------------------------------------
 
 
-def _eval_cast(expr: sa.Cast, ctx):
-    return cast_value(evaluate(expr.operand, ctx), expr.target)
+def _compile_column(expr: sa.ColumnRef, layout: Layout):
+    owner, slot = layout.resolve(expr)
+    if owner is layout:
+        return itemgetter(slot)
+    return lambda row: owner.row[slot]
 
 
-def _eval_case(expr: sa.Case, ctx):
-    if expr.operand is not None:
-        subject = evaluate(expr.operand, ctx)
-        for condition, result in expr.branches:
-            candidate = evaluate(condition, ctx)
-            if candidate is not None and subject is not None and candidate == subject:
-                return evaluate(result, ctx)
+def _compile_unary(expr: sa.UnaryOp, layout: Layout):
+    operand = _compile(expr.operand, layout)
+    if expr.op == "NOT":
+        return _lift(lambda v: None if v is None else (not v), operand)
+    if expr.op == "-":
+        return _lift(lambda v: None if v is None else -v, operand)
+    return operand
+
+
+def _compile_binary(expr: sa.BinaryOp, layout: Layout):
+    kids = (_compile(expr.left, layout), _compile(expr.right, layout))
+    op = expr.op
+    if op in ("AND", "OR"):
+        left, right = (_call(kid) for kid in kids)
+        stop = op == "OR"  # the value that decides: FALSE for AND, TRUE for OR
+
+        def kleene(row):
+            first = left(row)
+            if first is stop:
+                return stop
+            second = right(row)
+            if second is stop:
+                return stop
+            if first is None or second is None:
+                return None
+            return not stop
+
+        return _fold(kleene, kids)
+    fn = _BINARY.get(op)
+    if fn is None:
+        raise SqlExecutionError(f"unknown operator {op!r}")
+    return _lift(fn, *kids)
+
+
+def _compile_isnull(expr: sa.IsNull, layout: Layout):
+    operand = _compile(expr.operand, layout)
+    if expr.negated:
+        return _lift(lambda v: v is not None, operand)
+    return _lift(lambda v: v is None, operand)
+
+
+def _compile_inlist(expr: sa.InList, layout: Layout):
+    operand = _compile(expr.operand, layout)
+    items = [_compile(item, layout) for item in expr.items]
+    negated = expr.negated
+    if all(isinstance(item, _Const) for item in items):
+        values = [item.value for item in items]
+        return _lift(lambda v: _member(v, values, negated), operand)
+    value, fns = _call(operand), [_call(item) for item in items]
+    # items run lazily, stopping at the first match
+    return lambda row: _member(value(row), (f(row) for f in fns), negated)
+
+
+def _compile_between(expr: sa.Between, layout: Layout):
+    negated = expr.negated
+
+    def between(value, low, high):
+        if value is None or low is None or high is None:
+            return None
+        result = low <= value <= high
+        return (not result) if negated else result
+
+    return _lift(between, *(_compile(e, layout)
+                            for e in (expr.operand, expr.low, expr.high)))
+
+
+def _compile_like(expr: sa.LikeOp, layout: Layout):
+    negated = expr.negated
+
+    def like(value, pattern):
+        if value is None or pattern is None:
+            return None
+        result = bool(_like_to_regex(str(pattern)).match(str(value)))
+        return (not result) if negated else result
+
+    return _lift(like, _compile(expr.operand, layout),
+                 _compile(expr.pattern, layout))
+
+
+def _compile_cast(expr: sa.Cast, layout: Layout):
+    target = expr.target
+    return _lift(lambda v: cast_value(v, target), _compile(expr.operand, layout))
+
+
+def _compile_case(expr: sa.Case, layout: Layout):
+    kids = [_compile(expr.operand, layout)] if expr.operand is not None else []
+    for condition, result in expr.branches:
+        kids += [_compile(condition, layout), _compile(result, layout)]
+    default = _compile(expr.default, layout) if expr.default is not None \
+        else _Const(None)
+    fns = [_call(kid) for kid in kids]
+    otherwise = _call(default)
+    if expr.operand is None:
+        branches = list(zip(fns[0::2], fns[1::2]))
+
+        def case(row):
+            for condition, result in branches:
+                if condition(row) is True:
+                    return result(row)
+            return otherwise(row)
     else:
-        for condition, result in expr.branches:
-            if evaluate(condition, ctx) is True:
-                return evaluate(result, ctx)
-    return evaluate(expr.default, ctx) if expr.default is not None else None
+        subject, branches = fns[0], list(zip(fns[1::2], fns[2::2]))
+
+        def case(row):
+            value = subject(row)
+            for condition, result in branches:
+                candidate = condition(row)
+                if candidate is not None and value is not None \
+                        and candidate == value:
+                    return result(row)
+            return otherwise(row)
+
+    return _fold(case, kids + [default])
 
 
-def _eval_func(expr: sa.FuncCall, ctx):
+def _compile_func(expr: sa.FuncCall, layout: Layout):
     if is_aggregate(expr.name):
         raise SqlExecutionError(
             f"aggregate function {expr.name}() used outside of a grouped query"
@@ -284,69 +418,95 @@ def _eval_func(expr: sa.FuncCall, ctx):
     fn = SCALAR_FUNCTIONS.get(expr.name)
     if fn is None:
         raise SqlExecutionError(f"function {expr.name}() does not exist")
-    args = [evaluate(arg, ctx) for arg in expr.args]
-    return fn(*args)
+    return _lift(fn, *(_compile(arg, layout) for arg in expr.args))
 
 
-def _eval_window(expr: sa.WindowFunc, ctx):
-    raise SqlExecutionError(
-        "window function evaluated without window context (executor bug)"
-    )
+def _compile_window(expr: sa.WindowFunc, layout: Layout):
+    raise SqlExecutionError("window functions are not allowed here")
 
 
-def _eval_scalar_subquery(expr: sa.ScalarSubquery, ctx):
-    if ctx.executor is None:
+def _subquery_rows(query: sa.Select, layout: Layout, limit_hint=None):
+    """A closure returning the subquery's rows for the current outer row.
+
+    The subquery is planned here, once.  An uncorrelated one runs on first
+    use and keeps its rows for the rest of the statement."""
+    executor = layout.executor
+    if executor is None:
         raise SqlExecutionError("subquery evaluated without an executor")
-    result = ctx.executor.execute_select(expr.query, outer=ctx.scope)
-    if not result.rows:
-        return None
-    if len(result.rows) > 1:
-        raise SqlExecutionError("more than one row returned by scalar subquery")
-    return result.rows[0][0]
+    before = _outer_refs(layout)
+    layout.subplans[id(query)] = executor.plan(query, layout)
+    if _outer_refs(layout) != before:
+        def correlated(row):
+            layout.row = row
+            return executor.execute_select(query, layout, limit_hint).rows
+
+        return correlated
+    kept: list = []
+
+    def uncorrelated(row):
+        if not kept:
+            kept.append(executor.execute_select(query, layout, limit_hint).rows)
+        return kept[0]
+
+    return uncorrelated
 
 
-def _eval_exists(expr: sa.ExistsSubquery, ctx):
-    if ctx.executor is None:
-        raise SqlExecutionError("subquery evaluated without an executor")
-    result = ctx.executor.execute_select(expr.query, outer=ctx.scope, limit_hint=1)
-    found = bool(result.rows)
-    return (not found) if expr.negated else found
+def _outer_refs(layout: Layout | None) -> int:
+    total = 0
+    while layout is not None:
+        total += layout.outer_refs
+        layout = layout.parent
+    return total
 
 
-def _eval_in_subquery(expr: sa.InSubquery, ctx):
-    if ctx.executor is None:
-        raise SqlExecutionError("subquery evaluated without an executor")
-    value = evaluate(expr.operand, ctx)
-    if value is None:
-        return None
-    result = ctx.executor.execute_select(expr.query, outer=ctx.scope)
-    saw_null = False
-    for row in result.rows:
-        if row[0] is None:
-            saw_null = True
-        elif row[0] == value:
-            return not expr.negated
-    if saw_null:
-        return None
-    return expr.negated
+def _compile_scalar_subquery(expr: sa.ScalarSubquery, layout: Layout):
+    rows = _subquery_rows(expr.query, layout)
+
+    def scalar(row):
+        result = rows(row)
+        if not result:
+            return None
+        if len(result) > 1:
+            raise SqlExecutionError("more than one row returned by scalar subquery")
+        return result[0][0]
+
+    return scalar
 
 
-_HANDLERS = {
-    sa.Literal: _eval_literal,
-    sa.ColumnRef: _eval_column,
-    sa.UnaryOp: _eval_unary,
-    sa.BinaryOp: _eval_binary,
-    sa.IsNull: _eval_isnull,
-    sa.InList: _eval_inlist,
-    sa.Between: _eval_between,
-    sa.LikeOp: _eval_like,
-    sa.Cast: _eval_cast,
-    sa.Case: _eval_case,
-    sa.FuncCall: _eval_func,
-    sa.WindowFunc: _eval_window,
-    sa.ScalarSubquery: _eval_scalar_subquery,
-    sa.ExistsSubquery: _eval_exists,
-    sa.InSubquery: _eval_in_subquery,
+def _compile_exists(expr: sa.ExistsSubquery, layout: Layout):
+    rows, negated = _subquery_rows(expr.query, layout, limit_hint=1), expr.negated
+    return lambda row: (not rows(row)) if negated else bool(rows(row))
+
+
+def _compile_in_subquery(expr: sa.InSubquery, layout: Layout):
+    value, negated = _call(_compile(expr.operand, layout)), expr.negated
+    rows = _subquery_rows(expr.query, layout)
+
+    def member(row):
+        operand = value(row)
+        if operand is None:
+            return None
+        return _member(operand, map(itemgetter(0), rows(row)), negated)
+
+    return member
+
+
+_COMPILERS: dict[type, Callable] = {
+    sa.Literal: lambda expr, layout: _Const(expr.value),
+    sa.ColumnRef: _compile_column,
+    sa.UnaryOp: _compile_unary,
+    sa.BinaryOp: _compile_binary,
+    sa.IsNull: _compile_isnull,
+    sa.InList: _compile_inlist,
+    sa.Between: _compile_between,
+    sa.LikeOp: _compile_like,
+    sa.Cast: _compile_cast,
+    sa.Case: _compile_case,
+    sa.FuncCall: _compile_func,
+    sa.WindowFunc: _compile_window,
+    sa.ScalarSubquery: _compile_scalar_subquery,
+    sa.ExistsSubquery: _compile_exists,
+    sa.InSubquery: _compile_in_subquery,
 }
 
 

@@ -26,6 +26,14 @@ def _order_key(value, descending: bool, nulls_first: bool | None):
     return (null_rank, _Reverse(value) if descending else value)
 
 
+def sort_column(values: list, descending: bool, nulls_first: bool | None) -> list:
+    """Sort keys for one ORDER BY column: the values themselves when they
+    sort that way already (ascending, no NULLs), else ``_order_key``s."""
+    if not descending and None not in values:
+        return values
+    return [_order_key(v, descending, nulls_first) for v in values]
+
+
 class _Reverse:
     """Inverts comparison for descending sort keys."""
 
@@ -43,38 +51,43 @@ class _Reverse:
 
 def compute_window_values(
     node: sa.WindowFunc,
-    row_count: int,
-    eval_for_row: Callable[[int, sa.Expr], object],
+    rows: list[tuple],
+    args: list[Callable],
+    partition_by: list[Callable],
+    order_by: list[Callable],
 ) -> list:
     """Evaluate a window function for every row of the input.
 
-    ``eval_for_row(i, expr)`` evaluates a scalar expression against row i.
-    Returns a list of values, one per input row, in input order.
+    ``args``, ``partition_by`` and ``order_by`` are the compiled closures
+    of the function's arguments and of its window's keys.  Returns a list
+    of values, one per input row, in input order.
     """
     spec = node.window
-    partition_keys = [
-        tuple(_hashable(eval_for_row(i, e)) for e in spec.partition_by)
-        for i in range(row_count)
-    ]
-    order_values = [
-        [eval_for_row(i, item.expr) for item in spec.order_by]
-        for i in range(row_count)
-    ]
-
     partitions: dict[tuple, list[int]] = {}
-    for i in range(row_count):
-        partitions.setdefault(partition_keys[i], []).append(i)
+    for i, row in enumerate(rows):
+        key = tuple([_hashable(f(row)) for f in partition_by])
+        partitions.setdefault(key, []).append(i)
+    # one value list per ORDER BY key, zipped into one tuple per row
+    columns = [list(map(f, rows)) for f in order_by]
+    keyed = [
+        sort_column(column, item.descending, item.nulls_first)
+        for column, item in zip(columns, spec.order_by)
+    ]
+    order_values = list(zip(*columns)) if columns else [()] * len(rows)
+    sort_keys = list(zip(*keyed)) if keyed else order_values
 
-    results: list = [None] * row_count
-    for rows in partitions.values():
-        ordered = sorted(
-            rows,
-            key=lambda i: tuple(
-                _order_key(v, item.descending, item.nulls_first)
-                for v, item in zip(order_values[i], spec.order_by)
-            ),
-        )
-        _fill_partition(node, ordered, order_values, eval_for_row, results)
+    columns_of_args: dict[int, list] = {}
+
+    def arg(k: int) -> list:
+        """Argument k's value for every input row, computed on first use."""
+        if k not in columns_of_args:
+            columns_of_args[k] = list(map(args[k], rows))
+        return columns_of_args[k]
+
+    results: list = [None] * len(rows)
+    for members in partitions.values():
+        ordered = sorted(members, key=sort_keys.__getitem__)
+        _fill_partition(node, ordered, order_values, arg, results)
     return results
 
 
@@ -99,7 +112,7 @@ def _fill_partition(
     node: sa.WindowFunc,
     ordered: list[int],
     order_values,
-    eval_for_row,
+    arg: Callable[[int], list],
     results: list,
 ) -> None:
     name = node.func.name
@@ -120,7 +133,7 @@ def _fill_partition(
                 results[i] = rank
         return
     if name == "ntile":
-        buckets = int(eval_for_row(ordered[0], args[0])) if args else 1
+        buckets = int(arg(0)[ordered[0]]) if args else 1
         n = len(ordered)
         for pos, i in enumerate(ordered):
             results[i] = pos * buckets // n + 1
@@ -128,23 +141,24 @@ def _fill_partition(
     if name in ("lead", "lag"):
         offset = 1
         if len(args) >= 2:
-            offset = int(eval_for_row(ordered[0], args[1]))
+            offset = int(arg(1)[ordered[0]])
         default = None
         if len(args) >= 3:
-            default = eval_for_row(ordered[0], args[2])
+            default = arg(2)[ordered[0]]
         direction = 1 if name == "lead" else -1
+        values = arg(0)
         for pos, i in enumerate(ordered):
             target = pos + direction * offset
             if 0 <= target < len(ordered):
-                results[i] = eval_for_row(ordered[target], args[0])
+                results[i] = values[ordered[target]]
             else:
                 results[i] = default
         return
     if name in ("first_value", "last_value", "nth_value"):
-        _fill_value_functions(node, ordered, order_values, eval_for_row, results)
+        _fill_value_functions(node, ordered, order_values, arg, results)
         return
     if is_aggregate(name):
-        _fill_window_aggregate(node, ordered, order_values, eval_for_row, results)
+        _fill_window_aggregate(node, ordered, order_values, arg, results)
         return
     raise SqlExecutionError(f"unsupported window function {name}()")
 
@@ -157,20 +171,18 @@ def _frame_is_full_partition(spec: sa.WindowSpec) -> bool:
     return "unbounded following" in spec.frame
 
 
-def _fill_value_functions(
-    node, ordered, order_values, eval_for_row, results
-) -> None:
+def _fill_value_functions(node, ordered, order_values, arg, results) -> None:
     name = node.func.name
     spec = node.window
-    args = node.func.args
-    values = [eval_for_row(i, args[0]) for i in ordered]
+    column = arg(0)
+    values = [column[i] for i in ordered]
     full = _frame_is_full_partition(spec)
     if name == "first_value":
         for pos, i in enumerate(ordered):
             results[i] = values[0]
         return
     if name == "nth_value":
-        n = int(eval_for_row(ordered[0], args[1]))
+        n = int(arg(1)[ordered[0]])
         for pos, i in enumerate(ordered):
             frame_end = len(ordered) if full else _peer_end(ordered, order_values, pos)
             results[i] = values[n - 1] if n - 1 < frame_end else None
@@ -197,9 +209,7 @@ _N_PRECEDING_RE = _re.compile(
 )
 
 
-def _fill_window_aggregate(
-    node, ordered, order_values, eval_for_row, results
-) -> None:
+def _fill_window_aggregate(node, ordered, order_values, arg, results) -> None:
     name = node.func.name
     spec = node.window
     args = node.func.args
@@ -208,7 +218,8 @@ def _fill_window_aggregate(
         values: list = [1] * len(ordered)
         star = True
     else:
-        values = [eval_for_row(i, args[0]) for i in ordered]
+        column = arg(0)
+        values = [column[i] for i in ordered]
     from repro.sqlengine.functions import NULL_KEEPING_AGGREGATES
 
     keep_nulls = name in NULL_KEEPING_AGGREGATES

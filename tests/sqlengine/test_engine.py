@@ -8,6 +8,7 @@ import pytest
 
 from repro.errors import SqlCatalogError, SqlExecutionError
 from repro.sqlengine.engine import Engine
+from repro.sqlengine.executor import Executor
 from repro.sqlengine.functions import AGGREGATES
 
 
@@ -203,6 +204,38 @@ class TestJoins:
         )
         assert len(result.rows) == 3
 
+    @pytest.mark.parametrize("kind", ["JOIN", "LEFT JOIN", "RIGHT JOIN"])
+    def test_null_safe_keys_match_nulls(self, engine, kind):
+        # every Q join's key arrives as IS NOT DISTINCT FROM (the
+        # two-valued-logic rule), and Q matches null keys with each other
+        engine.execute("INSERT INTO q VALUES (NULL, 0.0)")
+        engine.execute("INSERT INTO trades VALUES (NULL, 1.0, 1, 4)")
+        result = engine.execute(
+            f"SELECT t.ordcol, q.bid FROM trades t {kind} q "
+            "ON t.sym IS NOT DISTINCT FROM q.sym"
+        )
+        assert (4, 0.0) in result.rows
+        # the nested loop, which no key reaches, agrees with the hash join
+        nested = engine.execute(
+            f"SELECT t.ordcol, q.bid FROM trades t {kind} q "
+            "ON (t.sym IS NOT DISTINCT FROM q.sym) OR (1 = 0)"
+        )
+        assert nested.rows == result.rows
+
+    def test_mixed_keys_null_safe_per_key(self, engine):
+        engine.execute("INSERT INTO q VALUES (NULL, 0.0)")
+        engine.execute("INSERT INTO trades VALUES (NULL, 0.0, 1, 4)")
+        result = engine.execute(
+            "SELECT t.ordcol FROM trades t JOIN q "
+            "ON t.sym IS NOT DISTINCT FROM q.sym AND t.price = q.bid"
+        )
+        assert result.rows == [(4,)]
+        result = engine.execute(
+            "SELECT t.ordcol FROM trades t JOIN q "
+            "ON t.sym = q.sym AND t.price IS NOT DISTINCT FROM q.bid"
+        )
+        assert result.rows == []
+
 
 class TestWindows:
     def test_row_number(self, engine):
@@ -347,3 +380,116 @@ class TestSubqueries:
             "(SELECT sym FROM trades WHERE size > 25)"
         )
         assert {r[0] for r in result.rows} == {"GOOG", "MSFT"}
+
+    def test_correlated_scalar_subquery(self, engine):
+        result = engine.execute(
+            "SELECT t.ordcol, (SELECT max(u.size) FROM trades u "
+            "WHERE u.sym = t.sym) FROM trades t ORDER BY t.ordcol"
+        )
+        assert result.rows == [(0, 30), (1, 20), (2, 30), (3, 40)]
+
+    def test_correlated_in_subquery(self, engine):
+        result = engine.execute(
+            "SELECT ordcol FROM trades t WHERE size IN "
+            "(SELECT u.size FROM trades u WHERE u.sym = t.sym AND u.ordcol > 0) "
+            "ORDER BY ordcol"
+        )
+        assert result.rows == [(1,), (2,), (3,)]
+
+    def test_correlated_reference_through_derived_table(self, engine):
+        result = engine.execute(
+            "SELECT ordcol FROM trades t WHERE EXISTS (SELECT 1 FROM "
+            "(SELECT sym FROM trades WHERE sym = t.sym AND size > 25) s) "
+            "ORDER BY ordcol"
+        )
+        assert result.rows == [(0,), (2,), (3,)]
+
+    @pytest.mark.parametrize("predicate", [
+        "size = (SELECT max(size) FROM trades)",
+        "sym IN (SELECT sym FROM trades WHERE size > 25)",
+        "EXISTS (SELECT 1 FROM trades WHERE size > 35)",
+    ])
+    def test_uncorrelated_subquery_runs_once(self, engine, monkeypatch, predicate):
+        calls = []
+        original = Executor.execute_select
+
+        def counting(self, select, *args, **kwargs):
+            calls.append(select)
+            return original(self, select, *args, **kwargs)
+
+        monkeypatch.setattr(Executor, "execute_select", counting)
+        engine.execute(f"SELECT ordcol FROM trades WHERE {predicate}")
+        assert len(calls) == 2  # the statement, then the subquery once
+
+    def test_correlated_subquery_runs_per_outer_row(self, engine, monkeypatch):
+        calls = []
+        original = Executor.execute_select
+
+        def counting(self, select, *args, **kwargs):
+            calls.append(select)
+            return original(self, select, *args, **kwargs)
+
+        monkeypatch.setattr(Executor, "execute_select", counting)
+        engine.execute(
+            "SELECT ordcol FROM trades t WHERE EXISTS "
+            "(SELECT 1 FROM trades u WHERE u.size > t.size)"
+        )
+        assert len(calls) == 1 + 4
+
+
+class TestNameResolution:
+    """Names resolve when the statement is compiled, so a bad one fails
+    whether or not any row is read (as at plan time in PostgreSQL)."""
+
+    @pytest.fixture()
+    def empty(self, engine):
+        engine.execute("CREATE TABLE e (a bigint, b bigint)")
+        return engine
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT x FROM e",
+        "SELECT a FROM e WHERE x = 1",
+        "SELECT a FROM e GROUP BY x",
+        "SELECT count(*) FROM e HAVING max(x) > 1",
+        "SELECT e.x FROM e",
+    ])
+    def test_unknown_column_fails_on_empty_table(self, empty, sql):
+        with pytest.raises(SqlExecutionError, match='column "(e\\.)?x" does not exist'):
+            empty.execute(sql)
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT a FROM e ORDER BY x",
+        "SELECT a FROM e WHERE a IN (SELECT x FROM e)",
+        "SELECT a FROM e WHERE EXISTS (SELECT 1 FROM e WHERE x = 1)",
+    ])
+    def test_unknown_column_fails_in_order_by_and_subqueries(self, empty, sql):
+        # every clause and every subquery compiles before a row is read
+        with pytest.raises(SqlExecutionError, match='column "x" does not exist'):
+            empty.execute(sql)
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT sym FROM trades t JOIN trades u ON t.ordcol = u.ordcol",
+        "SELECT t.sym FROM trades t JOIN trades u ON t.ordcol = u.ordcol "
+        "WHERE size > 1",
+    ])
+    def test_ambiguous_unqualified_name_fails(self, engine, sql):
+        with pytest.raises(SqlExecutionError, match="is ambiguous"):
+            engine.execute(sql)
+
+    def test_ambiguous_name_fails_on_empty_join(self, empty):
+        with pytest.raises(SqlExecutionError, match='"a" is ambiguous'):
+            empty.execute("SELECT a FROM e x CROSS JOIN e y")
+
+    def test_qualified_names_disambiguate(self, engine):
+        result = engine.execute(
+            "SELECT t.sym, u.size FROM trades t JOIN trades u "
+            "ON t.ordcol = u.ordcol WHERE t.ordcol = 1"
+        )
+        assert result.rows == [("IBM", 20)]
+
+    def test_inner_name_shadows_outer(self, engine):
+        result = engine.execute(
+            "SELECT ordcol FROM trades t WHERE size = "
+            "(SELECT max(size) FROM trades) ORDER BY ordcol"
+        )
+        assert result.rows == [(3,)]
