@@ -325,15 +325,15 @@ class ResultCache:
         """Snapshot ``result`` under ``key``; returns the memo handle
         :meth:`store_reply` takes (None when the cache is off).
 
-        The payload is deep-copied at column granularity: engine results
-        can alias live table rows and downstream code rebinds ``.rows``
-        for LIMIT/sort, so a cached entry must own its data.  Hits hand
-        out fresh views (:meth:`_view`) for the same reason.
+        The entry keeps the result's column lists: a result shares no
+        list with stored table data, and no consumer writes into one.
+        Hits hand out fresh views (:meth:`_view`), so a caller that edits
+        its copy leaves the entry as it was.
         """
         if not self.config.enabled:
             return None
         columns = list(result.columns)
-        column_data = [list(col) for col in result.column_data]
+        column_data = result.column_data
         nbytes = estimate_result_bytes(columns, column_data)
         entry = _Entry(
             columns=columns,

@@ -138,10 +138,10 @@ class TempHandle:
     def __init__(self, relation: str, ddl_sql: str, snapshot: ResultSet):
         self.relation = relation
         self.ddl_sql = ddl_sql
-        # deep-copied at column granularity: engine results can alias
-        # live table rows, and the snapshot is immutable from here on
+        # the snapshot is immutable from here on; a result shares no list
+        # with stored data, so it is kept as is
         self.columns = list(snapshot.columns)
-        self.column_data = [list(col) for col in snapshot.column_data]
+        self.column_data = snapshot.column_data
         self.column_index = {c.name: i for i, c in enumerate(self.columns)}
         self.state = LAZY
         self.map: PositionalMap | None = None
@@ -296,10 +296,10 @@ class TempDataTier:
         handle = self.handle(relation)
         if handle is None or handle.state != LAZY:
             return
-        rows = [list(row) for row in zip(*handle.column_data)]
         try:
             backend.load_columns(
-                relation, list(handle.columns), rows, temporary=True
+                relation, list(handle.columns), handle.column_data,
+                temporary=True,
             )
         except NotImplementedError:
             # remote backend without a data plane: replay the DDL

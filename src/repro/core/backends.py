@@ -75,11 +75,13 @@ class ExecutionBackend(BackendPort):
         return None
 
     def load_columns(
-        self, name: str, columns: list, rows: list, temporary: bool = False
+        self, name: str, columns: list, column_data: list,
+        temporary: bool = False,
     ) -> None:
-        """Bulk-load ``rows`` as table ``name``, replacing any previous
-        table of that name.  Backends without a data plane raise
-        :class:`NotImplementedError`; callers then fall back to SQL."""
+        """Bulk-load ``column_data`` (one value list per column) as table
+        ``name``, replacing any previous table of that name.  Backends
+        without a data plane raise :class:`NotImplementedError`; callers
+        then fall back to SQL."""
         raise NotImplementedError(f"{self.name} has no bulk-load path")
 
     def process_info(self) -> dict:

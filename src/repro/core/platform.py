@@ -47,11 +47,12 @@ class DirectGateway(ExecutionBackend):
         return self.engine.catalog.version
 
     def load_columns(
-        self, name: str, columns: list, rows: list, temporary: bool = False
+        self, name: str, columns: list, column_data: list,
+        temporary: bool = False,
     ) -> None:
         self.engine.catalog.drop(name, if_exists=True)
         self.engine.create_table_from_columns(
-            name, columns, rows, temporary=temporary
+            name, columns, column_data, temporary=temporary
         )
 
 

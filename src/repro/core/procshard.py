@@ -95,10 +95,11 @@ def _execute(engine: Engine, sql: str, deadline_ms: float | None) -> tuple:
 
 
 def _load(
-    engine: Engine, table: str, columns: list, rows: list, temporary: bool
+    engine: Engine, table: str, columns: list, column_data: list,
+    temporary: bool,
 ) -> str:
     engine.catalog.drop(table, if_exists=True)
-    engine.create_table_from_columns(table, columns, rows, temporary)
+    engine.create_table_from_columns(table, columns, column_data, temporary)
     return "loaded"
 
 
@@ -213,8 +214,8 @@ class ProcessShardBackend(ExecutionBackend):
         self._generation = 0
         self.restarts = 0
         self._closed = False
-        #: partition journal: table -> (columns, rows, temporary) for
-        #: crash reload
+        #: partition journal: table -> (columns, column data, temporary)
+        #: for crash reload
         self._tables: dict[str, tuple[list, list, bool]] = {}
         #: replicated writes (broadcast DDL/DML) replayed after reload
         self._writes: list[str] = []
@@ -423,14 +424,16 @@ class ProcessShardBackend(ExecutionBackend):
             self._teardown_locked(graceful=True)
 
     def load_columns(
-        self, name: str, columns: list, rows: list, temporary: bool = False
+        self, name: str, columns: list, column_data: list,
+        temporary: bool = False,
     ) -> None:
         """The load crosses as one message and is journaled so a respawn
         can restore the partition."""
-        columns, rows = list(columns), [list(r) for r in rows]
-        self._call("load", name, columns, rows, temporary)
+        columns = list(columns)
+        column_data = [list(values) for values in column_data]
+        self._call("load", name, columns, column_data, temporary)
         with self._lock:
-            self._tables[name] = (columns, rows, temporary)
+            self._tables[name] = (columns, column_data, temporary)
 
     def process_info(self) -> dict:
         """Row payload for the ``shards[]`` admin command."""

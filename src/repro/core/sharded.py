@@ -247,32 +247,37 @@ class ShardedBackend(ExecutionBackend):
     # -- data plane (loaders) --------------------------------------------------
 
     def route_rows(
-        self, table: str, columns: list[Column], rows: list
-    ) -> list[list]:
-        """Split rows into per-shard buckets per the partition map.
+        self, table: str, columns: list[Column], column_data: list[list]
+    ) -> list[list[list]]:
+        """Split a table's rows into per-shard column data per the
+        partition map.
 
-        Replicated tables return the full row list for every shard.  The
-        one place outside the planner that consults partition keys — and
-        it lives here so loaders never inspect them (lint rule HQ007).
+        Replicated tables return the full column data for every shard.
+        The one place outside the planner that consults partition keys —
+        and it lives here so loaders never inspect them (lint rule HQ007).
         """
         spec = self.partition_map.lookup(table)
         if spec is None:
-            return [rows for __ in self._shards]
+            return [column_data for __ in self._shards]
         key_index = next(
             i for i, c in enumerate(columns) if c.name == spec.key
         )
-        buckets: list[list] = [[] for __ in self._shards]
+        positions: list[list[int]] = [[] for __ in self._shards]
         count = self.shard_count
-        for row in rows:
-            buckets[spec.shard_for(row[key_index], count)].append(row)
-        return buckets
+        for i, key in enumerate(column_data[key_index]):
+            positions[spec.shard_for(key, count)].append(i)
+        return [
+            [list(map(values.__getitem__, bucket)) for values in column_data]
+            for bucket in positions
+        ]
 
     def load_columns(
-        self, name: str, columns: list[Column], rows: list,
+        self, name: str, columns: list[Column], column_data: list[list],
         temporary: bool = False,
     ) -> None:
         """Load one table across the topology (partitioned or replicated)."""
-        for shard, bucket in zip(self._shards, self.route_rows(name, columns, rows)):
+        buckets = self.route_rows(name, columns, column_data)
+        for shard, bucket in zip(self._shards, buckets):
             shard.backend.load_columns(name, columns, bucket, temporary)
 
     # -- plan execution --------------------------------------------------------
@@ -418,11 +423,8 @@ class ShardedBackend(ExecutionBackend):
                 data = [
                     [values[i] for i in permutation] for values in data
                 ]
-            rows = list(zip(*data)) if columns else []
-            gathered_rows += len(rows)
-            coordinator.create_table_from_columns(
-                task["table"], columns, [list(r) for r in rows]
-            )
+            gathered_rows += len(data[0]) if data else 0
+            coordinator.create_table_from_columns(task["table"], columns, data)
         SHARD_MERGE_ROWS.inc(gathered_rows)
         return coordinator.execute(plan["merge_sql"])
 
@@ -469,7 +471,5 @@ class ShardedBackend(ExecutionBackend):
         name = match.group("quoted") or match.group("plain")
         name = name.replace('""', '"')
         selected = self.run_sql(match.group("select"))
-        self.load_columns(
-            name, list(selected.columns), [list(r) for r in selected.rows]
-        )
+        self.load_columns(name, list(selected.columns), selected.column_data)
         return ResultSet([], [], command="CREATE TABLE")

@@ -27,21 +27,32 @@ class Column:
 
 @dataclass
 class Table:
-    """A heap table with row-major storage."""
+    """A heap table stored column-major: ``data[i]`` holds column ``i``'s
+    values, one per row, and every list is ``row_count`` long.
+
+    The lists belong to the table.  No query result shares one, so a
+    write may change them in place (INSERT appends, UPDATE assigns) or
+    replace them (DELETE, TRUNCATE).
+    """
 
     name: str
     columns: list[Column]
-    rows: list[list] = field(default_factory=list)
+    data: list[list] = field(default_factory=list)
     temporary: bool = False
+
+    def __post_init__(self):
+        if not self.data:
+            self.data = [[] for __ in self.columns]
+
+    @property
+    def row_count(self) -> int:
+        return len(self.data[0]) if self.data else 0
 
     def column_index(self, name: str) -> int:
         for i, col in enumerate(self.columns):
             if col.name == name:
                 return i
         raise SqlCatalogError(f"column {name!r} does not exist in {self.name!r}")
-
-    def has_column(self, name: str) -> bool:
-        return any(col.name == name for col in self.columns)
 
     @property
     def column_names(self) -> list[str]:
@@ -154,7 +165,7 @@ def _pg_tables(catalog: Catalog) -> Table:
     ]
     rows = [["public", name] for name in sorted(catalog.tables)]
     rows += [["pg_temp", name] for name in sorted(catalog.temp_tables)]
-    return Table("pg_tables", columns, rows)
+    return _virtual("pg_tables", columns, rows)
 
 
 def _pg_views(catalog: Catalog) -> Table:
@@ -164,7 +175,7 @@ def _pg_views(catalog: Catalog) -> Table:
         Column("definition", SqlType.TEXT),
     ]
     rows = [["public", name, view.sql] for name, view in sorted(catalog.views.items())]
-    return Table("pg_views", columns, rows)
+    return _virtual("pg_views", columns, rows)
 
 
 def _columns_view(catalog: Catalog) -> Table:
@@ -183,7 +194,11 @@ def _columns_view(catalog: Catalog) -> Table:
         for name in sorted(namespace):
             for i, col in enumerate(namespace[name].columns, start=1):
                 rows.append([schema, name, col.name, i, col.type_text])
-    return Table("columns", columns, rows)
+    return _virtual("columns", columns, rows)
+
+
+def _virtual(name: str, columns: list[Column], rows: list[list]) -> Table:
+    return Table(name, columns, [list(values) for values in zip(*rows)])
 
 
 _SYSTEM_TABLES = {

@@ -12,8 +12,14 @@ from repro.analysis.concurrency.locks import make_rlock
 from repro.errors import SqlExecutionError
 from repro.sqlengine import sqlast as sa
 from repro.sqlengine.catalog import Catalog, Column, Table
-from repro.sqlengine.executor import Executor, ResultSet
-from repro.sqlengine.expr import Layout, RelColumn, compile_expr
+from repro.sqlengine.executor import Executor, Frame, ResultSet
+from repro.sqlengine.expr import (
+    Layout,
+    RelColumn,
+    compile_expr,
+    compile_filter,
+    compile_vector,
+)
 from repro.sqlengine.parser import parse_sql
 from repro.sqlengine.types import cast_value
 
@@ -42,14 +48,20 @@ class Engine:
         return results
 
     def create_table_from_columns(
-        self, name: str, columns: list[Column], rows: list[list],
+        self, name: str, columns: list[Column], column_data: list[list],
         temporary: bool = False,
     ) -> Table:
-        """Bulk-load helper used by the workload loader."""
+        """Bulk-load ``column_data`` (one value list per column) as a new
+        table; the table stores copies of the lists."""
         with self._lock:
-            table = self.catalog.create_table(name, columns, temporary=temporary)
-            table.rows = [list(r) for r in rows]
-            return table
+            return self._create(name, columns, column_data, temporary)
+
+    def _create(self, name: str, columns: list[Column],
+                column_data: list[list], temporary: bool) -> Table:
+        table = self.catalog.create_table(name, columns, temporary=temporary)
+        if column_data:
+            table.data = [list(values) for values in column_data]
+        return table
 
     def end_session(self) -> None:
         """Drop temp tables, mirroring PG's end-of-session cleanup."""
@@ -71,11 +83,9 @@ class Engine:
             return ResultSet([], [], command="CREATE TABLE")
         if isinstance(statement, sa.CreateTableAs):
             result = self.executor.execute_select(statement.query)
-            table = self.catalog.create_table(
-                statement.name, list(result.columns), temporary=statement.temporary
-            )
-            table.rows = [list(row) for row in result.rows]
-            return ResultSet([], [], command=f"SELECT {len(result.rows)}")
+            table = self._create(statement.name, list(result.columns),
+                                 result.column_data, statement.temporary)
+            return ResultSet([], [], command=f"SELECT {table.row_count}")
         if isinstance(statement, sa.CreateView):
             self.catalog.create_view(
                 statement.name, statement.query, or_replace=statement.or_replace
@@ -94,7 +104,8 @@ class Engine:
             )
             return ResultSet([], [], command="DROP")
         if isinstance(statement, sa.Truncate):
-            self.catalog.table(statement.name).rows.clear()
+            table = self.catalog.table(statement.name)
+            table.data = [[] for __ in table.columns]
             return ResultSet([], [], command="TRUNCATE")
         raise SqlExecutionError(f"unsupported statement {type(statement).__name__}")
 
@@ -104,15 +115,17 @@ class Engine:
             positions = [table.column_index(c) for c in statement.columns]
         else:
             positions = list(range(len(table.columns)))
-        incoming: list[list] = []
         if statement.rows is not None:
             layout = Layout([], executor=self.executor)
+            incoming: list[list] = []
             for row_exprs in statement.rows:
                 if len(row_exprs) != len(positions):
                     raise SqlExecutionError(
                         "INSERT value count does not match column count"
                     )
                 incoming.append([compile_expr(e, layout)(()) for e in row_exprs])
+            count = len(incoming)
+            values = list(zip(*incoming)) or [()] * len(positions)
         else:
             assert statement.query is not None
             result = self.executor.execute_select(statement.query)
@@ -120,49 +133,51 @@ class Engine:
                 raise SqlExecutionError(
                     "INSERT source column count does not match target"
                 )
-            incoming = [list(row) for row in result.rows]
-        for values in incoming:
-            new_row: list = [None] * len(table.columns)
-            for pos, value in zip(positions, values):
-                target_type = table.columns[pos].sql_type
-                new_row[pos] = cast_value(value, target_type)
-            table.rows.append(new_row)
-        return ResultSet([], [], command=f"INSERT 0 {len(incoming)}")
+            values = result.column_data
+            count = len(values[0]) if values else 0
+        # cast every value before appending any, so a failed cast leaves
+        # the table as it was
+        added = [[None] * count for __ in table.columns]
+        for pos, column in zip(positions, values):
+            target_type = table.columns[pos].sql_type
+            added[pos] = [cast_value(value, target_type) for value in column]
+        for stored, new in zip(table.data, added):
+            stored.extend(new)
+        return ResultSet([], [], command=f"INSERT 0 {count}")
 
     def _table_layout(self, table: Table) -> Layout:
-        """The slots of a stored row; DML closures read the stored lists."""
+        """The slots of a stored row: DML reads the table through a frame."""
         columns = [RelColumn(table.name, c.name, c.sql_type) for c in table.columns]
         return Layout(columns, executor=self.executor)
 
     def _run_delete(self, statement: sa.Delete) -> ResultSet:
         table = self.catalog.table(statement.table)
         if statement.where is None:
-            removed = len(table.rows)
-            table.rows.clear()
+            removed = table.row_count
+            table.data = [[] for __ in table.columns]
             return ResultSet([], [], command=f"DELETE {removed}")
-        where = compile_expr(statement.where, self._table_layout(table))
-        kept = [stored for stored in table.rows if where(stored) is not True]
-        removed = len(table.rows) - len(kept)
-        table.rows = kept
-        return ResultSet([], [], command=f"DELETE {removed}")
+        matching = compile_filter(statement.where, self._table_layout(table))
+        doomed = set(matching(Frame.scan(table)))
+        kept = [i for i in range(table.row_count) if i not in doomed]
+        table.data = [[values[i] for i in kept] for values in table.data]
+        return ResultSet([], [], command=f"DELETE {len(doomed)}")
 
     def _run_update(self, statement: sa.Update) -> ResultSet:
         table = self.catalog.table(statement.table)
         layout = self._table_layout(table)
-        where = None
-        if statement.where is not None:
-            where = compile_expr(statement.where, layout)
         assignments = [
-            (table.column_index(name), compile_expr(expr, layout))
+            (table.column_index(name), compile_vector(expr, layout))
             for name, expr in statement.assignments
         ]
-        updated = 0
-        for stored in table.rows:
-            if where is not None and where(stored) is not True:
-                continue
-            # every assignment reads the row as it was before this update
-            values = [value(stored) for __, value in assignments]
-            for (pos, __), value in zip(assignments, values):
-                stored[pos] = cast_value(value, table.columns[pos].sql_type)
-            updated += 1
-        return ResultSet([], [], command=f"UPDATE {updated}")
+        frame = Frame.scan(table)
+        positions = range(table.row_count)
+        if statement.where is not None:
+            positions = compile_filter(statement.where, layout)(frame)
+        # every assignment reads the rows as they were before this update
+        selected = frame.take(positions)
+        values = [(pos, value(selected)) for pos, value in assignments]
+        for pos, column in values:
+            stored, target_type = table.data[pos], table.columns[pos].sql_type
+            for i, value in zip(positions, column):
+                stored[i] = cast_value(value, target_type)
+        return ResultSet([], [], command=f"UPDATE {len(positions)}")

@@ -1,27 +1,40 @@
-"""Plan-once executor for the SQL subset.
+"""Plan-once, column-at-a-time executor for the SQL subset.
 
 :meth:`Executor.plan` lowers a SELECT once per statement.  FROM items
-become scan and join closures, and every clause -- WHERE, GROUP BY keys,
-aggregate arguments, HAVING, window arguments and keys, join keys and
-residuals, ORDER BY keys and the select list -- compiles once through
-:func:`~repro.sqlengine.expr.compile_expr` into a closure over the row
-tuple, each column already a slot index.  Running the plan is passes over
-row-major tuples: a projection of plain columns is one ``itemgetter``,
-and one that is the identity over its input is no pass at all.  A hash
-join handles the equality conjuncts of a join condition (null-safe per
-key for ``IS NOT DISTINCT FROM``, the shape Hyper-Q emits for every Q
-join); everything else falls back to a nested loop.
+become scan and join closures, and every clause compiles once through
+:mod:`~repro.sqlengine.expr` with each column already a slot.  Running
+the plan passes :class:`Frame` s between the steps: a scan selects every
+stored row, the conjuncts of WHERE and HAVING narrow that selection one
+column at a time, GROUP BY keys, aggregate arguments and window inputs
+are columns over the rows that survived, and a projection of plain
+columns only renames.  A column is gathered for the surviving positions
+when a later step reads it, and the result leaves as
+``ResultSet.from_columns``.  Joins, DISTINCT, set operations and
+correlated subqueries run their row closures over the rows of the frame
+they get, so rows are built for survivors only.  A hash join handles the
+equality conjuncts of a join condition (null-safe per key for ``IS NOT
+DISTINCT FROM``, the shape Hyper-Q emits for every Q join); everything
+else falls back to a nested loop.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
-from typing import Callable, NamedTuple
+from collections import defaultdict
+from operator import itemgetter, ne
+from typing import Callable, NamedTuple, Sequence
 
 from repro.errors import SqlExecutionError
 from repro.sqlengine import sqlast as sa
 from repro.sqlengine.catalog import Catalog, Column, Table, View
-from repro.sqlengine.expr import Layout, RelColumn, compile_expr, infer_type
+from repro.sqlengine.expr import (
+    Layout,
+    RelColumn,
+    compile_expr,
+    compile_filter,
+    compile_vector,
+    flatten_and,
+    infer_type,
+)
 from repro.sqlengine.functions import (
     NULL_KEEPING_AGGREGATES,
     compute_aggregate,
@@ -33,33 +46,101 @@ from repro.sqlengine.window import compute_window_values, sort_column
 Rows = list[tuple]
 
 
+class Frame:
+    """``count`` rows of a relation, held column-major.
+
+    :meth:`column` builds column ``k`` on first read and keeps it.
+    :meth:`take` selects rows by position and copies no column until one
+    is read (a take of a take reads the first frame once); :meth:`rows`
+    is the row-tuple view for row closures.  A scan is a take of every
+    row of the stored lists, so no column a frame hands out is one.
+    """
+
+    __slots__ = ("count", "_columns", "_source", "_rows", "_take")
+
+    def __init__(self, count: int, columns: list, source=None):
+        self.count = count
+        self._columns = columns  # a list per column, None until built
+        self._source = source    # k -> column k, for the None entries
+        self._rows: Rows | None = None
+        self._take: tuple[Frame, Sequence[int]] | None = None
+
+    @classmethod
+    def scan(cls, table: Table) -> Frame:
+        return cls(table.row_count, list(table.data)).take(range(table.row_count))
+
+    @classmethod
+    def of_rows(cls, rows: Rows, width: int) -> Frame:
+        frame = cls(len(rows), [None] * width,
+                    lambda k: list(map(itemgetter(k), rows)))
+        frame._rows = rows
+        return frame
+
+    def column(self, k: int) -> list:
+        values = self._columns[k]
+        if values is None:
+            values = self._columns[k] = self._source(k)
+        return values
+
+    def columns(self) -> list[list]:
+        return [self.column(k) for k in range(len(self._columns))]
+
+    def rows(self) -> Rows:
+        if self._rows is None:
+            columns = self.columns()
+            self._rows = list(zip(*columns)) if columns else [()] * self.count
+        return self._rows
+
+    def take(self, positions: Sequence[int]) -> Frame:
+        """The rows at ``positions``, in that order."""
+        if self._take is not None:
+            parent, selected = self._take
+            return parent.take(_gather(selected, positions))
+        width = len(self._columns)
+        if self._rows is not None:
+            return Frame.of_rows(list(map(self._rows.__getitem__, positions)),
+                                 width)
+        frame = Frame(len(positions), [None] * width,
+                      lambda k: _gather(self.column(k), positions))
+        frame._take = (self, positions)
+        return frame
+
+    def select(self, slots: list[int]) -> Frame:
+        """Columns ``slots`` of this frame, in that order."""
+        if self._take is not None:
+            parent, selected = self._take
+            return parent.select(slots).take(selected)
+        return Frame(self.count, [self._columns[k] for k in slots],
+                     lambda k: self.column(slots[k]))
+
+    def extend(self, columns: list[list]) -> Frame:
+        """This frame with ``columns`` appended."""
+        return Frame(self.count, self._columns + columns, self.column)
+
+
 class Plan(NamedTuple):
     """A SELECT lowered once: its output columns and the function that runs it."""
 
     columns: list[Column]
-    run: Callable[[], Rows]
+    run: Callable[[], Frame]
 
 
 class Source(NamedTuple):
-    """A FROM item lowered once.  ``table`` is the stored table when the
-    item names one directly, whose rows a projection may read in place."""
+    """A FROM item lowered once."""
 
     columns: list[RelColumn]
-    run: Callable[[], Rows]
-    table: Table | None = None
+    run: Callable[[], Frame]
 
 
 class ResultSet:
     """What a query returns: column metadata plus the data, in either
     row-major or column-major form.
 
-    The in-memory engine produces row tuples; the network gateway
-    accumulates columnar lists straight off the wire (one list per
-    column), which is the layout the Cross Compiler's pivot consumes.
-    Whichever form a result was built with, the other is materialized
-    lazily on first access — so ``pivot_result`` never transposes a
-    gateway result, while row-oriented consumers (``sqlengine``,
-    ``testing``) keep their ``.rows`` view unchanged.
+    The engine and the network gateway both build results columnar (one
+    list per column), the layout the Cross Compiler's pivot consumes, so
+    the pivot never transposes.  Whichever form a result was built with,
+    the other is materialized lazily on first access, so row-oriented
+    consumers (``testing``) keep their ``.rows`` view.
     """
 
     __slots__ = ("columns", "command", "_rows", "_column_data")
@@ -150,10 +231,10 @@ class Executor:
         plan = outer.subplans.get(id(select)) if outer is not None else None
         if plan is None:
             plan = self.plan(select, outer)
-        rows = plan.run()
+        frame = plan.run()
         if limit_hint is not None:
-            rows = rows[:limit_hint]
-        return ResultSet(plan.columns, rows)
+            frame = _slice(frame, None, limit_hint)
+        return ResultSet.from_columns(plan.columns, frame.columns())
 
     def plan(self, select: sa.Select, outer: Layout | None = None) -> Plan:
         plan = self._plan_core(select, outer)
@@ -164,7 +245,7 @@ class Executor:
         offset = int(self._const(select.offset)) if select.offset is not None else None
         limit = int(self._const(select.limit)) if select.limit is not None else None
         run = plan.run
-        return Plan(plan.columns, lambda: run()[offset:][:limit])
+        return Plan(plan.columns, lambda: _slice(run(), offset, limit))
 
     def _const(self, expr: sa.Expr):
         return compile_expr(expr, Layout([], executor=self))(())
@@ -182,19 +263,20 @@ class Executor:
             sort = _plan_order(select.order_by, layout, columns)
         op = select.set_op
 
-        def run() -> Rows:
-            rows = _apply_set_op(left.run(), op, right.run())
-            return sort(rows, rows) if sort else rows
+        def run() -> Frame:
+            rows = _apply_set_op(left.run().rows(), op, right.run().rows())
+            frame = Frame.of_rows(rows, len(columns))
+            return sort(frame, frame) if sort else frame
 
         return Plan(columns, run)
 
     # -- core SELECT --------------------------------------------------------------
 
     def _plan_core(self, select: sa.Select, outer: Layout | None) -> Plan:
-        source = Source([], lambda: [()])
+        source = Source([], lambda: Frame(1, []))
         if select.from_clause is not None:
             source = self._plan_from(select.from_clause, outer)
-        columns, scan = source.columns, source.run
+        columns, scan = source
         layout = Layout(columns, outer, self)
         where = _plan_filter(select.where, layout)
 
@@ -210,38 +292,27 @@ class Executor:
         if windows:
             layout = layout.extend(windows)
 
-        items = _expand_stars(select.items, columns)
-        out_columns = [
-            Column(item.alias or _derive_name(item.expr),
-                   infer_type(item.expr, layout.column_type))
-            for item in items
-        ]
-        project = _plan_projection([item.expr for item in items], layout)
-        stored = source.table
-        if stored is not None and project is not None and not (group or windows):
-            # the projection copies each row it keeps, so nothing before
-            # it needs a copy of the stored rows
-            scan = lambda: stored.rows  # noqa: E731
+        exprs, out_columns = _select_list(select.items, columns, layout)
+        project = _plan_projection(exprs, layout)
         order = None
         if select.order_by and select.set_op is None:
             order = _plan_order(select.order_by, layout, out_columns)
         distinct = select.distinct
 
-        def run() -> Rows:
-            rows = scan()
+        def run() -> Frame:
+            frame = scan()
             if where:
-                rows = where(rows)
+                frame = where(frame)
             if group:
-                rows = group(rows)
+                frame = group(frame)
             if having:
-                rows = having(rows)
+                frame = having(frame)
             if window_values:
-                values = [compute(rows) for compute in window_values]
-                rows = [row + extra for row, extra in zip(rows, zip(*values))]
-            out = project(rows) if project else rows
+                frame = frame.extend([compute(frame) for compute in window_values])
+            out = project(frame) if project else frame
             if order:
-                out = order(rows, out)
-            return _dedupe(out) if distinct else out
+                out = order(frame, out)
+            return _distinct(out) if distinct else out
 
         return Plan(out_columns, run)
 
@@ -255,7 +326,7 @@ class Executor:
                 plan = self.plan(relation.query)
                 return Source(_relabel(label, plan.columns), plan.run)
             columns = [RelColumn(label, c.name, c.sql_type) for c in relation.columns]
-            return Source(columns, lambda: list(map(tuple, relation.rows)), relation)
+            return Source(columns, lambda: Frame.scan(relation))
         if isinstance(table_expr, sa.SubqueryRef):
             plan = self.plan(table_expr.query, outer)
             return Source(_relabel(table_expr.alias, plan.columns), plan.run)
@@ -264,14 +335,19 @@ class Executor:
         raise SqlExecutionError(f"unsupported FROM item {type(table_expr).__name__}")
 
     def _plan_join(self, join: sa.Join, outer: Layout | None) -> Source:
-        left_columns, left_run, __ = self._plan_from(join.left, outer)
-        right_columns, right_run, __ = self._plan_from(join.right, outer)
+        left_columns, left_run = self._plan_from(join.left, outer)
+        right_columns, right_run = self._plan_from(join.right, outer)
         columns = left_columns + right_columns
+        width = len(columns)
 
         if join.kind == "cross" or join.condition is None:
-            def cross() -> Rows:
-                right_rows = right_run()
-                return [left + right for left in left_run() for right in right_rows]
+            def cross() -> Frame:
+                right_rows = right_run().rows()
+                return Frame.of_rows(
+                    [left + right for left in left_run().rows()
+                     for right in right_rows],
+                    width,
+                )
 
             return Source(columns, cross)
 
@@ -297,8 +373,8 @@ class Executor:
         null_left = (None,) * len(left_columns)
         null_right = (None,) * len(right_columns)
 
-        def run() -> Rows:
-            left_rows, right_rows = left_run(), right_run()
+        def run() -> Frame:
+            left_rows, right_rows = left_run().rows(), right_run().rows()
             probes, build = (right_rows, left_rows) if flip else (left_rows, right_rows)
             if keys:
                 index: dict[tuple, list[int]] = {}
@@ -328,7 +404,7 @@ class Executor:
                     for i, row in enumerate(right_rows)
                     if i not in matched
                 )
-            return rows
+            return Frame.of_rows(rows, width)
 
         return Source(columns, run)
 
@@ -341,85 +417,106 @@ class Executor:
 def _plan_filter(expr: sa.Expr | None, layout: Layout):
     if expr is None:
         return None
-    test = compile_expr(expr, layout)
-    return lambda rows: [row for row in rows if test(row) is True]
+    matching = compile_filter(expr, layout)
+
+    def where(frame: Frame) -> Frame:
+        positions = matching(frame)
+        return frame if len(positions) == frame.count else frame.take(positions)
+
+    return where
 
 
 def _plan_grouping(group_by: list[sa.Expr], aggregates: list[sa.FuncCall],
-                   layout: Layout) -> Callable[[Rows], Rows]:
-    """Rows -> one row per group: a representative input row followed by
+                   layout: Layout) -> Callable[[Frame], Frame]:
+    """Frame -> one row per group: a representative input row followed by
     the group's aggregate values."""
-    # NULL keys group together, as IS NOT DISTINCT FROM keys match
-    key_of = _key_builder([compile_expr(e, layout) for e in group_by],
-                          [True] * len(group_by))
+    keys = [compile_vector(e, layout) for e in group_by]
     folds = [_plan_aggregate(agg, layout) for agg in aggregates]
-    empty = (None,) * layout.width
+    width = layout.width
 
-    def group(rows: Rows) -> Rows:
-        if group_by:
-            groups: dict[tuple, Rows] = {}
-            for row in rows:
-                key = key_of(row)
-                members = groups.get(key)
-                if members is None:
-                    groups[key] = [row]
-                else:
-                    members.append(row)
-            buckets = list(groups.values())
+    def group(frame: Frame) -> Frame:
+        if keys:
+            buckets = _buckets([key(frame) for key in keys])
+            base = frame.take([members[0] for members in buckets])
+        elif frame.count:
+            buckets = [range(frame.count)]  # implicit single group
+            base = frame.take([0])
         else:
-            buckets = [rows]  # implicit single group (may be empty)
-        return [
-            (members[0] if members else empty)
-            + tuple([fold(members) for fold in folds])
-            for members in buckets
-        ]
+            buckets = [[]]
+            base = Frame(1, [[None]] * width)
+        return base.extend([fold(frame, buckets) for fold in folds])
 
     return group
 
 
-def _plan_aggregate(agg: sa.FuncCall, layout: Layout) -> Callable[[Rows], object]:
+def _buckets(columns: list[list]) -> list[list[int]]:
+    """Row positions grouped by key, groups in order of first appearance.
+    NULL keys group together, as IS NOT DISTINCT FROM keys match."""
+    columns = [c if _plain_keys(c) else list(map(_hashable, c)) for c in columns]
+    groups: defaultdict = defaultdict(list)
+    for i, key in enumerate(columns[0] if len(columns) == 1 else zip(*columns)):
+        groups[key].append(i)
+    return list(groups.values())
+
+
+def _plain_keys(column: list) -> bool:
+    """Whether ``column``'s values are dict keys as they are: no list, and
+    no NaN (every NaN must be one key, as ``_hashable`` makes them)."""
+    kinds = set(map(type, column))
+    return list not in kinds and not (float in kinds and any(map(ne, column, column)))
+
+
+def _plan_aggregate(agg: sa.FuncCall, layout: Layout) -> Callable:
+    """(frame, buckets) -> the aggregate's value for each bucket."""
     if agg.star:
         if agg.name != "count":
             raise SqlExecutionError(f"{agg.name}(*) is not defined")
-        return len
-    arg = compile_expr(agg.args[0], layout)
+        return lambda frame, buckets: [len(members) for members in buckets]
+    arg = compile_vector(agg.args[0], layout)
     extra = None
     if agg.name == "string_agg" and len(agg.args) > 1:
-        extra = compile_expr(agg.args[1], layout)
+        extra = compile_vector(agg.args[1], layout)
     keep_nulls = agg.name in NULL_KEEPING_AGGREGATES
 
-    def fold(rows: Rows):
-        values = [v for v in map(arg, rows) if v is not None or keep_nulls]
-        if agg.distinct:
-            values = _dedupe_values(values)
-        extra_args = [extra(rows[0])] if extra is not None and rows else []
-        return compute_aggregate(agg.name, values, extra_args)
+    def fold(frame: Frame, buckets) -> list:
+        column = arg(frame)
+        extras = extra(frame) if extra is not None else None
+        out = []
+        for members in buckets:
+            if type(members) is range:  # the implicit group: every row
+                values = column[:]
+            else:
+                values = [column[i] for i in members]
+            if not keep_nulls and None in values:
+                values = [v for v in values if v is not None]
+            if agg.distinct:
+                values = _dedupe_values(values)
+            extra_args = [extras[members[0]]] if extras and members else []
+            out.append(compute_aggregate(agg.name, values, extra_args))
+        return out
 
     return fold
 
 
-def _plan_window(node: sa.WindowFunc, layout: Layout) -> Callable[[Rows], list]:
+def _plan_window(node: sa.WindowFunc, layout: Layout) -> Callable[[Frame], list]:
     spec = node.window
-    args = [compile_expr(arg, layout) for arg in node.func.args]
-    partition = [compile_expr(e, layout) for e in spec.partition_by]
-    order = [compile_expr(item.expr, layout) for item in spec.order_by]
-    return lambda rows: compute_window_values(node, rows, args, partition, order)
+    args = [compile_vector(arg, layout) for arg in node.func.args]
+    partition = [compile_vector(e, layout) for e in spec.partition_by]
+    order = [compile_vector(item.expr, layout) for item in spec.order_by]
+    return lambda frame: compute_window_values(node, frame, args, partition, order)
 
 
-def _plan_projection(exprs: list[sa.Expr], layout: Layout):
-    """Rows -> projected rows, or None when the projection is the identity."""
-    slots = [_local_slot(e, layout) for e in exprs]
+def _plan_projection(exprs: list, layout: Layout):
+    """Frame -> projected frame, or None when the projection is the
+    identity.  An int in ``exprs`` is a slot (a column ``*`` expanded to)."""
+    slots = [e if isinstance(e, int) else _local_slot(e, layout) for e in exprs]
     if None not in slots:
         if slots == list(range(layout.width)):
             return None
-        if len(slots) == 1:
-            (slot,) = slots
-            return lambda rows: [(row[slot],) for row in rows]
-        if slots:
-            getter = itemgetter(*slots)
-            return lambda rows: list(map(getter, rows))
-    fns = [compile_expr(e, layout) for e in exprs]
-    return lambda rows: [tuple([f(row) for f in fns]) for row in rows]
+        return lambda frame: frame.select(slots)
+    fns = [(lambda frame, slot=e: frame.column(slot)) if isinstance(e, int)
+           else compile_vector(e, layout) for e in exprs]
+    return lambda frame: Frame(frame.count, [f(frame) for f in fns])
 
 
 def _local_slot(expr: sa.Expr, layout: Layout) -> int | None:
@@ -433,35 +530,56 @@ def _local_slot(expr: sa.Expr, layout: Layout) -> int | None:
 
 
 def _plan_order(order_by: list[sa.OrderItem], layout: Layout,
-                out_columns: list[Column]) -> Callable[[Rows, Rows], Rows]:
-    """sort(in_rows, out_rows): the output rows ordered by keys read from
-    the output row (an ordinal, or an output alias that names no input
-    column) or computed from the input row."""
+                out_columns: list[Column]) -> Callable[[Frame, Frame], Frame]:
+    """sort(in_frame, out_frame): the output rows ordered by keys read from
+    an output column (an ordinal, or an output alias that names no input
+    column) or computed from the input."""
     alias_index = {c.name: i for i, c in enumerate(out_columns)}
     keys = []
     for item in order_by:
         expr = item.expr
         if isinstance(expr, sa.Literal) and isinstance(expr.value, int) \
                 and 0 <= expr.value - 1 < len(out_columns):
-            from_out, fn = True, itemgetter(expr.value - 1)
+            key = expr.value - 1
         elif isinstance(expr, sa.ColumnRef) and expr.table is None \
                 and not layout.resolves(expr) and expr.name in alias_index:
-            from_out, fn = True, itemgetter(alias_index[expr.name])
+            key = alias_index[expr.name]
         else:
-            from_out, fn = False, compile_expr(expr, layout)
-        keys.append((from_out, fn, item.descending, item.nulls_first))
+            key = compile_vector(expr, layout)
+        keys.append((key, item.descending, item.nulls_first))
 
-    def sort(in_rows: Rows, out_rows: Rows) -> Rows:
+    def sort(in_frame: Frame, out_frame: Frame) -> Frame:
         columns = [
-            sort_column(list(map(fn, out_rows if from_out else in_rows)),
-                        descending, nulls_first)
-            for from_out, fn, descending, nulls_first in keys
+            sort_column(out_frame.column(key) if isinstance(key, int)
+                        else key(in_frame), descending, nulls_first)
+            for key, descending, nulls_first in keys
         ]
-        sort_keys = list(zip(*columns))
-        order = sorted(range(len(out_rows)), key=sort_keys.__getitem__)
-        return [out_rows[i] for i in order]
+        sort_keys = columns[0] if len(columns) == 1 else list(zip(*columns))
+        return out_frame.take(
+            sorted(range(out_frame.count), key=sort_keys.__getitem__)
+        )
 
     return sort
+
+
+def _gather(values: Sequence, positions: Sequence[int]) -> Sequence:
+    """``values`` at ``positions``; every range here has step 1."""
+    if type(positions) is range:
+        return values[positions.start:positions.stop]
+    if type(values) is range and not values.start:
+        return positions
+    return [values[i] for i in positions]
+
+
+def _slice(frame: Frame, offset: int | None, limit: int | None) -> Frame:
+    positions = range(frame.count)[offset:][:limit]
+    return frame if len(positions) == frame.count else frame.take(positions)
+
+
+def _distinct(frame: Frame) -> Frame:
+    rows = frame.rows()
+    kept = _dedupe(rows)
+    return frame if len(kept) == len(rows) else Frame.of_rows(kept, len(rows[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -473,20 +591,24 @@ def _relabel(label: str | None, columns: list[Column]) -> list[RelColumn]:
     return [RelColumn(label, c.name, c.sql_type) for c in columns]
 
 
-def _expand_stars(
-    items: list[sa.SelectItem], columns: list[RelColumn]
-) -> list[sa.SelectItem]:
-    out: list[sa.SelectItem] = []
+def _select_list(items: list[sa.SelectItem], columns: list[RelColumn],
+                 layout: Layout) -> tuple[list, list[Column]]:
+    """The select list's expressions and output columns.  A ``*`` expands
+    by position into the slots it names, so two input columns of one name
+    stay two columns."""
+    exprs: list = []
+    out: list[Column] = []
     for item in items:
-        if isinstance(item.expr, sa.Star):
-            out.extend(
-                sa.SelectItem(sa.ColumnRef(col.name, table=col.table), alias=col.name)
-                for col in columns
-                if item.expr.table is None or col.table == item.expr.table
-            )
-        else:
-            out.append(item)
-    return out
+        if not isinstance(item.expr, sa.Star):
+            exprs.append(item.expr)
+            out.append(Column(item.alias or _derive_name(item.expr),
+                              infer_type(item.expr, layout.column_type)))
+            continue
+        for slot, col in enumerate(columns):
+            if item.expr.table is None or col.table == item.expr.table:
+                exprs.append(slot)
+                out.append(Column(col.name, col.sql_type))
+    return exprs, out
 
 
 def _hashable(value):
@@ -626,7 +748,7 @@ def _split_equi_condition(condition: sa.Expr, left: Layout, right: Layout):
     """
     keys = []
     residual: sa.Expr | None = None
-    for conjunct in _flatten_and(condition):
+    for conjunct in flatten_and(condition):
         pair = _equi_pair(conjunct, left, right)
         if pair is not None:
             keys.append(pair)
@@ -635,12 +757,6 @@ def _split_equi_condition(condition: sa.Expr, left: Layout, right: Layout):
         else:
             residual = sa.BinaryOp("AND", residual, conjunct)
     return (keys, residual) if keys else ([], condition)
-
-
-def _flatten_and(expr: sa.Expr) -> list[sa.Expr]:
-    if isinstance(expr, sa.BinaryOp) and expr.op == "AND":
-        return _flatten_and(expr.left) + _flatten_and(expr.right)
-    return [expr]
 
 
 def _equi_pair(expr: sa.Expr, left: Layout, right: Layout):

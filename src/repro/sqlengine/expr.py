@@ -1,8 +1,13 @@
-"""Scalar expressions, compiled once per statement into closures over rows.
+"""Scalar expressions, compiled once per statement into closures.
 
 :func:`compile_expr` lowers an expression against a :class:`Layout`, the
-slots of the rows it will run over, and returns a closure ``fn(row)``.
-Compiling does the per-statement work once:
+slots of the rows it will run over, and returns a closure ``fn(row)``;
+:func:`compile_vector` lowers it into ``fn(frame)``, which computes the
+expression for every row of a frame a column at a time (one ``map`` per
+operator), and :func:`compile_filter` into the positions where a
+condition holds.  All three come from one compilation; a node with no
+column form maps its row closure over the frame's rows.  Compiling does the
+per-statement work once:
 
 - every column reference becomes a slot index, or a slot of an enclosing
   query's current row inside a correlated subquery, so an unknown or
@@ -25,8 +30,9 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress, repeat
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, NamedTuple, Sequence
 
 from repro.errors import SqlExecutionError, SqlTypeError
 from repro.sqlengine import sqlast as sa
@@ -137,19 +143,89 @@ def compile_expr(expr: sa.Expr, layout: Layout) -> Callable:
     return _call(_compile(expr, layout))
 
 
-class _Const:
+def compile_vector(expr: sa.Expr, layout: Layout) -> Callable:
+    """Lower ``expr`` once into a closure over a frame (``count`` rows laid
+    out as ``layout``, read a column at a time): its values, one per row."""
+    return _vector(_compile(expr, layout))
+
+
+def compile_filter(expr: sa.Expr, layout: Layout) -> Callable:
+    """Lower a condition into ``frame -> positions`` of the rows where it
+    is TRUE.  Each conjunct runs over the rows the ones before it kept."""
+    tests = []
+    for conjunct in flatten_and(expr):
+        node = _compile(conjunct, layout)
+        # a comparison yields only TRUE, FALSE and NULL: truthy is TRUE
+        boolean = type(node) is _Lift and node.fast is not None \
+            and node.fast[0] in _COMPARISONS
+        tests.append((_vector(node), boolean))
+
+    def matching(frame) -> Sequence[int]:
+        positions: Sequence[int] = range(frame.count)
+        for test, boolean in tests:
+            part = frame if len(positions) == frame.count else frame.take(positions)
+            values = test(part)
+            hits = list(compress(range(part.count), values if boolean else
+                                 map(operator.is_, values, repeat(True))))
+            if len(hits) < part.count:  # (a range is every row: hits as is)
+                positions = hits if type(positions) is range \
+                    else [positions[i] for i in hits]
+        return positions
+
+    return matching
+
+
+def flatten_and(expr: sa.Expr) -> list[sa.Expr]:
+    if isinstance(expr, sa.BinaryOp) and expr.op == "AND":
+        return flatten_and(expr.left) + flatten_and(expr.right)
+    return [expr]
+
+
+# A compiled node is a _Const, a _Column, a _Lift, a _Kleene or an opaque
+# row closure (CASE, subqueries, non-constant IN lists).  ``_call`` makes
+# any of them a row closure and ``_vector`` a frame closure; an opaque
+# closure's column form maps it over the frame's rows.
+
+
+class _Const(NamedTuple):
     """A folded subtree: its value, known before any row is read."""
 
-    __slots__ = ("value",)
+    value: object
 
-    def __init__(self, value):
-        self.value = value
+
+class _Column(NamedTuple):
+    """A slot of this layout's rows, or of an enclosing query's current
+    row (``owner``) inside a correlated subquery."""
+
+    slot: int
+    owner: Layout | None = None
+
+
+class _Lift(NamedTuple):
+    """``op`` applied to the kids' values.  ``fast`` is ``(c_op, check)``:
+    a C operator a column runs through in one ``map``, equal to ``op`` on
+    values without NULLs.  On a NULL it raises TypeError, or (``check``)
+    returns a wrong answer, so the columns are searched for NULLs first."""
+
+    op: Callable
+    kids: tuple
+    fast: tuple | None = None
+
+
+class _Kleene(NamedTuple):
+    """AND (``stop`` FALSE) or OR (``stop`` TRUE) in three-valued logic:
+    ``stop`` on either side decides, and the right side runs only where
+    the left side does not."""
+
+    stop: bool
+    left: object
+    right: object
 
 
 def _compile(expr: sa.Expr, layout: Layout):
     slot = layout.bound.get(id(expr))
     if slot is not None:
-        return itemgetter(slot)
+        return _Column(slot)
     compiler = _COMPILERS.get(type(expr))
     if compiler is None:
         raise SqlExecutionError(f"cannot evaluate {type(expr).__name__}")
@@ -157,40 +233,139 @@ def _compile(expr: sa.Expr, layout: Layout):
 
 
 def _call(compiled) -> Callable:
-    if isinstance(compiled, _Const):
+    kind = type(compiled)
+    if kind is _Const:
         value = compiled.value
         return lambda row: value
-    return compiled
+    if kind is _Column:
+        slot, owner = compiled
+        return itemgetter(slot) if owner is None else lambda row: owner.row[slot]
+    if kind is _Kleene:
+        return _row_kleene(*compiled)
+    return _row_lift(compiled) if kind is _Lift else compiled
 
 
-def _fold(fn: Callable, kids) -> object:
+def _vector(compiled) -> Callable:
+    kind = type(compiled)
+    if kind is _Const:
+        value = compiled.value
+        return lambda frame: [value] * frame.count
+    if kind is _Column:
+        slot, owner = compiled
+        if owner is None:
+            return lambda frame: frame.column(slot)
+        return lambda frame: [owner.row[slot]] * frame.count
+    if kind is _Lift:
+        return _vector_lift(compiled)
+    if kind is _Kleene:
+        return _vector_kleene(*compiled)
+    return lambda frame: list(map(compiled, frame.rows()))
+
+
+def _fold(fn, kids) -> object:
     """``fn`` itself, or its value when every kid is a constant.  A fold
     that raises (``1/0``) stays a closure, so the error is raised only for
     rows that reach it (a CASE branch not taken raises nothing)."""
     if all(isinstance(kid, _Const) for kid in kids):
         try:
-            return _Const(fn(()))
+            return _Const(_call(fn)(()))
         except Exception:
             return fn
     return fn
 
 
-def _lift(op: Callable, *kids):
-    """A closure applying ``op`` to the kids' values of each row."""
+def _lift(op: Callable, *kids, fast: tuple | None = None):
+    """A node applying ``op`` to the kids' values of each row."""
+    return _fold(_Lift(op, kids, fast), kids)
+
+
+def _row_lift(node: _Lift) -> Callable:
+    op, kids = node.op, node.kids
     if len(kids) == 2 and isinstance(kids[1], _Const) \
             and not isinstance(kids[0], _Const):
-        first, second = kids[0], kids[1].value
+        first, second = _call(kids[0]), kids[1].value
         return lambda row: op(first(row), second)
     fns = [_call(kid) for kid in kids]
     if len(fns) == 1:
         (a,) = fns
-        fn = lambda row: op(a(row))  # noqa: E731
-    elif len(fns) == 2:
+        return lambda row: op(a(row))
+    if len(fns) == 2:
         a, b = fns
-        fn = lambda row: op(a(row), b(row))  # noqa: E731
-    else:
-        fn = lambda row: op(*[f(row) for f in fns])  # noqa: E731
-    return _fold(fn, kids)
+        fast, check = node.fast or (None, True)
+        if check:
+            return lambda row: op(a(row), b(row))
+
+        def binary(row):  # fast raises TypeError where only op is right
+            left, right = a(row), b(row)
+            try:
+                return fast(left, right)
+            except TypeError:
+                return op(left, right)
+
+        return binary
+    return lambda row: op(*[f(row) for f in fns])
+
+
+def _vector_lift(node: _Lift) -> Callable:
+    op, (fast, check) = node.op, node.fast or (None, False)
+    consts = [kid.value if isinstance(kid, _Const) else None for kid in node.kids]
+    vectors = [None if isinstance(kid, _Const) else _vector(kid)
+               for kid in node.kids]
+    if check and None in [c for c, v in zip(consts, vectors) if v is None]:
+        fast = None  # a NULL constant: op alone knows the answer
+
+    def vector(frame) -> list:
+        count = frame.count
+        columns = [fn(frame) if fn else None for fn in vectors]
+
+        def args():
+            return [repeat(const, count) if column is None else column
+                    for const, column in zip(consts, columns)]
+
+        if fast is not None and not (check and any(
+                None in column for column in columns if column is not None)):
+            try:
+                return list(map(fast, *args()))
+            except TypeError:
+                pass  # a NULL, or op raises the SQL error for the offending pair
+        return list(map(op, *args()))
+
+    return vector
+
+
+def _row_kleene(stop: bool, left, right) -> Callable:
+    left, right = _call(left), _call(right)
+
+    def kleene(row):
+        first = left(row)
+        if first is stop:
+            return stop
+        second = right(row)
+        if second is stop:
+            return stop
+        if first is None or second is None:
+            return None
+        return not stop
+
+    return kleene
+
+
+def _vector_kleene(stop: bool, left, right) -> Callable:
+    left, right = _vector(left), _vector(right)
+
+    def kleene(frame) -> list:
+        values = list(left(frame))
+        open_ = [i for i, value in enumerate(values) if value is not stop]
+        if not open_:
+            return values
+        part = frame if len(open_) == frame.count else frame.take(open_)
+        for i, second in zip(open_, right(part)):
+            first = values[i]
+            values[i] = stop if second is stop else (
+                None if first is None or second is None else not stop)
+        return values
+
+    return kleene
 
 
 # -- operators over values ----------------------------------------------------
@@ -260,6 +435,20 @@ _BINARY: dict[str, Callable] = {
 }
 
 
+#: (C operator, check) per _BINARY entry, as _Lift.fast reads them
+_FAST: dict[str, tuple] = {
+    "=": (operator.eq, True), "<>": (operator.ne, True),
+    "<": (operator.lt, False), "<=": (operator.le, False),
+    ">": (operator.gt, False), ">=": (operator.ge, False),
+    "IS NOT DISTINCT FROM": (operator.eq, False),
+    "IS DISTINCT FROM": (operator.ne, False),
+    "+": (operator.add, False), "-": (operator.sub, False),
+    "*": (operator.mul, False),
+}
+_COMPARISONS = {operator.eq, operator.ne, operator.lt, operator.le,
+                operator.gt, operator.ge}
+
+
 def _member(value, candidates, negated: bool):
     if value is None:
         return None
@@ -290,9 +479,7 @@ def _like_to_regex(pattern: str) -> re.Pattern:
 
 def _compile_column(expr: sa.ColumnRef, layout: Layout):
     owner, slot = layout.resolve(expr)
-    if owner is layout:
-        return itemgetter(slot)
-    return lambda row: owner.row[slot]
+    return _Column(slot, None if owner is layout else owner)
 
 
 def _compile_unary(expr: sa.UnaryOp, layout: Layout):
@@ -308,25 +495,11 @@ def _compile_binary(expr: sa.BinaryOp, layout: Layout):
     kids = (_compile(expr.left, layout), _compile(expr.right, layout))
     op = expr.op
     if op in ("AND", "OR"):
-        left, right = (_call(kid) for kid in kids)
-        stop = op == "OR"  # the value that decides: FALSE for AND, TRUE for OR
-
-        def kleene(row):
-            first = left(row)
-            if first is stop:
-                return stop
-            second = right(row)
-            if second is stop:
-                return stop
-            if first is None or second is None:
-                return None
-            return not stop
-
-        return _fold(kleene, kids)
+        return _fold(_Kleene(op == "OR", *kids), kids)
     fn = _BINARY.get(op)
     if fn is None:
         raise SqlExecutionError(f"unknown operator {op!r}")
-    return _lift(fn, *kids)
+    return _lift(fn, *kids, fast=_FAST.get(op))
 
 
 def _compile_isnull(expr: sa.IsNull, layout: Layout):

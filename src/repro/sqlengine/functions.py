@@ -139,24 +139,6 @@ def scalar_result_type(name: str, arg_types: Sequence[SqlType]) -> SqlType:
 # ---------------------------------------------------------------------------
 
 
-class Aggregate:
-    """One aggregate computation over a collection of argument values."""
-
-    name: str
-
-    def compute(self, values: list):  # values: non-NULL argument values
-        raise NotImplementedError
-
-
-class _SimpleAggregate(Aggregate):
-    def __init__(self, name: str, fn: Callable[[list], object]):
-        self.name = name
-        self.fn = fn
-
-    def compute(self, values: list):
-        return self.fn(values)
-
-
 def _float_sum(values) -> float:
     """Correctly rounded float sum (``math.fsum``).
 
@@ -176,13 +158,14 @@ def _float_sum(values) -> float:
 
 
 def _avg(values: list):
-    return _float_sum(float(v) for v in values) / len(values) if values else None
+    return _float_sum(map(float, values)) / len(values) if values else None
 
 
 def _sum(values: list):
     if not values:
         return None
-    if any(isinstance(v, float) for v in values):
+    if isinstance(values[0], float) or any(
+            issubclass(kind, float) for kind in set(map(type, values))):
         return _float_sum(values)
     return sum(values)  # ints / Fractions / Decimals stay exact
 

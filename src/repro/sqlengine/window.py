@@ -51,29 +51,31 @@ class _Reverse:
 
 def compute_window_values(
     node: sa.WindowFunc,
-    rows: list[tuple],
+    frame,
     args: list[Callable],
     partition_by: list[Callable],
     order_by: list[Callable],
 ) -> list:
-    """Evaluate a window function for every row of the input.
+    """Evaluate a window function for every row of ``frame``.
 
-    ``args``, ``partition_by`` and ``order_by`` are the compiled closures
-    of the function's arguments and of its window's keys.  Returns a list
-    of values, one per input row, in input order.
+    ``args``, ``partition_by`` and ``order_by`` are the function's
+    arguments and its window's keys, compiled to column closures over the
+    frame.  Returns a list of values, one per input row, in input order.
     """
     spec = node.window
+    count = frame.count
     partitions: dict[tuple, list[int]] = {}
-    for i, row in enumerate(rows):
-        key = tuple([_hashable(f(row)) for f in partition_by])
+    keys = zip(*[map(_hashable, f(frame)) for f in partition_by]) \
+        if partition_by else [()] * count
+    for i, key in enumerate(keys):
         partitions.setdefault(key, []).append(i)
     # one value list per ORDER BY key, zipped into one tuple per row
-    columns = [list(map(f, rows)) for f in order_by]
+    columns = [f(frame) for f in order_by]
     keyed = [
         sort_column(column, item.descending, item.nulls_first)
         for column, item in zip(columns, spec.order_by)
     ]
-    order_values = list(zip(*columns)) if columns else [()] * len(rows)
+    order_values = list(zip(*columns)) if columns else [()] * count
     sort_keys = list(zip(*keyed)) if keyed else order_values
 
     columns_of_args: dict[int, list] = {}
@@ -81,10 +83,10 @@ def compute_window_values(
     def arg(k: int) -> list:
         """Argument k's value for every input row, computed on first use."""
         if k not in columns_of_args:
-            columns_of_args[k] = list(map(args[k], rows))
+            columns_of_args[k] = args[k](frame)
         return columns_of_args[k]
 
-    results: list = [None] * len(rows)
+    results: list = [None] * count
     for members in partitions.values():
         ordered = sorted(members, key=sort_keys.__getitem__)
         _fill_partition(node, ordered, order_values, arg, results)

@@ -403,9 +403,10 @@ class ResilientBackend(ExecutionBackend):
             close()
 
     def load_columns(
-        self, name: str, columns: list, rows: list, temporary: bool = False
+        self, name: str, columns: list, column_data: list,
+        temporary: bool = False,
     ) -> None:
-        self.inner.load_columns(name, columns, rows, temporary)
+        self.inner.load_columns(name, columns, column_data, temporary)
 
     def process_info(self) -> dict:
         return self.inner.process_info()

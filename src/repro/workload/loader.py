@@ -20,7 +20,8 @@ from repro.sqlengine.types import SqlType
 def qtable_to_columns(
     table: QTable | QKeyedTable,
 ) -> tuple[list[str], list[Column], list[list]]:
-    """Convert a Q table to SQL (keys, columns, rows), adding ``ordcol``.
+    """Convert a Q table to SQL (keys, columns, column data), adding
+    ``ordcol``; the column data is one value list per column.
 
     The implicit order column is assigned here — *before* any partition
     split — so sharded loads carry globally unique row numbers and an
@@ -44,12 +45,8 @@ def qtable_to_columns(
         raw_columns.append(col.qtype.sql_values(col.items))
 
     columns.append(Column("ordcol", SqlType.BIGINT))
-    row_count = len(table)
-    rows = [
-        [raw_columns[c][i] for c in range(len(raw_columns))] + [i]
-        for i in range(row_count)
-    ]
-    return keys, columns, rows
+    raw_columns.append(list(range(len(table))))
+    return keys, columns, raw_columns
 
 
 def load_table(
@@ -63,10 +60,10 @@ def load_table(
     When ``mdi`` is given and the table is keyed, the key columns are
     annotated in the metadata interface (PG has no keyed-table notion).
     """
-    keys, columns, rows = qtable_to_columns(table)
+    keys, columns, column_data = qtable_to_columns(table)
     if engine.catalog.exists(name):
         engine.catalog.drop(name)
-    engine.create_table_from_columns(name, columns, rows)
+    engine.create_table_from_columns(name, columns, column_data)
     if mdi is not None:
         if keys:
             mdi.annotate_keys(name, keys)

@@ -49,8 +49,8 @@ def load_sharded_workload(
     """
     workload = workload or generate(config)
     for name, table in workload.tables.items():
-        keys, columns, rows = qtable_to_columns(table)
-        backend.load_columns(name, columns, rows)
+        keys, columns, column_data = qtable_to_columns(table)
+        backend.load_columns(name, columns, column_data)
         if mdi is not None:
             if keys:
                 mdi.annotate_keys(name, keys)

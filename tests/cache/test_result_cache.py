@@ -12,6 +12,7 @@ from repro.config import HyperQConfig, ResultCacheConfig
 from repro.core.pipeline import StageTimings, TranslationResult
 from repro.qlang.values import QTable
 from repro.sqlengine.catalog import Column
+from repro.sqlengine.engine import Engine
 from repro.sqlengine.executor import ResultSet
 from repro.sqlengine.types import SqlType
 
@@ -54,11 +55,16 @@ class TestFillAndFetch:
         second = cache.fetch(("k",))
         assert [r[0] for r in second.rows] == [1, 2, 3]
 
-    def test_fill_copies_the_producer_result(self):
+    def test_entry_survives_a_later_update_of_its_table(self):
+        """The entry keeps the engine result's lists, and a result shares
+        none with the table, so writes to the table leave it alone."""
+        engine = Engine()
+        engine.execute("CREATE TABLE t (a bigint)")
+        engine.execute("INSERT INTO t VALUES (1), (2)")
         cache = make_cache()
-        live = rs([1, 2])
-        cache.fill(("k",), [], live)
-        live.column_data[0].append(3)  # backend mutates its rows later
+        cache.fill(("k",), ["t"], engine.execute("SELECT a FROM t"))
+        engine.execute("UPDATE t SET a = a + 10")
+        engine.execute("INSERT INTO t VALUES (3)")
         assert [r[0] for r in cache.fetch(("k",)).rows] == [1, 2]
 
 

@@ -40,7 +40,7 @@ def worker():
     shard.load_columns(
         "t",
         [Column("id", SqlType.BIGINT), Column("px", SqlType.DOUBLE)],
-        [[1, 1.5], [2, 2.5], [3, float("nan")]],
+        [[1, 2, 3], [1.5, 2.5, float("nan")]],
     )
     yield shard
     shard.close()
@@ -49,9 +49,10 @@ def worker():
 def _roundtrip(worker, columns, rows, sql="SELECT * FROM rt"):
     """``sql`` over the same table in the worker and in an in-process
     engine — the thread-mode answer the worker's must equal."""
-    worker.load_columns("rt", columns, rows)
+    column_data = [list(values) for values in zip(*rows)]
+    worker.load_columns("rt", columns, column_data)
     local = Engine()
-    local.create_table_from_columns("rt", columns, rows)
+    local.create_table_from_columns("rt", columns, column_data)
     return worker.run_sql(sql), local.execute(sql)
 
 
@@ -210,7 +211,7 @@ class TestWorkerLifecycle:
 
     def test_timed_out_read_keeps_the_worker(self, worker):
         worker.load_columns(
-            "slow", [Column("id", SqlType.BIGINT)], [[i] for i in range(60)]
+            "slow", [Column("id", SqlType.BIGINT)], [list(range(80))]
         )
         with request_scope(deadline=Deadline.after(0.1)):
             with pytest.raises(DeadlineExceededError):
@@ -219,8 +220,8 @@ class TestWorkerLifecycle:
                     " WHERE a.id + b.id + c.id >= 0"
                 )
         assert worker.restarts == 0
-        # the late 216 000-row count is dropped; this statement gets its own
-        assert worker.run_sql("SELECT count(*) AS n FROM slow").rows == [(60,)]
+        # the late 512 000-row count is dropped; this statement gets its own
+        assert worker.run_sql("SELECT count(*) AS n FROM slow").rows == [(80,)]
 
     def test_process_info_reports_worker(self, worker):
         info = worker.process_info()
@@ -235,7 +236,7 @@ class TestWorkerLifecycle:
         rows = [[i, f"{i:06d}" + "v" * 1000] for i in range(10_000)]
         # a wide partition crosses in one message, whatever its size
         assert len(pickle.dumps(rows)) > 8 * 1024 * 1024
-        worker.load_columns("big", columns, rows)
+        worker.load_columns("big", columns, [list(c) for c in zip(*rows)])
         result = worker.run_sql(
             "SELECT count(*) AS n, min(id) AS lo, max(id) AS hi, max(s) AS s"
             " FROM big"
@@ -288,7 +289,7 @@ class TestCrashRespawn:
         shard.start()
         try:
             shard.load_columns(
-                "t", [Column("id", SqlType.BIGINT)], [[1], [2]]
+                "t", [Column("id", SqlType.BIGINT)], [[1, 2]]
             )
             shard.run_sql("CREATE TABLE w (x INTEGER)")
             shard.run_sql("INSERT INTO w VALUES (42)")

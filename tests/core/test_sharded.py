@@ -43,8 +43,8 @@ def build_sharded(shard_count=2, config=None, children=None):
     interp = Interpreter()
     interp.eval_text(MARKET_SOURCE)
     for name in ("trades", "ratings"):
-        keys, columns, rows = qtable_to_columns(interp.get_global(name))
-        backend.load_columns(name, columns, rows)
+        keys, columns, column_data = qtable_to_columns(interp.get_global(name))
+        backend.load_columns(name, columns, column_data)
         if keys:
             platform.mdi.annotate_keys(name, keys)
     return platform, backend
@@ -207,18 +207,22 @@ class TestShardedBackend:
         spec = backend.partition_map.lookup("trades")
         interp = Interpreter()
         interp.eval_text(MARKET_SOURCE)
-        keys, columns, rows = qtable_to_columns(interp.get_global("trades"))
-        buckets = backend.route_rows("trades", columns, rows)
-        assert sum(len(b) for b in buckets) == len(rows)
+        keys, columns, column_data = qtable_to_columns(
+            interp.get_global("trades")
+        )
+        buckets = backend.route_rows("trades", columns, column_data)
+        rows = list(zip(*column_data))
+        bucket_rows = [list(zip(*bucket)) for bucket in buckets]
+        assert sorted(r for b in bucket_rows for r in b) == sorted(rows)
         key_index = [c.name for c in columns].index("Symbol")
-        for shard, bucket in enumerate(buckets):
+        for shard, bucket in enumerate(bucket_rows):
             assert all(
                 spec.shard_for(r[key_index], 2) == shard for r in bucket
             )
         # unpartitioned tables replicate whole
-        __, rcolumns, rrows = qtable_to_columns(interp.get_global("ratings"))
-        rbuckets = backend.route_rows("ratings", rcolumns, rrows)
-        assert all(len(b) == len(rrows) for b in rbuckets)
+        __, rcolumns, rdata = qtable_to_columns(interp.get_global("ratings"))
+        rbuckets = backend.route_rows("ratings", rcolumns, rdata)
+        assert all(b == rdata for b in rbuckets)
 
     def test_catalog_version_is_sum_of_children(self, sharded):
         __, backend = sharded

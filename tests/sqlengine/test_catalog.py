@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import SqlCatalogError
 from repro.sqlengine.catalog import Catalog, Column, Table
+from repro.sqlengine.engine import Engine
 from repro.sqlengine.types import SqlType
 
 
@@ -79,17 +80,20 @@ class TestSystemCatalog:
         catalog = Catalog()
         catalog.create_table("perm", [col("a")])
         catalog.create_table("tmp", [col("a")], temporary=True)
-        rows = catalog.resolve("pg_tables").rows
-        schemas = {(r[0], r[1]) for r in rows}
-        assert ("public", "perm") in schemas
-        assert ("pg_temp", "tmp") in schemas
+        rows = Engine(catalog).execute(
+            "SELECT schemaname, tablename FROM pg_tables"
+        ).rows
+        assert ("public", "perm") in rows
+        assert ("pg_temp", "tmp") in rows
 
     def test_information_schema_columns(self):
         catalog = Catalog()
         catalog.create_table(
             "t", [col("a", SqlType.BIGINT), col("b", SqlType.VARCHAR)]
         )
-        rows = catalog.resolve("columns", schema="information_schema").rows
+        rows = Engine(catalog).execute(
+            "SELECT * FROM information_schema.columns"
+        ).rows
         mine = [r for r in rows if r[1] == "t"]
         assert [(r[2], r[4]) for r in mine] == [
             ("a", "bigint"), ("b", "varchar"),
@@ -99,8 +103,8 @@ class TestSystemCatalog:
     def test_pg_views(self):
         catalog = Catalog()
         catalog.create_view("v", query=None, sql="SELECT 1")
-        rows = catalog.resolve("pg_views").rows
-        assert rows == [["public", "v", "SELECT 1"]]
+        rows = Engine(catalog).execute("SELECT * FROM pg_views").rows
+        assert rows == [("public", "v", "SELECT 1")]
 
     def test_unknown_system_relation(self):
         with pytest.raises(SqlCatalogError):
