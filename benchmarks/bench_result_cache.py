@@ -1,19 +1,11 @@
-"""Semantic result cache + interactive temp-data tier (docs/CACHING.md).
+"""Semantic result cache (docs/CACHING.md): repeat-analytical speedup.
 
-Two claims, two measurements:
-
-* **Repeat-analytical speedup** — a dashboard-style repeated analytical
-  query is answered from the result cache (key: translated SQL +
-  catalog version + per-table version vector), skipping the backend
-  entirely.  The bench times the same query on a cache-disabled and a
-  cache-enabled platform and gates the ratio at >= 50x.
-
-* **Temp-tier interactive speedup** — a Q variable assignment plus a
-  filtered scan runs lazily (in-memory snapshot + positional-map zone
-  pruning) vs. eagerly (CTAS backend write + SQL scan), gated at >= 2x.
-
-Both speedups are dimensionless, so ``check_bench_regression.py``
-compares them against the committed baseline bands.
+A dashboard-style repeated analytical query is answered from the result
+cache (key: translated SQL + catalog version + per-table version
+vector), skipping the backend entirely.  The bench times the same query
+on a cache-disabled and a cache-enabled platform and gates the ratio at
+>= 50x.  The speedup is dimensionless, so ``check_bench_regression.py``
+compares it against the committed baseline band.
 """
 
 from __future__ import annotations
@@ -22,34 +14,16 @@ import time
 
 from conftest import bench_repeats, save_results
 
-from repro.config import HyperQConfig, ResultCacheConfig, TempTierConfig
+from repro.config import HyperQConfig, ResultCacheConfig
 from repro.core.platform import HyperQ
-from repro.qlang.values import QTable, QType, QVector
 from repro.workload.analytical import load_workload
-from repro.workload.loader import load_table
 
-#: acceptance floors (ISSUE 9)
+#: acceptance floor
 MIN_REPEAT_SPEEDUP = 50.0
-MIN_TIER_SPEEDUP = 2.0
 
 #: the repeated dashboard query: full group-by over the fact table
 REPEAT_QUERY = "select sum notional by desk from positions"
 REPEAT_SWEEPS = 20
-
-#: rows in the synthetic tick table driving the temp-tier measurement
-TICK_ROWS = 20_000
-TIER_ASSIGN = "dt: select from ticks"
-#: an interactive session over the variable: count, point lookups and
-#: filtered range scans — monotone ``ts`` makes the zone metadata prune
-#: almost every block
-TIER_SCANS = [
-    "count select from dt",
-    f"select from dt where ts = {TICK_ROWS // 2}",
-    f"select from dt where ts > {TICK_ROWS - 500}",
-    f"select from dt where ts > {TICK_ROWS - 2000}, ts < {TICK_ROWS - 1000}",
-    "select from dt where ts < 250",
-    f"select px from dt where ts > {TICK_ROWS - 250}",
-]
 
 
 def _cache_platform(enabled: bool) -> HyperQ:
@@ -71,44 +45,7 @@ def _repeat_sweep(hq: HyperQ) -> float:
         session.close()
 
 
-def _tick_platform(tier_enabled: bool) -> HyperQ:
-    hq = HyperQ(config=HyperQConfig(
-        result_cache=ResultCacheConfig(enabled=False),
-        temp_tier=TempTierConfig(enabled=tier_enabled),
-    ))
-    n = TICK_ROWS
-    ticks = QTable(
-        ["sym", "ts", "px", "sz"],
-        [
-            QVector(QType.SYMBOL, [f"S{i % 97:03d}" for i in range(n)]),
-            QVector(QType.LONG, list(range(n))),
-            QVector(QType.FLOAT, [100.0 + (i % 997) / 100.0 for i in range(n)]),
-            QVector(QType.LONG, [(i % 89) * 10 for i in range(n)]),
-        ],
-    )
-    load_table(hq.engine, "ticks", ticks, mdi=hq.mdi)
-    return hq
-
-
-def _tier_round(hq: HyperQ) -> float:
-    """Assign a temp variable and run an interactive scan sequence."""
-    session = hq.create_session()
-    try:
-        start = time.perf_counter()
-        session.execute(TIER_ASSIGN)
-        for scan in TIER_SCANS:
-            session.execute(scan)
-        elapsed = time.perf_counter() - start
-    finally:
-        # drop dt before close: promotion would materialize the lazy
-        # handle, charging the eager path's write to the lazy round's
-        # teardown (outside the timed window, but noisy)
-        session.session_scope.delete("dt")
-        session.close()
-    return elapsed
-
-
-def test_result_cache_and_temp_tier_speedups(benchmark):
+def test_result_cache_speedup(benchmark):
     repeats = bench_repeats(3)
 
     # -- repeat-analytical: cache off vs cache on -------------------------
@@ -125,25 +62,12 @@ def test_result_cache_and_temp_tier_speedups(benchmark):
     # before the pytest-benchmark loop below inflates it
     cache_hits = warm_hq.result_cache.snapshot().hits
 
-    # -- temp tier: eager CTAS+scan vs lazy snapshot+pruned scan ----------
-    eager_hq = _tick_platform(tier_enabled=False)
-    eager_seconds = min(_tier_round(eager_hq) for __ in range(repeats))
-
-    lazy_hq = _tick_platform(tier_enabled=True)
-    lazy_seconds = min(_tier_round(lazy_hq) for __ in range(repeats))
-    tier_speedup = (
-        eager_seconds / lazy_seconds if lazy_seconds else float("inf")
-    )
-
     benchmark(lambda: _repeat_sweep(warm_hq))
 
     print(
         f"\nresult cache: cold {cold_seconds * 1e3:.2f}ms, "
         f"warm {warm_seconds * 1e3:.2f}ms, {repeat_speedup:.0f}x "
-        f"({REPEAT_SWEEPS} repeats; hits {cache_hits})\n"
-        f"temp tier: eager {eager_seconds * 1e3:.2f}ms, "
-        f"lazy {lazy_seconds * 1e3:.2f}ms, {tier_speedup:.1f}x "
-        f"({TICK_ROWS} rows)"
+        f"({REPEAT_SWEEPS} repeats; hits {cache_hits})"
     )
 
     save_results(
@@ -156,12 +80,6 @@ def test_result_cache_and_temp_tier_speedups(benchmark):
                 "speedup": repeat_speedup,
                 "cache_hits": cache_hits,
             },
-            "temp_tier": {
-                "rows": TICK_ROWS,
-                "eager_ms": eager_seconds * 1e3,
-                "lazy_ms": lazy_seconds * 1e3,
-                "speedup": tier_speedup,
-            },
         },
     )
 
@@ -169,8 +87,4 @@ def test_result_cache_and_temp_tier_speedups(benchmark):
     assert repeat_speedup >= MIN_REPEAT_SPEEDUP, (
         f"repeated analytical queries should be >= {MIN_REPEAT_SPEEDUP}x "
         f"faster from the result cache (measured {repeat_speedup:.1f}x)"
-    )
-    assert tier_speedup >= MIN_TIER_SPEEDUP, (
-        f"lazy temp-tier scans should be >= {MIN_TIER_SPEEDUP}x faster "
-        f"than eager CTAS materialization (measured {tier_speedup:.1f}x)"
     )

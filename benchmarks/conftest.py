@@ -17,6 +17,7 @@ Two observability hooks for CI:
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import pathlib
@@ -92,7 +93,10 @@ def figure_measurements(workload_env):
     """Per-query translation stage timings and execution times (one sweep).
 
     Metadata caching is enabled, matching the paper's experimental setup;
-    a warm-up translation per query primes the cache.
+    a warm-up translation per query primes the cache.  A full garbage
+    collection runs before each query's timed samples: with the workload
+    loaded one costs far more than a translation, and it would otherwise
+    land in whichever sample allocates when it falls due.
     """
     hq, workload = workload_env
     measurements = []
@@ -100,17 +104,19 @@ def figure_measurements(workload_env):
         session = hq.create_session()
         try:
             session.translate(query.text)  # warm the metadata cache
-            # best-of-3 to shield the figure from GC / scheduler noise
-            # (kept in smoke mode too: translation is cheap, and single
-            # shots make the overhead percentages meaninglessly noisy)
+            gc.collect()
+            # best-of-3 to shield the figure from scheduler noise (kept
+            # in smoke mode too: translation is cheap, and single shots
+            # make the overhead percentages meaninglessly noisy); the
+            # stage split is the fastest sample's
             translate_seconds = float("inf")
             outcome = None
             for __ in range(3):
                 start = time.perf_counter()
-                outcome = session.translate(query.text)
-                translate_seconds = min(
-                    translate_seconds, time.perf_counter() - start
-                )
+                sample = session.translate(query.text)
+                seconds = time.perf_counter() - start
+                if seconds < translate_seconds:
+                    translate_seconds, outcome = seconds, sample
             start = time.perf_counter()
             for sql in outcome.sql_statements:
                 hq.engine.execute(sql)

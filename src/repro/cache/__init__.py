@@ -1,22 +1,15 @@
 """The caching subsystem (docs/CACHING.md, ROADMAP item 5).
 
-Two layers above the translation cache:
-
-* :class:`~repro.cache.result_cache.ResultCache` — a semantic result
-  cache keyed on (translated SQL, catalog version, per-table version
-  vector, partition fingerprint) that serves full ``ResultSet``\\ s
-  without touching the backend;
-* :class:`~repro.cache.temptier.TempDataTier` — a DiNoDB-style
-  interactive tier that replaces eager temp-table materialization of Q
-  variable assignments with lazy handles + positional maps.
-
-Both are driven through :class:`~repro.cache.executor.QueryExecutor`,
-the single choke point session code uses to reach the backend (lint
-rule HQ009).
+One layer above the translation cache:
+:class:`~repro.cache.result_cache.ResultCache`, a semantic result cache
+keyed on (translated SQL, catalog version, per-table version vector,
+partition fingerprint) that serves full ``ResultSet``\\ s without
+touching the backend.  It is driven through
+:class:`~repro.cache.executor.QueryExecutor`, the single choke point
+session code uses to reach the backend (lint rule HQ009).
 """
 
 from repro.cache.executor import QueryExecutor
 from repro.cache.result_cache import ResultCache
-from repro.cache.temptier import TempDataTier
 
-__all__ = ["QueryExecutor", "ResultCache", "TempDataTier"]
+__all__ = ["QueryExecutor", "ResultCache"]

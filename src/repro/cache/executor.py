@@ -3,7 +3,6 @@
 Lint rule HQ009 forbids session/PT code from calling ``backend.run_sql``
 directly — the executor is the one place that knows, for each statement,
 
-* whether the temp-data tier can answer it without any backend at all;
 * whether the result cache may serve or fill it (private relations
   never; version-keyed lookup, single-flight coalescing);
 * which per-table version counters a write must bump so stale cached
@@ -17,7 +16,6 @@ writes (inserts, materializations, promotions, drops) come through
 from __future__ import annotations
 
 from repro.cache.result_cache import ResultCache, Served
-from repro.cache.temptier import TempDataTier
 from repro.core.materialize import TEMP_TABLE_PREFIX, VIEW_PREFIX
 from repro.core.metadata import MetadataInterface
 from repro.core.pipeline import TranslationResult
@@ -38,10 +36,9 @@ _PRIVATE_PREFIXES = (TEMP_TABLE_PREFIX, VIEW_PREFIX)
 class QueryExecutor:
     """Per-session execution choke point over one backend connection.
 
-    The result cache and MDI are deployment-shared; the temp tier is
-    session-private (temp relations are).  Both layers are optional —
-    with neither configured the executor degrades to a plain
-    ``backend.run_sql`` passthrough.
+    The result cache and MDI are deployment-shared.  The cache is
+    optional: without it the executor is a plain ``backend.run_sql``
+    passthrough that still bumps table versions on writes.
     """
 
     def __init__(
@@ -49,40 +46,25 @@ class QueryExecutor:
         backend,
         mdi: MetadataInterface,
         result_cache: ResultCache | None = None,
-        temp_tier: TempDataTier | None = None,
     ):
         self.backend = backend
         self.mdi = mdi
         self.result_cache = result_cache
-        self.temp_tier = temp_tier
 
     # -- the translated-statement path ----------------------------------------
 
     def execute(self, translation: TranslationResult) -> ResultSet:
-        """Run one translated statement through the cache layers."""
+        """Run one translated statement through the result cache."""
         return self.serve(translation).result
 
     def serve(self, translation: TranslationResult,
               want_reply: bool = False) -> Served:
         """:meth:`execute` for the server's wire path.
 
-        Order matters: a read of a lazy tier relation is offered to the
-        tier first (it can answer from the snapshot, without a backend
-        *or* cache entry); what the tier declines materializes the lazy
-        relations the statement reads (the SQL is about to run for
-        real).  Then the result cache, then the backend.  Only a
-        cacheable read's answer carries a memo, and with ``want_reply``
-        a hit on an entry holding a reply frame answers with the frame.
+        The result cache first, then the backend.  Only a cacheable
+        read's answer carries a memo, and with ``want_reply`` a hit on
+        an entry holding a reply frame answers with the frame.
         """
-        tier = self.temp_tier
-        lazy = [] if tier is None else tier.lazy_relations(translation.tables)
-        if lazy:
-            served = tier.try_serve(translation.scan)
-            if served is not None:
-                return Served(served)
-            for relation in lazy:
-                tier.ensure_materialized(relation, self.backend)
-
         if not self._cacheable(translation):
             RCACHE_BYPASS.inc()
             if self.result_cache is not None:
@@ -99,7 +81,6 @@ class QueryExecutor:
     def _cacheable(self, translation: TranslationResult) -> bool:
         if self.result_cache is None or not self.result_cache.enabled:
             return False
-        # tier relations, lazy or materialized, are temp tables too
         return not any(
             table.startswith(_PRIVATE_PREFIXES) for table in translation.tables
         )
@@ -113,18 +94,10 @@ class QueryExecutor:
         version counters are bumped and dependent cached results
         dropped.  Reads through this door never consult the cache.
         """
-        for relation in invalidates:
-            self.materialize_temp(relation)
         result = self.backend.run_sql(sql)
         if invalidates:
             self._record_write(invalidates)
         return result
-
-    def materialize_temp(self, relation: str) -> None:
-        """Force a lazy tier handle into the backend (write paths,
-        session-close promotion: the relation must exist for real)."""
-        if self.temp_tier is not None:
-            self.temp_tier.ensure_materialized(relation, self.backend)
 
     def _record_write(self, tables) -> None:
         for table in set(tables):

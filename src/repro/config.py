@@ -115,23 +115,6 @@ class ResultCacheConfig:
 
 
 @dataclass
-class TempTierConfig:
-    """The interactive temp-data tier (DiNoDB-style, docs/CACHING.md).
-
-    Q variable assignments snapshot their defining SELECT in Hyper-Q
-    memory instead of eagerly writing a backend temp table; a positional
-    map (per-column block offsets + min/max zone metadata) is built on
-    first touch and serves point lookups and filtered scans directly.
-    Access patterns the map cannot answer fall back to full
-    materialization.
-    """
-
-    enabled: bool = True
-    #: rows per positional-map block (the zone-metadata granule)
-    block_rows: int = 1024
-
-
-@dataclass
 class ServerConfig:
     """The event-loop connection core (docs/ARCHITECTURE.md).
 
@@ -377,7 +360,6 @@ class HyperQConfig:
         default_factory=TranslationCacheConfig
     )
     result_cache: ResultCacheConfig = field(default_factory=ResultCacheConfig)
-    temp_tier: TempTierConfig = field(default_factory=TempTierConfig)
     backend_pool: BackendPoolConfig = field(default_factory=BackendPoolConfig)
     server: ServerConfig = field(default_factory=ServerConfig)
     xformer: XformerConfig = field(default_factory=XformerConfig)

@@ -189,9 +189,6 @@ def _rcache(session: HyperQSession, scope: Scope, arg) -> QValue:
     rows = [
         ("rcache", name, value)
         for name, value in session.result_cache.snapshot().as_rows()
-    ] + [
-        ("temptier", name, value)
-        for name, value in session.temp_tier.snapshot()
     ]
     return admin_table(
         [
@@ -238,7 +235,7 @@ VERBS = {
                    "per-shard breaker state, counts, mean latency and "
                    "transport; empty when the backend is not sharded"),
     "rcache": Verb(_no_argument, _rcache,
-                   "result-cache and temp-tier counters (docs/CACHING.md)"),
+                   "result-cache counters (docs/CACHING.md)"),
 }
 
 

@@ -108,8 +108,8 @@ class ProtocolTranslator:
     """PT: an FSM walking one request through execute-and-pivot.
 
     ``execute`` receives the whole :class:`TranslationResult` (not bare
-    SQL): the executor behind it needs the statement's read set and
-    admission class to drive the result cache and temp-data tier.
+    SQL): the executor behind it keys the result cache on the
+    statement's read set.
     ``serve`` is the executor's wire form
     (:meth:`repro.cache.executor.QueryExecutor.serve`): its answer may be
     a cached result's memoised QIPC reply frame, and the walk then goes

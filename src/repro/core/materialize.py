@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from repro.config import HyperQConfig, MaterializationMode
 from repro.core.algebrizer.binder import BoundTable
 from repro.core.metadata import ColumnMeta, TableMeta
-from repro.core.pipeline import TranslationResult, TranslationUnit
+from repro.core.pipeline import TranslationUnit
 from repro.core.scopes import Scope, VarKind, VariableDef
 from repro.core.serializer import quote_ident
 from repro.obs import metrics
@@ -49,11 +49,6 @@ class MaterializationStep:
     sql: str
     relation: str
     kind: str  # 'temp_table' | 'view'
-    #: the defining SELECT's translation (plan-annotated SQL on a sharded
-    #: backend, the relations it reads, its temp-tier scan) — the
-    #: temp-data tier runs it directly to snapshot the assignment
-    #: without the backend write
-    translation: TranslationResult
 
 
 class Materializer:
@@ -97,7 +92,7 @@ class Materializer:
             )
         )
         MATERIALIZATIONS.inc(kind=kind)
-        return MaterializationStep(sql, relation, kind, unit.to_result())
+        return MaterializationStep(sql, relation, kind)
 
     def store_scalar(self, name: str, value, scope: Scope) -> None:
         """Logical materialization of a scalar: the variable store."""

@@ -25,7 +25,6 @@ through a pipeline instance.
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -39,20 +38,10 @@ from repro.core.metadata import MetadataInterface
 from repro.core.scopes import Scope
 from repro.core.serializer import Serializer
 from repro.core.xformer.framework import Xformer
-from repro.core.xtra.ops import (
-    ORDCOL,
-    XtraFilter,
-    XtraGet,
-    XtraGroupAgg,
-    XtraProject,
-    XtraSort,
-    walk,
-)
-from repro.core.xtra.scalars import SAgg, SBool, SCmp, SColRef, SConst
+from repro.core.xtra.ops import XtraGet, walk
 from repro.errors import InvariantError, TranslationError, UntranslatableError
 from repro.obs import metrics, tracing
 from repro.qlang import ast
-from repro.sqlengine.types import SqlType
 
 #: per-stage translation latency (Figure 7), labelled stage=parse|
 #: algebrize|optimize|serialize; shared with the session's parse stage
@@ -152,8 +141,6 @@ class TranslationResult:
     #: backend relations the statement reads (XtraGet scans, collected
     #: at serialize time) — the result cache keys on their versions
     tables: list[str] = field(default_factory=list)
-    #: the read as a temp-tier scan, when it is one (:func:`scan_shape`)
-    scan: ScanShape | None = None
 
 
 @dataclass
@@ -186,8 +173,6 @@ class TranslationUnit:
     keys: list[str] = field(default_factory=list)
     #: relations scanned by the bound tree (filled by the serialize pass)
     tables: list[str] = field(default_factory=list)
-    #: the tree as a temp-tier scan, or None (filled by the serialize pass)
-    scan: ScanShape | None = None
     rule_applications: dict[str, int] = field(default_factory=dict)
     #: free-form notes passes leave for diagnostics / error reporting
     diagnostics: list[str] = field(default_factory=list)
@@ -211,7 +196,6 @@ class TranslationUnit:
             rule_applications=dict(self.rule_applications),
             query_class=self.query_class,
             tables=list(self.tables),
-            scan=self.scan,
         )
 
 
@@ -225,104 +209,6 @@ def referenced_tables(op) -> list[str]:
     return sorted({
         node.table for node in walk(op) if isinstance(node, XtraGet)
     })
-
-
-@dataclass(frozen=True)
-class ScanShape:
-    """A read the temp tier can answer from a snapshot, without SQL.
-
-    Read off the transformed tree by :func:`scan_shape` and carried
-    instead of the tree itself: translation-cache entries hold it, and
-    a tree over a 600-column table must not ride along.
-    """
-
-    relation: str
-    #: conjuncts as (column, op, literal); op is the SQL comparison
-    predicates: tuple[tuple[str, str, object], ...] = ()
-    #: output column names in order; None means every relation column
-    projection: tuple[str, ...] | None = None
-    #: ``count select from t``: the one output column is the row count
-    count_only: bool = False
-
-
-#: SQL rendering of null-safe comparisons (the two-valued-logic rule)
-_NULL_SAFE_OPS = {"=": "IS NOT DISTINCT FROM", "<>": "IS DISTINCT FROM"}
-
-#: literal kinds a tier predicate may compare against, by SQL type
-_TIER_LITERALS = {
-    SqlType.BOOLEAN: (bool, int), SqlType.VARCHAR: str,
-    SqlType.SMALLINT: int, SqlType.INTEGER: int, SqlType.BIGINT: int,
-    SqlType.REAL: (int, float), SqlType.DOUBLE: (int, float),
-}
-
-
-def scan_shape(op) -> ScanShape | None:
-    """``op`` as a :class:`ScanShape`, or None when it is anything else.
-
-    Two shapes qualify, both ending in an optional identity
-    ``XtraProject``, an optional ``XtraFilter`` over an AND of
-    column-vs-literal comparisons, and an ``XtraGet``: a sort by the
-    implicit ``ordcol`` (a scan), or a keyless ``count(*)``.
-    """
-    projection = None
-    if isinstance(op, XtraGroupAgg):
-        if op.group_keys or len(op.aggregates) != 1:
-            return None
-        name, agg = op.aggregates[0]
-        if not (isinstance(agg, SAgg) and agg.name == "count"
-                and agg.arg is None):
-            return None
-        projection = (name,)
-    elif not (
-        isinstance(op, XtraSort)
-        and len(op.sort_items) == 1
-        and isinstance(op.sort_items[0][0], SColRef)
-        and op.sort_items[0][0].name == ORDCOL
-        and not op.sort_items[0][1]
-        and op.child.order_column == ORDCOL
-    ):
-        return None  # snapshots are stored in ordcol order only
-    node = op.child
-    if isinstance(node, XtraProject):
-        if any(not (isinstance(s, SColRef) and s.name == name)
-               for name, s in node.projections):
-            return None  # renames and expressions need real SQL
-        if projection is None:
-            projection = tuple(name for name, __ in node.projections)
-        node = node.child
-    predicates: list[tuple[str, str, object]] = []
-    if isinstance(node, XtraFilter):
-        if not _conjuncts(node.predicate, predicates):
-            return None
-        node = node.child
-    if not isinstance(node, XtraGet):
-        return None
-    return ScanShape(
-        node.table, tuple(predicates), projection, isinstance(op, XtraGroupAgg)
-    )
-
-
-def _conjuncts(predicate, out: list) -> bool:
-    """Flatten an AND of ``column <op> literal`` atoms into ``out``;
-    False when any part is something else."""
-    if isinstance(predicate, SBool) and predicate.op == "AND":
-        return all(_conjuncts(arg, out) for arg in predicate.args)
-    if not (
-        isinstance(predicate, SCmp)
-        and isinstance(predicate.left, SColRef)
-        and isinstance(predicate.right, SConst)
-    ):
-        return False
-    value = predicate.right.value
-    if not isinstance(value, _TIER_LITERALS.get(predicate.right.type_, ())):
-        return False
-    if isinstance(value, float) and not math.isfinite(value):
-        return False
-    op = predicate.op
-    if predicate.null_safe:
-        op = _NULL_SAFE_OPS.get(op, op)
-    out.append((predicate.left.name, op, value))
-    return True
 
 
 class Pass:
@@ -419,7 +305,6 @@ class SerializePass(Pass):
             unit.shape = bound.shape
             unit.keys = list(bound.keys)
             unit.tables = referenced_tables(bound.op)
-            unit.scan = scan_shape(bound.op)
 
 
 def default_passes() -> list[Pass]:

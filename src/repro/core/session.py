@@ -16,7 +16,7 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.cache import QueryExecutor, TempDataTier
+from repro.cache import QueryExecutor
 from repro.config import MaterializationMode
 from repro.core.admin import match
 from repro.core.algebrizer.binder import BoundScalar, BoundTable, _const_value
@@ -108,7 +108,7 @@ class HyperQSession:
     all come from the :class:`~repro.core.platform.HyperQ` (or
     :class:`~repro.server.hyperq_server.HyperQServer`) that creates the
     session; what is the session's own is its scope (Figure 3), its
-    pipeline, its temp tier and its materialized relations.
+    pipeline and its materialized relations.
     """
 
     def __init__(self, platform: HyperQ):
@@ -123,14 +123,10 @@ class HyperQSession:
         self.pipeline = TranslationPipeline(self.mdi, self.config)
         self.translation_cache = platform.translation_cache
         self.materializer = Materializer(self.config)
-        # the result cache is deployment-shared; the temp tier is
-        # session-private (temp relations are).  The executor is the only
-        # path to the backend from here down (lint rule HQ009).
+        # the result cache is deployment-shared; the executor is the only
+        # path to the backend from here down (lint rule HQ009)
         self.result_cache = platform.result_cache
-        self.temp_tier = TempDataTier(self.config.temp_tier)
-        self.executor = QueryExecutor(
-            self.backend, self.mdi, self.result_cache, self.temp_tier
-        )
+        self.executor = QueryExecutor(self.backend, self.mdi, self.result_cache)
         self.pt = ProtocolTranslator(
             self.executor.execute, self.executor.serve
         )
@@ -200,9 +196,6 @@ class HyperQSession:
                        for r, k in self._materialized):
                     permanent = f"{GLOBAL_PREFIX}{name}"
                     try:
-                        # a still-lazy tier handle must exist for real
-                        # before the promotion CTAS can read it
-                        self.executor.materialize_temp(relation)
                         self.executor.run_sql(
                             f"DROP TABLE IF EXISTS {quote_ident(permanent)}",
                             invalidates=[permanent],
@@ -227,11 +220,6 @@ class HyperQSession:
         promoted = self.session_scope.destroy()
         for relation, kind in self._materialized:
             if relation in keep:
-                continue
-            # a handle the tier still holds lazily was never written to
-            # the backend — nothing to drop there
-            if kind == "temp_table" and self.temp_tier.discard(relation):
-                self.mdi.invalidate(relation)
                 continue
             try:
                 if kind == "view":
@@ -436,10 +424,6 @@ class HyperQSession:
             if definition is not None and definition.relation
             else table_name
         )
-        # inserting into a lazily-held assignment: the relation must
-        # exist in the backend before the counts and the INSERT run
-        if execute:
-            self.executor.materialize_temp(relation)
         meta = self.mdi.require_table(relation)
 
         # on a sharded backend the source's plan annotation ends up as a
@@ -550,31 +534,10 @@ class HyperQSession:
             self._execute_materialization(step)
 
     def _execute_materialization(self, step: MaterializationStep) -> None:
-        """Run (or lazily defer) one materialization step.
-
-        Physical temp tables go to the interactive temp-data tier when
-        it is enabled: the *defining SELECT* runs now — so the snapshot
-        has exactly the eager CTAS's point-in-time semantics — but the
-        backend write is deferred until an access pattern needs it
-        (docs/CACHING.md).  A defining SELECT that is itself a simple
-        read over another lazy handle is served tier-to-tier without
-        touching the backend at all.
-        """
-        tier = self.temp_tier
-        select = step.translation
-        defer = step.kind == "temp_table" and tier.enabled
-        lazy = tier.lazy_relations(select.tables)
-        snapshot = tier.try_serve(select.scan) if defer and lazy else None
-        if snapshot is None:
-            # backend-run SQL may read relations the tier still holds
-            # lazily; they must exist for real first
-            for relation in lazy:
-                self.executor.materialize_temp(relation)
-            snapshot = self.executor.run_sql(
-                select.sql if defer else step.sql
-            )
-        if defer:
-            tier.register(step.relation, step.sql, snapshot)
+        """Run one materialization step's DDL in the backend: a temp
+        table holds the defining SELECT's result at assignment time
+        (docs/CACHING.md), a view re-runs it on every read."""
+        self.executor.run_sql(step.sql)
         self.mdi.invalidate(step.relation)
         self._materialized.append((step.relation, step.kind))
 

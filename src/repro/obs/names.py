@@ -77,7 +77,7 @@ WLM_BREAKER_TRANSITIONS_TOTAL = "wlm_breaker_transitions_total"
 WLM_BREAKER_REJECTIONS_TOTAL = "wlm_breaker_rejections_total"
 WLM_FAULTS_INJECTED_TOTAL = "wlm_faults_injected_total"
 
-# --- semantic result cache + temp-data tier (repro/cache) ---------------
+# --- semantic result cache (repro/cache) --------------------------------
 RCACHE_LOOKUPS_TOTAL = "rcache_lookups_total"
 RCACHE_HITS_TOTAL = "rcache_hits_total"
 RCACHE_MISSES_TOTAL = "rcache_misses_total"
@@ -89,11 +89,6 @@ RCACHE_SKIPPED_CHEAP_TOTAL = "rcache_skipped_cheap_total"
 RCACHE_REPLY_HITS_TOTAL = "rcache_reply_hits_total"
 RCACHE_BYTES = "rcache_bytes"
 RCACHE_ENTRIES = "rcache_entries"
-TEMPTIER_HANDLES = "temptier_handles"
-TEMPTIER_SERVED_TOTAL = "temptier_served_total"
-TEMPTIER_FALLBACKS_TOTAL = "temptier_fallbacks_total"
-TEMPTIER_MAP_BUILDS_TOTAL = "temptier_map_builds_total"
-TEMPTIER_BLOCKS_PRUNED_TOTAL = "temptier_blocks_pruned_total"
 
 # --- sharded scatter-gather execution (repro/core/sharded) --------------
 SHARD_PLANS_TOTAL = "shard_plans_total"

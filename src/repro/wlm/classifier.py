@@ -28,7 +28,7 @@ from enum import Enum
 from typing import Iterable
 
 from repro.core import admin
-from repro.core.scopes import Lookup, VariableDef, called_function
+from repro.core.scopes import Lookup, VarKind, VariableDef, called_function
 from repro.obs import metrics
 from repro.qlang import ast
 
@@ -70,8 +70,29 @@ def classify_statement(statement: ast.Node, lookup: Lookup | None = None) -> Que
 def classify_program(
     statements: Iterable[ast.Node], lookup: Lookup | None = None
 ) -> QueryClass:
-    """A message's class is its heaviest statement's class."""
-    classes = (classify_statement(statement, lookup) for statement in statements)
+    """A message's class is its heaviest statement's class.
+
+    A lambda assigned by an earlier statement of the message is laid
+    over ``lookup`` as the stored function the session will have made
+    of it by then, so ``f: {...}; f[1]`` bills ``f``'s body; a later
+    assignment of data to the name hides it again."""
+    assigned: dict[str, VariableDef | None] = {}
+
+    def scoped(name: str) -> VariableDef | None:
+        if name in assigned:
+            return assigned[name]
+        return lookup(name) if lookup is not None else None
+
+    classes = []
+    for statement in statements:
+        classes.append(classify_statement(statement, scoped))
+        if isinstance(statement, ast.Assign) and not statement.indices:
+            value = statement.value
+            assigned[statement.target] = (
+                VariableDef(statement.target, VarKind.FUNCTION,
+                            source=value.source)
+                if isinstance(value, ast.Lambda) else None
+            )
     return _heaviest(classes, QueryClass.ADMIN)
 
 

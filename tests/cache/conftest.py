@@ -4,7 +4,6 @@ reached the backend."""
 
 import pytest
 
-from repro.cache.temptier import TEMPTIER_FALLBACKS, TEMPTIER_SERVED
 from repro.core.platform import DirectGateway, HyperQ
 from repro.qlang.interp import Interpreter
 from repro.sqlengine.engine import Engine
@@ -37,15 +36,6 @@ class CountingGateway(DirectGateway):
 
     def count(self, fragment: str = "") -> int:
         return sum(1 for s in self.statements if fragment in s)
-
-
-def tier_counts(since=(0, 0)):
-    """Process-wide (served, fallbacks) temp-tier counters, minus
-    ``since`` — a previous reading — when given."""
-    return tuple(
-        sum(s["value"] for s in counter.samples()) - base
-        for counter, base in zip((TEMPTIER_SERVED, TEMPTIER_FALLBACKS), since)
-    )
 
 
 def make_platform(config=None):

@@ -34,7 +34,6 @@ class TestMaterializer:
         assert step.kind == "temp_table"
         assert step.sql.startswith('CREATE TEMPORARY TABLE "hq_temp_')
         assert step.sql.endswith(unit.sql)
-        assert step.translation.tables == ["trades"]
         assert session.session_scope.lookup("dt").kind == VarKind.TABLE
 
     def test_logical_emits_create_view(self, setup):

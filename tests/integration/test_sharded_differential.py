@@ -17,7 +17,6 @@ from repro.config import (
     FaultConfig,
     HyperQConfig,
     RetryConfig,
-    TempTierConfig,
     WlmConfig,
 )
 from repro.core.platform import HyperQ
@@ -147,14 +146,12 @@ def test_full_workload_is_byte_identical(
     assert not unplanned_reads
 
 
-@pytest.mark.parametrize("tier", [True, False], ids=["tier", "no-tier"])
 @pytest.mark.parametrize("shard_count", [2, 4])
 def test_assignments_are_byte_identical(
-    workload, assignment_reference, shard_count, tier, unplanned_reads
+    workload, assignment_reference, shard_count, unplanned_reads
 ):
-    config = HyperQConfig(temp_tier=TempTierConfig(enabled=tier))
     platform, backend, __ = build_sharded_platform(
-        shard_count, config=config, workload=workload
+        shard_count, workload=workload
     )
     try:
         actual = run_messages(platform, ASSIGNMENT_MESSAGES)

@@ -30,8 +30,6 @@ server.recv_size
 server.worker_threads
 sharding.max_respawns
 sharding.mode
-temp_tier.block_rows
-temp_tier.enabled
 translation_cache.enabled
 translation_cache.max_entries
 wlm.breaker.close_threshold
@@ -88,5 +86,5 @@ def settable_paths(value, prefix=""):
 
 
 def test_settable_surface_is_pinned():
-    assert len(SETTABLE) == 60
+    assert len(SETTABLE) == 58
     assert sorted(settable_paths(HyperQConfig())) == sorted(SETTABLE)

@@ -136,6 +136,16 @@ class TestStoredFunctionCalls:
         assert classify("f[1]", scope) is QueryClass.MATERIALIZING
         assert classify("h[1]", scope) is QueryClass.ANALYTICAL
 
+    def test_function_defined_earlier_in_the_message(self):
+        statements = parse(
+            "f: {[x] select from trades where Size > x}; f[1]"
+        ).statements
+        assert classify_program(statements) is QueryClass.ANALYTICAL
+        assert (
+            classify_program(statements, Scope().lookup)
+            is QueryClass.ANALYTICAL
+        )
+
     def test_program_takes_the_lookup(self):
         scope = scope_with(tables="{[] select from trades}")
         statements = parse("tables[]").statements
