@@ -12,6 +12,7 @@ when it is consumed many times (no recomputation).
 
 from __future__ import annotations
 
+import gc
 import time
 
 from conftest import bench_repeats, bench_rounds, save_results
@@ -36,17 +37,29 @@ def _run(hq, mode: MaterializationMode, consumers: int) -> float:
         session.close()
 
 
+def _sample(hq, mode: MaterializationMode, consumers: int) -> float:
+    """One timed run with the garbage collector kept out of it: with the
+    workload loaded a full collection costs 130-190 ms, and it would
+    otherwise land in whichever arm allocates when it falls due."""
+    gc.collect()
+    gc.disable()
+    try:
+        return _run(hq, mode, consumers)
+    finally:
+        gc.enable()
+
+
 def test_ablation_materialization(benchmark, workload_env):
     hq, __ = workload_env
 
     results = {}
     for consumers in (1, 10):
         physical = min(
-            _run(hq, MaterializationMode.PHYSICAL, consumers)
+            _sample(hq, MaterializationMode.PHYSICAL, consumers)
             for __ in range(bench_repeats(3))
         )
         logical = min(
-            _run(hq, MaterializationMode.LOGICAL, consumers)
+            _sample(hq, MaterializationMode.LOGICAL, consumers)
             for __ in range(bench_repeats(3))
         )
         results[consumers] = {
@@ -55,7 +68,7 @@ def test_ablation_materialization(benchmark, workload_env):
         }
 
     benchmark.pedantic(
-        lambda: _run(hq, MaterializationMode.PHYSICAL, 1),
+        lambda: _sample(hq, MaterializationMode.PHYSICAL, 1),
         rounds=bench_rounds(3),
         iterations=1,
     )

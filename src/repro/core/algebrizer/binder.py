@@ -61,18 +61,13 @@ class ColumnContext:
     def __init__(self, op: XtraOp, ordcol: str | None):
         self.op = op
         self.ordcol = ordcol
-        self._types = {c.name: (c.sql_type, c.nullable) for c in op.columns}
 
     def has(self, name: str) -> bool:
-        return name in self._types
+        return self.op.has_column(name)
 
     def colref(self, name: str) -> sc.SColRef:
-        sql_type, nullable = self._types[name]
-        return sc.SColRef(name, sql_type, nullable)
-
-    @property
-    def column_names(self) -> list[str]:
-        return [c.name for c in self.op.columns]
+        col = self.op.column(name)
+        return sc.SColRef(name, col.sql_type, col.nullable)
 
 
 class Binder:
@@ -142,21 +137,28 @@ class Binder:
 
     # -- table expressions --------------------------------------------------------
 
-    def bind_table(self, node: ast.Node) -> BoundTable:
+    def bind_table(
+        self, node: ast.Node, needed: set[str] | None = None
+    ) -> BoundTable:
+        """Bind a table expression.  ``needed``, when given, holds every
+        name the consumer can read from the result: a join then builds its
+        renames and output only over those columns (plus its keys and
+        order column), so binding it costs what the query reads rather
+        than what the tables hold.  ``None`` means every column."""
         from repro.core.algebrizer import joins as join_binding
         from repro.core.algebrizer import templates as template_binding
 
         if isinstance(node, ast.Template):
-            return template_binding.bind_template(self, node)
+            return template_binding.bind_template(self, node, needed)
         if isinstance(node, ast.Name):
             return self._bind_table_name(node.name)
         if isinstance(node, ast.TableExpr):
             return self._bind_table_literal(node)
         if isinstance(node, ast.Apply) and isinstance(node.func, ast.Name):
             if node.func.name in ("aj", "aj0", "ej"):
-                return join_binding.bind_join_call(self, node)
+                return join_binding.bind_join_call(self, node, needed)
         if isinstance(node, ast.BinOp) and node.op in ("lj", "ij", "uj"):
-            return join_binding.bind_infix_join(self, node)
+            return join_binding.bind_infix_join(self, node, needed)
         if isinstance(node, ast.BinOp) and node.op in ("xasc", "xdesc"):
             return self._bind_sort(node)
         if isinstance(node, ast.BinOp) and node.op == "xkey":
@@ -783,16 +785,8 @@ def _is_table_shaped(node: ast.Node) -> bool:
 
 
 def _get_from_meta(meta: TableMeta, relation: str) -> XtraGet:
-    columns = [
-        XtraColumn(
-            c.name,
-            c.sql_type,
-            nullable=True,
-            implicit=(c.name == meta.ordcol),
-        )
-        for c in meta.columns
-    ]
-    return XtraGet(relation, columns, ordcol=meta.ordcol, keys=list(meta.keys))
+    columns, colmap = meta.scan_columns
+    return XtraGet.shared(relation, columns, colmap, meta.ordcol, list(meta.keys))
 
 
 def _arith(op: str, left: sc.Scalar, right: sc.Scalar) -> sc.SArith:

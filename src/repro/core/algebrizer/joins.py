@@ -28,44 +28,66 @@ from repro.core.xtra.ops import (
     XtraUnionAll,
     XtraWindow,
 )
-from repro.errors import QNotSupportedError, QRankError, QTypeError
+from repro.errors import (
+    QNotSupportedError,
+    QRankError,
+    QTypeError,
+    ReproError,
+)
 from repro.qlang import ast
 from repro.sqlengine.types import SqlType
 
 
-def bind_join_call(binder: Binder, node: ast.Apply) -> BoundTable:
+def bind_join_call(
+    binder: Binder, node: ast.Apply, needed: set[str] | None = None
+) -> BoundTable:
     name = node.func.name  # type: ignore[union-attr]
     args = [a for a in node.args if a is not None]
     if name in ("aj", "aj0"):
         if len(args) != 3:
             raise QRankError(f"{name} expects 3 arguments: columns, left, right")
         columns = _symbol_names(_const_value(args[0]), name)
-        left = binder.bind_table(args[1])
-        right = binder.bind_table(args[2])
+        left = binder.bind_table(args[1], _plus(needed, columns))
+        right = binder.bind_table(args[2], _plus(needed, columns))
         return bind_asof_join(
-            binder, columns, left, right, use_right_time=(name == "aj0")
+            binder, columns, left, right, use_right_time=(name == "aj0"),
+            needed=needed,
         )
     if name == "ej":
         if len(args) != 3:
             raise QRankError("ej expects 3 arguments: columns, left, right")
         columns = _symbol_names(_const_value(args[0]), "ej")
-        left = binder.bind_table(args[1])
-        right = binder.bind_table(args[2])
-        return bind_equi_join(binder, columns, left, right)
+        left = binder.bind_table(args[1], _plus(needed, columns))
+        right = binder.bind_table(args[2], _plus(needed, columns))
+        return bind_equi_join(binder, columns, left, right, needed)
     raise QNotSupportedError(f"join verb {name!r}")
 
 
-def bind_infix_join(binder: Binder, node: ast.BinOp) -> BoundTable:
-    left = binder.bind_table(node.left)
-    right = binder.bind_table(node.right)
-    if node.op == "uj":
-        return bind_union_join(binder, left, right)
+def bind_infix_join(
+    binder: Binder, node: ast.BinOp, needed: set[str] | None = None
+) -> BoundTable:
+    if node.op == "uj":  # positional: every column of both sides
+        left = binder.bind_table(node.left)
+        return bind_union_join(binder, left, binder.bind_table(node.right))
+    # a named keyed table binds first (that issues no fresh names), so the
+    # left side learns the key columns it must keep; a failure there is
+    # raised again below, after the left side's own errors
+    right = None
+    if needed is not None and isinstance(node.right, ast.Name):
+        try:
+            right = binder.bind_table(node.right)
+        except ReproError:
+            right = None
+    left_needed = _plus(needed, right.keys) if right is not None else None
+    left = binder.bind_table(node.left, left_needed)
+    if right is None:
+        right = binder.bind_table(node.right)
     if not right.keys:
         raise QTypeError(f"{node.op} expects a keyed table on the right")
     if node.op == "lj":
-        return bind_keyed_join(binder, left, right, kind="left")
+        return bind_keyed_join(binder, left, right, "left", needed)
     if node.op == "ij":
-        return bind_keyed_join(binder, left, right, kind="inner")
+        return bind_keyed_join(binder, left, right, "inner", needed)
     raise QNotSupportedError(f"join verb {node.op!r}")
 
 
@@ -80,6 +102,7 @@ def bind_asof_join(
     left: BoundTable,
     right: BoundTable,
     use_right_time: bool = False,
+    needed: set[str] | None = None,
 ) -> BoundTable:
     if not columns:
         raise QTypeError("aj needs at least one join column")
@@ -93,28 +116,29 @@ def bind_asof_join(
             )
 
     prefix = binder.fresh_name("hq_r")
-    renamed = {c.name: f"{prefix}_{c.name}" for c in right_op.columns}
+    right_kept = [
+        c for c in right_op.columns
+        if c.name in columns or _wanted(needed, c.name)
+    ]
+    renamed = {c.name: f"{prefix}_{c.name}" for c in right_kept}
     next_col = f"{prefix}__next"
 
     # window on the right input: validity horizon per equality group
-    right_ctx = {c.name: c for c in right_op.columns}
-    asof_ref = _colref(right_ctx[asof_col])
+    asof_ref = _colref(right_op.column(asof_col))
     order_by: list[tuple[sc.Scalar, bool]] = [(asof_ref, False)]
     if right_op.order_column is not None:
-        order_by.append((_colref(right_ctx[right_op.order_column]), False))
+        order_by.append((_colref(right_op.column(right_op.order_column)), False))
     lead = sc.SWindow(
         "lead",
         [asof_ref],
-        partition_by=[_colref(right_ctx[c]) for c in eq_cols],
+        partition_by=[_colref(right_op.column(c)) for c in eq_cols],
         order_by=order_by,
         type_=asof_ref.sql_type,
     )
     windowed = XtraWindow(right_op, [(next_col, lead)])
 
     # rename right columns to avoid collisions with the left input
-    rename_projections = [
-        (renamed[c.name], _colref(c)) for c in right_op.columns
-    ]
+    rename_projections = [(renamed[c.name], _colref(c)) for c in right_kept]
     rename_projections.append(
         (next_col, sc.SColRef(next_col, asof_ref.sql_type))
     )
@@ -150,8 +174,12 @@ def bind_asof_join(
     join = XtraJoin("left", left_op, right_renamed, condition)
 
     # output: left columns, then right payload columns not present in left
-    projections = [(c.name, _colref(c)) for c in left_op.columns]
-    for c in right_op.columns:
+    left_order = left_op.order_column
+    projections = [
+        (c.name, _colref(c)) for c in left_op.columns
+        if c.name == left_order or _wanted(needed, c.name)
+    ]
+    for c in right_kept:
         if c.name in columns or left_op.has_column(c.name):
             continue
         if c.name == right_op.order_column:
@@ -174,7 +202,11 @@ def bind_asof_join(
 
 
 def bind_keyed_join(
-    binder: Binder, left: BoundTable, right: BoundTable, kind: str
+    binder: Binder,
+    left: BoundTable,
+    right: BoundTable,
+    kind: str,
+    needed: set[str] | None = None,
 ) -> BoundTable:
     left_op, right_op = left.op, right.op
     keys = right.keys
@@ -183,11 +215,12 @@ def bind_keyed_join(
             raise QTypeError(f"join key column {name!r} missing from left table")
 
     prefix = binder.fresh_name("hq_r")
-    renamed = {c.name: f"{prefix}_{c.name}" for c in right_op.columns}
-    match_col = f"{prefix}__match"
-    rename_projections = [
-        (renamed[c.name], _colref(c)) for c in right_op.columns
+    right_kept = [
+        c for c in right_op.columns if c.name in keys or _wanted(needed, c.name)
     ]
+    renamed = {c.name: f"{prefix}_{c.name}" for c in right_kept}
+    match_col = f"{prefix}__match"
+    rename_projections = [(renamed[c.name], _colref(c)) for c in right_kept]
     rename_projections.append((match_col, sc.SConst(1, SqlType.INTEGER)))
     right_renamed = XtraProject(right_op, rename_projections)
 
@@ -204,12 +237,15 @@ def bind_keyed_join(
     join = XtraJoin(kind, left_op, right_renamed, condition)
 
     value_columns = [
-        c for c in right_op.columns
+        c for c in right_kept
         if c.name not in keys and c.name != right_op.order_column
     ]
     value_names = {c.name for c in value_columns}
+    left_order = left_op.order_column
     projections: list[tuple[str, sc.Scalar]] = []
     for c in left_op.columns:
+        if c.name != left_order and not _wanted(needed, c.name):
+            continue
         if c.name in value_names:
             right_ref = sc.SColRef(renamed[c.name], c.sql_type)
             if kind == "left":
@@ -241,16 +277,25 @@ def bind_keyed_join(
 
 
 def bind_equi_join(
-    binder: Binder, columns: list[str], left: BoundTable, right: BoundTable
+    binder: Binder,
+    columns: list[str],
+    left: BoundTable,
+    right: BoundTable,
+    needed: set[str] | None = None,
 ) -> BoundTable:
     left_op, right_op = left.op, right.op
     for name in columns:
         if not left_op.has_column(name) or not right_op.has_column(name):
             raise QTypeError(f"ej join column {name!r} missing from an input")
     prefix = binder.fresh_name("hq_r")
-    renamed = {c.name: f"{prefix}_{c.name}" for c in right_op.columns}
+    left_order = left_op.order_column
+    right_kept = [
+        c for c in right_op.columns
+        if c.name in columns or c.name == left_order or _wanted(needed, c.name)
+    ]
+    renamed = {c.name: f"{prefix}_{c.name}" for c in right_kept}
     right_renamed = XtraProject(
-        right_op, [(renamed[c.name], _colref(c)) for c in right_op.columns]
+        right_op, [(renamed[c.name], _colref(c)) for c in right_kept]
     )
     condition: sc.Scalar | None = None
     for name in columns:
@@ -264,6 +309,8 @@ def bind_equi_join(
     join = XtraJoin("inner", left_op, right_renamed, condition)
     projections: list[tuple[str, sc.Scalar]] = []
     for c in left_op.columns:
+        if c.name != left_order and not _wanted(needed, c.name):
+            continue
         if c.name not in columns and right_op.has_column(c.name) and \
                 c.name != right_op.order_column:
             projections.append(
@@ -272,7 +319,7 @@ def bind_equi_join(
         else:
             projections.append((c.name, _colref(c)))
     existing = {name for name, __ in projections}
-    for c in right_op.columns:
+    for c in right_kept:
         if c.name in columns or c.name in existing or c.name == right_op.order_column:
             continue
         projections.append((c.name, sc.SColRef(renamed[c.name], c.sql_type)))
@@ -341,6 +388,14 @@ def bind_union_join(
     project = XtraProject(windowed, final_projections)
     ordered = XtraSort(project, [(sc.SColRef(ORDCOL, SqlType.BIGINT), False)])
     return BoundTable(ordered, shape="table")
+
+
+def _wanted(needed: set[str] | None, name: str) -> bool:
+    return needed is None or name in needed
+
+
+def _plus(needed: set[str] | None, names) -> set[str] | None:
+    return None if needed is None else needed | set(names)
 
 
 def _colref(col: XtraColumn) -> sc.SColRef:

@@ -16,6 +16,8 @@ The interesting mappings, all grounded in the paper:
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 from repro.core.algebrizer.binder import Binder, BoundTable, ColumnContext
 from repro.core.xtra import scalars as sc
 from repro.core.xtra.ops import (
@@ -29,13 +31,17 @@ from repro.core.xtra.ops import (
 )
 from repro.errors import QNotSupportedError, QTypeError
 from repro.qlang import ast
+from repro.qlang.qtypes import QType
+from repro.qlang.values import QAtom, QVector
 from repro.sqlengine.types import SqlType
 
 FULL_FRAME = "rows between unbounded preceding and unbounded following"
 
 
-def bind_template(binder: Binder, node: ast.Template) -> BoundTable:
-    source = binder.bind_table(node.source)
+def bind_template(
+    binder: Binder, node: ast.Template, needed: set[str] | None = None
+) -> BoundTable:
+    source = binder.bind_table(node.source, _source_needed(binder, node, needed))
     rel = source.op
 
     if node.kind == "delete":
@@ -61,6 +67,45 @@ def bind_template(binder: Binder, node: ast.Template) -> BoundTable:
     if node.kind == "update":
         return _bind_update(binder, node, rel, source)
     raise QNotSupportedError(f"template kind {node.kind!r}")
+
+
+def _source_needed(
+    binder: Binder, node: ast.Template, needed: set[str] | None
+) -> set[str] | None:
+    """The names a template can read from its source, or None for all
+    of them (a bare ``select``/``update``/``delete`` keeps every column).
+    With column pruning off nothing is narrowed, so the unpruned SQL stays
+    what that ablation measures."""
+    if not binder.config.xformer.column_pruning:
+        return None
+    if node.kind in ("select", "exec") and node.columns:
+        return referenced_names([node.columns, node.by, node.where])
+    if node.kind == "select" and not node.by and needed is not None:
+        return needed | referenced_names(node.where)
+    return None
+
+
+def referenced_names(nodes: list) -> set[str]:
+    """Every identifier and symbol literal under ``nodes``: a superset of
+    the columns the expressions there can read."""
+    names: set[str] = set()
+    stack = list(nodes)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (list, tuple)):
+            stack.extend(node)
+        elif isinstance(node, ast.ColumnSpec):
+            stack.append(node.expr)
+        elif isinstance(node, ast.Name):
+            names.add(node.name)
+        elif isinstance(node, ast.Literal):
+            value = node.value
+            if isinstance(value, (QAtom, QVector)) and value.qtype == QType.SYMBOL:
+                names.update([value.value] if isinstance(value, QAtom)
+                             else value.items)
+        elif isinstance(node, ast.Node):
+            stack.extend(getattr(node, f.name) for f in fields(node))
+    return names
 
 
 def _lift_windows(binder: Binder, rel: XtraOp, predicate: sc.Scalar):
@@ -378,7 +423,6 @@ def _limit_spec(binder: Binder, node: ast.Node) -> tuple[int, int]:
     ``select[offset count]`` -> (offset, count).
     """
     from repro.core.algebrizer.binder import _const_value
-    from repro.qlang.values import QAtom, QVector
 
     value = _const_value(node)
     if value is None:

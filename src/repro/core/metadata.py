@@ -14,6 +14,7 @@ import bisect
 import time
 import zlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.analysis.concurrency.locks import make_lock
 from repro.config import CacheInvalidation, MetadataCacheConfig
@@ -66,6 +67,20 @@ class TableMeta:
     @property
     def data_columns(self) -> list[ColumnMeta]:
         return [c for c in self.columns if c.name != self.ordcol]
+
+    @cached_property
+    def scan_columns(self) -> tuple[list, dict]:
+        """The XTRA output columns of a scan of this relation and their
+        name map, built once per description: the binder scans the same
+        500-column tables statement after statement."""
+        from repro.core.xtra.ops import XtraColumn
+
+        columns = [
+            XtraColumn(c.name, c.sql_type, nullable=True,
+                       implicit=(c.name == self.ordcol))
+            for c in self.columns
+        ]
+        return columns, {c.name: c for c in columns}
 
 
 @dataclass(frozen=True)

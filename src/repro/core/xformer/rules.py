@@ -13,6 +13,10 @@
   result carries and is sorted by an implicit order column, injecting a
   ``row_number`` window when the input has none.
 * :class:`ConstantFoldingRule` — housekeeping: folds literal arithmetic.
+* :class:`KeyFilterTransferRule` — **performance**: a join's left input
+  filtered to one key value filters its right input to that value too,
+  under renames and under windows partitioned by the key (the ``aj``
+  quotes side below its ``lead``).
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ def default_rules() -> list[Rule]:
     return [
         ConstantFoldingRule(),
         TwoValuedLogicRule(),
+        KeyFilterTransferRule(),
         FilterMergeRule(),
         OrderElisionRule(),
         ColumnPruningRule(),
@@ -320,6 +325,161 @@ class FilterMergeRule(Rule):
             return node
 
         return map_tree(op, fix)
+
+
+class KeyFilterTransferRule(Rule):
+    """Copy a join key's constant filter from the left input to the right.
+
+    When an inner or left join equates ``l.k`` with ``r.k'`` (``=`` or
+    ``IS NOT DISTINCT FROM``, same type on both sides) and every row of
+    its left input has ``k IS NOT DISTINCT FROM c``, no right row with
+    ``k'`` distinct from ``c`` can match: the right input is filtered to
+    ``k' IS NOT DISTINCT FROM c``.  The filter moves down through renames,
+    filters and sorts, and through window functions only when every one
+    of them partitions by the key (then it drops whole partitions, and the
+    values of the others stay as they were).  For ``aj`` this is the
+    symbol filter on the quotes side under its ``lead`` window, which
+    PostgreSQL does not derive across ``IS NOT DISTINCT FROM`` by itself.
+    """
+
+    name = "key_filter_transfer"
+    purpose = "performance"
+
+    def apply(self, op: XtraOp, ctx: XformContext) -> XtraOp:
+        def fix(node: XtraOp) -> XtraOp:
+            if not isinstance(node, XtraJoin) or node.kind not in ("inner", "left"):
+                return node
+            right = node.right
+            for left_name, right_name in _equi_keys(node):
+                left_col = node.left.column(left_name)
+                if left_col.sql_type != right.column(right_name).sql_type:
+                    continue
+                const = _fixed_value(node.left, left_name)
+                if const is None:
+                    continue
+                ctx.record(self.name)
+                right = _push_key_filter(right, right_name, const)
+            if right is node.right:
+                return node
+            return XtraJoin(node.kind, node.left, right, node.condition)
+
+        return map_tree(op, fix)
+
+
+def _conjuncts(scalar: sc.Scalar) -> list[sc.Scalar]:
+    if isinstance(scalar, sc.SBool) and scalar.op == "AND":
+        return [c for arg in scalar.args for c in _conjuncts(arg)]
+    return [scalar]
+
+
+def _equi_keys(join: XtraJoin) -> list[tuple[str, str]]:
+    """(left column, right column) of each equality conjunct of a join."""
+    if join.condition is None:
+        return []
+    pairs = []
+    for conjunct in _conjuncts(join.condition):
+        if not (isinstance(conjunct, sc.SCmp) and conjunct.op == "="):
+            continue
+        a, b = conjunct.left, conjunct.right
+        if not (isinstance(a, sc.SColRef) and isinstance(b, sc.SColRef)):
+            continue
+        if join.left.has_column(a.name) and join.right.has_column(b.name):
+            pairs.append((a.name, b.name))
+        elif join.left.has_column(b.name) and join.right.has_column(a.name):
+            pairs.append((b.name, a.name))
+    return pairs
+
+
+def _fixed_value(op: XtraOp, name: str) -> sc.SConst | None:
+    """The constant column ``name`` of ``op`` provably equals (IS NOT
+    DISTINCT FROM) on every row, if a filter or projection fixes it."""
+    if isinstance(op, XtraFilter):
+        for conjunct in _conjuncts(op.predicate):
+            const = _equated_const(conjunct, name)
+            if const is not None:
+                return const
+        return _fixed_value(op.child, name)
+    if isinstance(op, (XtraSort, XtraLimit, XtraDistinct)):
+        return _fixed_value(op.child, name)
+    if isinstance(op, XtraWindow):
+        if any(w == name for w, __ in op.windows):
+            return None
+        return _fixed_value(op.child, name)
+    if isinstance(op, (XtraProject, XtraGroupAgg)):
+        pairs = op.projections if isinstance(op, XtraProject) else op.group_keys
+        for out, scalar in pairs:
+            if out != name:
+                continue
+            if isinstance(scalar, sc.SConst) and _plain_const(scalar):
+                return scalar
+            if isinstance(scalar, sc.SColRef):
+                return _fixed_value(op.child, scalar.name)
+            return None
+        return None
+    if isinstance(op, XtraJoin) and op.kind in ("inner", "left"):
+        if op.left.has_column(name):
+            return _fixed_value(op.left, name)
+        if op.kind == "inner" and op.right.has_column(name):
+            return _fixed_value(op.right, name)
+    return None
+
+
+def _equated_const(conjunct: sc.Scalar, name: str) -> sc.SConst | None:
+    """``c`` when ``conjunct`` is ``name = c`` or ``name IS NOT DISTINCT
+    FROM c`` (either way round).  A strict ``=`` with NULL holds for no
+    row, so it fixes nothing."""
+    if not (isinstance(conjunct, sc.SCmp) and conjunct.op == "="):
+        return None
+    for col, const in ((conjunct.left, conjunct.right),
+                       (conjunct.right, conjunct.left)):
+        if isinstance(col, sc.SColRef) and col.name == name \
+                and isinstance(const, sc.SConst) and _plain_const(const) \
+                and (conjunct.null_safe or const.value is not None):
+            return const
+    return None
+
+
+def _plain_const(const: sc.SConst) -> bool:
+    return const.value == const.value  # NaN equals nothing, itself included
+
+
+def _push_key_filter(op: XtraOp, name: str, const: sc.SConst) -> XtraOp:
+    """``op`` keeping only rows whose ``name`` IS NOT DISTINCT FROM
+    ``const``, with the filter as far down as it keeps every other value
+    as it was."""
+    if isinstance(op, XtraProject):
+        source = next((s for out, s in op.projections if out == name), None)
+        if isinstance(source, sc.SColRef) \
+                and _partitioned_by(op.projections, source.name):
+            child = _push_key_filter(op.child, source.name, const)
+            return XtraProject(child, op.projections)
+    elif isinstance(op, XtraWindow) and _partitioned_by(op.windows, name) \
+            and not any(w == name for w, __ in op.windows):
+        return XtraWindow(_push_key_filter(op.child, name, const), op.windows)
+    elif isinstance(op, XtraFilter):
+        return XtraFilter(_push_key_filter(op.child, name, const), op.predicate)
+    elif isinstance(op, XtraSort):
+        return XtraSort(_push_key_filter(op.child, name, const), op.sort_items)
+    col = op.column(name)
+    predicate = sc.SCmp(
+        "=", sc.SColRef(name, col.sql_type, col.nullable), const, null_safe=True
+    )
+    return XtraFilter(op, predicate)
+
+
+def _partitioned_by(pairs: list[tuple[str, sc.Scalar]], name: str) -> bool:
+    """Whether every window function among ``pairs`` partitions by the
+    column ``name`` (vacuously true without any)."""
+    stack = [scalar for __, scalar in pairs]
+    while stack:
+        scalar = stack.pop()
+        if isinstance(scalar, sc.SWindow) and not any(
+            isinstance(p, sc.SColRef) and p.name == name
+            for p in scalar.partition_by
+        ):
+            return False
+        stack.extend(scalar.children())
+    return True
 
 
 class OrderElisionRule(Rule):

@@ -49,13 +49,20 @@ class XtraOp:
         if cached is None:
             cached = self._compute_columns()
             self.__dict__["_columns_cache"] = cached
-            self.__dict__["_colmap_cache"] = {c.name: c for c in cached}
         return cached
 
     def _colmap(self) -> dict:
-        if "_colmap_cache" not in self.__dict__:
-            __ = self.columns
-        return self.__dict__["_colmap_cache"]
+        colmap = self.__dict__.get("_colmap_cache")
+        if colmap is None:
+            colmap = self._compute_colmap()
+            self.__dict__["_colmap_cache"] = colmap
+        return colmap
+
+    def _compute_colmap(self) -> dict:
+        children = self.children()
+        if len(children) == 1 and children[0].columns is self.columns:
+            return children[0]._colmap()  # a filter, sort or limit: same columns
+        return {c.name: c for c in self.columns}
 
     @property
     def order_column(self) -> str | None:
@@ -94,6 +101,16 @@ class XtraGet(XtraOp):
     output: list[XtraColumn]
     ordcol: str | None = ORDCOL
     keys: list[str] = field(default_factory=list)
+
+    @classmethod
+    def shared(cls, table: str, output: list[XtraColumn], colmap: dict,
+               ordcol: str | None, keys: list[str]) -> XtraGet:
+        """A scan whose column list and name map are shared with every
+        other scan of the same relation description (neither is mutated),
+        so binding a wide table costs nothing per column."""
+        get = cls(table, output, ordcol=ordcol, keys=keys)
+        get.__dict__["_colmap_cache"] = colmap
+        return get
 
     def _compute_columns(self) -> list[XtraColumn]:
         return self.output

@@ -21,10 +21,12 @@ deadline passes, even if the worker is still stuck.
 
 from __future__ import annotations
 
+import gc
 import time
 from collections import deque
 from typing import Callable
 
+from repro.analysis.concurrency.locks import make_lock
 from repro.core.fsm import Fsm
 from repro.errors import (
     AuthenticationError,
@@ -74,6 +76,29 @@ HandlerFactory = Callable[[], "ConnectionHandler"]
 
 #: the QIPC hello must fit in this many bytes (kdb+ closes otherwise)
 HELLO_LIMIT = 1024
+
+#: QIPC servers serving in this process.  While any is, what the process
+#: held when it started (the loaded tables above all) is frozen out of the
+#: garbage collector, so a full collection walks only what requests
+#: allocate; the last one to stop hands it back.
+_serving = 0
+_serving_lock = make_lock("server.gc_freeze")
+
+
+def _freeze_heap() -> None:
+    global _serving
+    with _serving_lock:
+        _serving += 1
+        gc.collect()
+        gc.freeze()
+
+
+def _thaw_heap() -> None:
+    global _serving
+    with _serving_lock:
+        _serving -= 1
+        if not _serving:
+            gc.unfreeze()
 
 
 class ConnectionHandler:
@@ -334,6 +359,20 @@ class QipcEndpoint(ReactorServer):
         super().__init__(host, port, server_config)
         self.handler_factory = handler_factory
         self.authenticator = authenticator or AllowAll()
+        self._frozen = False
+
+    def start(self) -> "QipcEndpoint":
+        super().start()
+        if not self._frozen:
+            self._frozen = True
+            _freeze_heap()
+        return self
+
+    def stop(self) -> None:
+        super().stop()
+        if self._frozen:
+            self._frozen = False
+            _thaw_heap()
 
     @classmethod
     def from_function(

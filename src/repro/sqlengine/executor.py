@@ -9,12 +9,14 @@ column at a time, GROUP BY keys, aggregate arguments and window inputs
 are columns over the rows that survived, and a projection of plain
 columns only renames.  A column is gathered for the surviving positions
 when a later step reads it, and the result leaves as
-``ResultSet.from_columns``.  Joins, DISTINCT, set operations and
-correlated subqueries run their row closures over the rows of the frame
-they get, so rows are built for survivors only.  A hash join handles the
-equality conjuncts of a join condition (null-safe per key for ``IS NOT
-DISTINCT FROM``, the shape Hyper-Q emits for every Q join); everything
-else falls back to a nested loop.
+``ResultSet.from_columns``.  DISTINCT, set operations and correlated
+subqueries run their row closures over the rows of the frame they get,
+so rows are built for survivors only.  A join hashes the key
+columns of the equality conjuncts of its condition (null-safe per key for
+``IS NOT DISTINCT FROM``, the shape Hyper-Q emits for every Q join), or
+pairs every row without any, and emits (probe, build) position pairs; the
+rest of the condition filters the pairs a column at a time, and an outer
+join then null-extends the rows left without a pair.
 """
 
 from __future__ import annotations
@@ -51,9 +53,10 @@ class Frame:
 
     :meth:`column` builds column ``k`` on first read and keeps it.
     :meth:`take` selects rows by position and copies no column until one
-    is read (a take of a take reads the first frame once); :meth:`rows`
-    is the row-tuple view for row closures.  A scan is a take of every
-    row of the stored lists, so no column a frame hands out is one.
+    is read (a take of a take that keeps no more rows reads the first
+    frame once); :meth:`rows` is the row-tuple view for row closures.
+    A scan is a take of every row of the stored lists, so no column a
+    frame hands out is one.
     """
 
     __slots__ = ("count", "_columns", "_source", "_rows", "_take")
@@ -93,7 +96,7 @@ class Frame:
 
     def take(self, positions: Sequence[int]) -> Frame:
         """The rows at ``positions``, in that order."""
-        if self._take is not None:
+        if self._take is not None and len(positions) <= self.count:
             parent, selected = self._take
             return parent.take(_gather(selected, positions))
         width = len(self._columns)
@@ -338,73 +341,52 @@ class Executor:
         left_columns, left_run = self._plan_from(join.left, outer)
         right_columns, right_run = self._plan_from(join.right, outer)
         columns = left_columns + right_columns
-        width = len(columns)
-
-        if join.kind == "cross" or join.condition is None:
-            def cross() -> Frame:
-                right_rows = right_run().rows()
-                return Frame.of_rows(
-                    [left + right for left in left_run().rows()
-                     for right in right_rows],
-                    width,
-                )
-
-            return Source(columns, cross)
-
         left_layout = Layout(left_columns, outer, self)
         right_layout = Layout(right_columns, outer, self)
-        keys, residual = _split_equi_condition(
-            join.condition, left_layout, right_layout
-        )
+        keys, residual = ([], None) if join.condition is None else \
+            _split_equi_condition(join.condition, left_layout, right_layout)
         test = None
         if residual is not None:
-            test = compile_expr(residual, Layout(columns, outer, self))
+            test = compile_filter(residual, Layout(columns, outer, self))
         null_safe = [safe for __, __, safe in keys]
-        left_key = _key_builder(
-            [compile_expr(e, left_layout) for e, __, __ in keys], null_safe
-        )
-        right_key = _key_builder(
-            [compile_expr(e, right_layout) for __, e, __ in keys], null_safe
-        )
+        left_keys = [compile_vector(e, left_layout) for e, __, __ in keys]
+        right_keys = [compile_vector(e, right_layout) for __, e, __ in keys]
         kind = join.kind
         # a right join probes with the right rows, so its output keeps their order
         flip = kind == "right"
-        probe_key, build_key = (right_key, left_key) if flip else (left_key, right_key)
-        null_left = (None,) * len(left_columns)
-        null_right = (None,) * len(right_columns)
+        outer_join = kind in ("left", "right", "full")
 
         def run() -> Frame:
-            left_rows, right_rows = left_run().rows(), right_run().rows()
-            probes, build = (right_rows, left_rows) if flip else (left_rows, right_rows)
+            left, right = left_run(), right_run()
+            probe, build = (right, left) if flip else (left, right)
+
+            def paired(probe_at: list[int], build_at: list[int],
+                       nulls: bool = False) -> Frame:
+                pair = (build_at, probe_at) if flip else (probe_at, build_at)
+                return _paired(left, right, *pair, nulls)
+
             if keys:
-                index: dict[tuple, list[int]] = {}
-                for i, row in enumerate(build):
-                    key = build_key(row)
-                    if key is not None:
-                        index.setdefault(key, []).append(i)
-                candidates = lambda row: index.get(probe_key(row), ())  # noqa: E731
+                left_on = [key(left) for key in left_keys]
+                right_on = [key(right) for key in right_keys]
+                probe_at, build_at = _hash_probe(
+                    *((right_on, left_on) if flip else (left_on, right_on)),
+                    null_safe)
             else:
-                every = range(len(build))
-                candidates = lambda row: every  # noqa: E731
-            rows: Rows = []
-            matched: set[int] = set()
-            for probe in probes:
-                found = False
-                for i in candidates(probe):
-                    row = build[i] + probe if flip else probe + build[i]
-                    if test is None or test(row) is True:
-                        rows.append(row)
-                        matched.add(i)
-                        found = True
-                if not found and kind != "inner":
-                    rows.append(null_left + probe if flip else probe + null_right)
+                probe_at = [i for i in range(probe.count) for __ in range(build.count)]
+                build_at = list(range(build.count)) * probe.count
+            if test is not None:  # the residual, a column at a time over the pairs
+                hits = test(paired(probe_at, build_at))
+                if len(hits) < len(probe_at):
+                    probe_at = [probe_at[i] for i in hits]
+                    build_at = [build_at[i] for i in hits]
+            if outer_join:  # null-extend probes that kept no pair
+                probe_at, build_at = _null_extend(probe_at, build_at,
+                                                  probe.count, build.count)
             if kind == "full":
-                rows.extend(
-                    null_left + row
-                    for i, row in enumerate(right_rows)
-                    if i not in matched
-                )
-            return Frame.of_rows(rows, width)
+                unmatched = set(range(build.count)).difference(build_at)
+                build_at += sorted(unmatched)
+                probe_at += [probe.count] * len(unmatched)
+            return paired(probe_at, build_at, outer_join)
 
         return Source(columns, run)
 
@@ -619,28 +601,66 @@ def _hashable(value):
     return value
 
 
-def _key_builder(fns: list[Callable], null_safe: list[bool]) -> Callable:
-    """Row -> hashable join key, or None when the row can match nothing: a
-    NULL in a key compared with '=' (not IS NOT DISTINCT FROM)."""
+def _hash_probe(probe: list[list], build: list[list], null_safe: list[bool]
+                ) -> tuple[list[int], list[int]]:
+    """(probe, build) positions of every match of the key columns, in
+    probe order and then build order.  A NULL key matches only where the
+    key is compared IS NOT DISTINCT FROM."""
+    index: dict = {}
+    for j, key in enumerate(_join_keys(build, null_safe)):
+        if key is not _NO_MATCH:
+            index.setdefault(key, []).append(j)
+    probe_at, build_at = [], []
+    for i, key in enumerate(_join_keys(probe, null_safe)):
+        matches = index.get(key)
+        if matches:
+            probe_at += [i] * len(matches)
+            build_at += matches
+    return probe_at, build_at
 
-    if len(fns) == 1:
-        (fn,), (safe,) = fns, null_safe
 
-        def single(row: tuple):
-            value = _hashable(fn(row))
-            return (value,) if value is not None or safe else None
+_NO_MATCH = object()
 
-        return single
 
-    def key(row: tuple):
-        values = tuple([_hashable(f(row)) for f in fns])
-        if None in values and any(
-            v is None and not safe for v, safe in zip(values, null_safe)
-        ):
-            return None
-        return values
+def _join_keys(columns: list[list], null_safe: list[bool]) -> list:
+    """One hashable key per row, or ``_NO_MATCH`` for a row whose NULL
+    key is compared with '='."""
+    columns = [c if _plain_keys(c) else list(map(_hashable, c)) for c in columns]
+    keys = columns[0] if len(columns) == 1 else list(zip(*columns))
+    for column, safe in zip(columns, null_safe):
+        if not safe and None in column:
+            keys = [_NO_MATCH if v is None else k for k, v in zip(keys, column)]
+    return keys
 
-    return key
+
+def _null_extend(probe_at: list[int], build_at: list[int], probes: int,
+                 null: int) -> tuple[list[int], list[int]]:
+    """The pairs plus, in order, a (probe, ``null``) pair for each probe
+    position that has none."""
+    missing = set(range(probes)).difference(probe_at)
+    if not missing:
+        return probe_at, build_at
+    pairs = sorted([*zip(probe_at, build_at), *((i, null) for i in missing)],
+                   key=itemgetter(0))  # stable: build order within a probe
+    return [p for p, __ in pairs], [b for __, b in pairs]
+
+
+def _paired(left: Frame, right: Frame, left_at: list[int],
+            right_at: list[int], nulls: bool = False) -> Frame:
+    """Left rows at ``left_at`` beside right rows at ``right_at``; with
+    ``nulls``, a position equal to its side's row count is a row of NULLs."""
+    sides = [_null_take(left, left_at, nulls), _null_take(right, right_at, nulls)]
+    split = len(left._columns)
+    return Frame(len(left_at), [None] * (split + len(right._columns)),
+                 lambda k: sides[0].column(k) if k < split
+                 else sides[1].column(k - split))
+
+
+def _null_take(frame: Frame, positions: list[int], nulls: bool) -> Frame:
+    if not (nulls and frame.count in positions):
+        return frame.take(positions)
+    return Frame(len(positions), [None] * len(frame._columns),
+                 lambda k: _gather([*frame.column(k), None], positions))
 
 
 def _dedupe(rows: Rows) -> Rows:

@@ -150,27 +150,47 @@ def compile_vector(expr: sa.Expr, layout: Layout) -> Callable:
 
 
 def compile_filter(expr: sa.Expr, layout: Layout) -> Callable:
-    """Lower a condition into ``frame -> positions`` of the rows where it
-    is TRUE.  Each conjunct runs over the rows the ones before it kept."""
-    tests = []
-    for conjunct in flatten_and(expr):
-        node = _compile(conjunct, layout)
-        # a comparison yields only TRUE, FALSE and NULL: truthy is TRUE
-        boolean = type(node) is _Lift and node.fast is not None \
-            and node.fast[0] in _COMPARISONS
-        tests.append((_vector(node), boolean))
+    """Lower a condition into ``frame -> positions`` (ascending) of the
+    rows where it is TRUE.  The right side of an AND runs over the rows
+    where its left side is TRUE, and that of an OR over the rest."""
+    return _matcher(_compile(expr, layout))
+
+
+def _matcher(node) -> Callable:
+    if type(node) is _Kleene:
+        first, second = _matcher(node.left), _matcher(node.right)
+        if not node.stop:
+            def both(frame) -> Sequence[int]:
+                kept = first(frame)
+                if len(kept) == frame.count:
+                    return second(frame)
+                hits = second(frame.take(kept))
+                return kept if len(hits) == len(kept) else [kept[i] for i in hits]
+
+            return both
+
+        def either(frame) -> Sequence[int]:
+            hits = first(frame)
+            if len(hits) == frame.count:
+                return hits
+            rest = [True] * frame.count
+            for i in hits:
+                rest[i] = False
+            rest = list(compress(range(frame.count), rest))
+            more = second(frame.take(rest))
+            return sorted([*hits, *map(rest.__getitem__, more)]) if more else hits
+
+        return either
+    test = _vector(node)
+    # a comparison yields only TRUE, FALSE and NULL: truthy is TRUE
+    boolean = type(node) is _Lift and node.fast is not None \
+        and node.fast[0] in _COMPARISONS
 
     def matching(frame) -> Sequence[int]:
-        positions: Sequence[int] = range(frame.count)
-        for test, boolean in tests:
-            part = frame if len(positions) == frame.count else frame.take(positions)
-            values = test(part)
-            hits = list(compress(range(part.count), values if boolean else
-                                 map(operator.is_, values, repeat(True))))
-            if len(hits) < part.count:  # (a range is every row: hits as is)
-                positions = hits if type(positions) is range \
-                    else [positions[i] for i in hits]
-        return positions
+        values = test(frame)
+        hits = list(compress(range(frame.count), values if boolean else
+                             map(operator.is_, values, repeat(True))))
+        return range(frame.count) if len(hits) == frame.count else hits
 
     return matching
 
@@ -503,10 +523,8 @@ def _compile_binary(expr: sa.BinaryOp, layout: Layout):
 
 
 def _compile_isnull(expr: sa.IsNull, layout: Layout):
-    operand = _compile(expr.operand, layout)
-    if expr.negated:
-        return _lift(lambda v: v is not None, operand)
-    return _lift(lambda v: v is None, operand)
+    test = operator.is_not if expr.negated else operator.is_
+    return _lift(test, _compile(expr.operand, layout), _Const(None))
 
 
 def _compile_inlist(expr: sa.InList, layout: Layout):

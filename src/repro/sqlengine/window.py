@@ -9,11 +9,17 @@ and aggregate-over-window forms with PostgreSQL's default frame semantics.
 
 from __future__ import annotations
 
+import math
+import re
 from typing import Callable
 
 from repro.errors import SqlExecutionError
 from repro.sqlengine import sqlast as sa
-from repro.sqlengine.functions import compute_aggregate, is_aggregate
+from repro.sqlengine.functions import (
+    NULL_KEEPING_AGGREGATES,
+    compute_aggregate,
+    is_aggregate,
+)
 
 #: Sort-key wrapper giving SQL NULL ordering (order_none_last toggles).
 def _order_key(value, descending: bool, nulls_first: bool | None):
@@ -166,47 +172,36 @@ def _fill_partition(
 
 
 def _frame_is_full_partition(spec: sa.WindowSpec) -> bool:
-    if not spec.order_by:
-        return True
-    if spec.frame is None:
-        return False
-    return "unbounded following" in spec.frame
+    return not spec.order_by or (
+        spec.frame is not None and "unbounded following" in spec.frame)
 
 
 def _fill_value_functions(node, ordered, order_values, arg, results) -> None:
     name = node.func.name
-    spec = node.window
     column = arg(0)
     values = [column[i] for i in ordered]
-    full = _frame_is_full_partition(spec)
-    if name == "first_value":
-        for pos, i in enumerate(ordered):
+    # the default frame ends at the current row's last peer
+    ends = [len(ordered)] * len(ordered) if _frame_is_full_partition(node.window) \
+        else _peer_ends(ordered, order_values)
+    n = int(arg(1)[ordered[0]]) if name == "nth_value" else 1
+    for i, end in zip(ordered, ends):
+        if name == "first_value":
             results[i] = values[0]
-        return
-    if name == "nth_value":
-        n = int(arg(1)[ordered[0]])
-        for pos, i in enumerate(ordered):
-            frame_end = len(ordered) if full else _peer_end(ordered, order_values, pos)
-            results[i] = values[n - 1] if n - 1 < frame_end else None
-        return
-    # last_value: default frame ends at the current row's last peer
-    for pos, i in enumerate(ordered):
-        frame_end = len(ordered) if full else _peer_end(ordered, order_values, pos)
-        results[i] = values[frame_end - 1]
+        elif name == "nth_value":
+            results[i] = values[n - 1] if n - 1 < end else None
+        else:
+            results[i] = values[end - 1]
 
 
-def _peer_end(ordered, order_values, pos: int) -> int:
-    """Index one past the last ORDER BY peer of ordered[pos]."""
-    current = order_values[ordered[pos]]
-    end = pos + 1
-    while end < len(ordered) and order_values[ordered[end]] == current:
-        end += 1
-    return end
+def _peer_ends(ordered, order_values) -> list[int]:
+    """Per position of an ordered partition, one past its last ORDER BY peer."""
+    ends: list[int] = []
+    for group in _peer_groups(ordered, order_values):
+        ends += [len(ends) + len(group)] * len(group)
+    return ends
 
 
-import re as _re
-
-_N_PRECEDING_RE = _re.compile(
+_N_PRECEDING_RE = re.compile(
     r"rows\s+between\s+(\d+)\s+preceding\s+and\s+current\s+row"
 )
 
@@ -222,8 +217,6 @@ def _fill_window_aggregate(node, ordered, order_values, arg, results) -> None:
     else:
         column = arg(0)
         values = [column[i] for i in ordered]
-    from repro.sqlengine.functions import NULL_KEEPING_AGGREGATES
-
     keep_nulls = name in NULL_KEEPING_AGGREGATES
     if spec.frame is not None:
         match = _N_PRECEDING_RE.match(spec.frame)
@@ -231,15 +224,10 @@ def _fill_window_aggregate(node, ordered, order_values, arg, results) -> None:
             lookback = int(match.group(1))
             for pos, i in enumerate(ordered):
                 lo = max(0, pos - lookback)
-                frame_values = [
-                    v
-                    for v in values[lo : pos + 1]
-                    if v is not None or keep_nulls
-                ]
-                if star and name == "count":
-                    results[i] = pos + 1 - lo
-                else:
-                    results[i] = compute_aggregate(name, frame_values)
+                frame_values = [v for v in values[lo:pos + 1]
+                                if v is not None or keep_nulls]
+                results[i] = pos + 1 - lo if star and name == "count" \
+                    else compute_aggregate(name, frame_values)
             return
     full = _frame_is_full_partition(spec)
     rows_frame = spec.frame is not None and spec.frame.startswith("rows")
@@ -253,10 +241,60 @@ def _fill_window_aggregate(node, ordered, order_values, arg, results) -> None:
         return
     # running aggregate: frame = start .. current row (peers included unless
     # a ROWS frame was given)
-    for pos, i in enumerate(ordered):
-        end = pos + 1 if rows_frame else _peer_end(ordered, order_values, pos)
-        if star and name == "count":
-            results[i] = end
-            continue
-        frame_values = [v for v in values[:end] if v is not None or keep_nulls]
-        results[i] = compute_aggregate(name, frame_values)
+    ends = range(1, len(ordered) + 1) if rows_frame \
+        else _peer_ends(ordered, order_values)
+    totals = ends if star and name == "count" \
+        else _running_aggregate(name, values, ends, keep_nulls)
+    for i, total in zip(ordered, totals):
+        results[i] = total
+
+
+def _running_aggregate(name: str, values: list, ends, keep_nulls: bool) -> list:
+    """The aggregate over ``values[:end]`` for each end (ascending), each
+    value folded in once where that is exact: count, min and max as they
+    are; sum and avg into an exact binary fraction rounded once per row,
+    which is what ``math.fsum`` of the prefix returns.  Other aggregates,
+    and sums over inf, nan or values so large that fsum's overflow fallback
+    could apply, recompute each prefix."""
+    summing = name in ("sum", "avg")
+    if not (name in ("count", "min", "max") or summing and all(
+            v is None or (type(v) in (int, float) and -1e300 < v < 1e300)
+            for v in values)):
+        return [compute_aggregate(name, [v for v in values[:end]
+                                         if v is not None or keep_nulls])
+                for end in ends]
+    out: list = []
+    start = count = exact = acc = shift = 0
+    best = None
+    floats, negative_zeros = False, True
+    for end in ends:
+        for v in values[start:end]:
+            if v is None:
+                continue
+            count += 1
+            if name == "min" and (best is None or v < best) or \
+                    name == "max" and (best is None or v > best):
+                best = v
+            if summing:
+                exact += v
+                floats = floats or type(v) is float
+                negative_zeros = negative_zeros and math.copysign(1.0, v) < 0
+                num, den = float(v).as_integer_ratio()
+                dlog = den.bit_length() - 1
+                if dlog > shift:
+                    acc, shift = acc << (dlog - shift), dlog
+                acc += num << (shift - dlog)
+        start = end
+        if name == "count" or not count:
+            out.append(count if name == "count" else None)
+        elif not summing or name == "sum" and not floats:
+            out.append(best if not summing else exact)
+        else:
+            total = acc / (1 << shift) if acc else (
+                _NEGATIVE_ZERO_SUM if negative_zeros else 0.0)
+            out.append(total / count if name == "avg" else total)
+    return out
+
+
+#: what math.fsum makes of zeros that are all negative
+_NEGATIVE_ZERO_SUM = math.fsum([-0.0])

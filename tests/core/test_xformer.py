@@ -11,7 +11,9 @@ from repro.core.xtra.ops import (
     XtraFilter,
     XtraGet,
     XtraGroupAgg,
+    XtraProject,
     XtraSort,
+    XtraWindow,
     walk,
 )
 from repro.qlang.parser import parse_expression
@@ -197,6 +199,57 @@ class TestConstantFolding:
         ]
         assert consts
         assert ctx.applications.get("constant_folding", 0) >= 1
+
+
+def _quotes_filters(op):
+    """Filters with the quotes scan somewhere below them."""
+    return [
+        node for node in walk(op)
+        if isinstance(node, XtraFilter) and any(
+            isinstance(n, XtraGet) and n.table == "quotes" for n in walk(node)
+        )
+    ]
+
+
+class TestKeyFilterTransfer:
+    AJ = "aj[`Symbol`Time; select from trades where Symbol=`GOOG; {}]"
+
+    def test_symbol_filter_moves_under_the_lead_window(self, binder):
+        op, ctx = transformed(binder, self.AJ.format("quotes"))
+        assert ctx.applications["key_filter_transfer"] == 1
+        (pushed,) = _quotes_filters(op)
+        assert isinstance(pushed.child, XtraGet)
+        assert isinstance(pushed.predicate, sc.SCmp) and pushed.predicate.null_safe
+        assert pushed.predicate.right == sc.SConst("GOOG", pushed.predicate.right.type_)
+        (window,) = [n for n in walk(op) if isinstance(n, XtraWindow)]
+        assert any(n is pushed for n in walk(window))
+
+    def test_a_window_not_partitioned_by_the_key_stays_below(self, binder):
+        op, ctx = transformed(
+            binder, self.AJ.format("update cb: sums Bid from quotes")
+        )
+        assert ctx.applications["key_filter_transfer"] == 1
+        (held,) = _quotes_filters(op)
+        assert isinstance(held.child, XtraProject)
+        assert any(isinstance(s, sc.SWindow) for __, s in held.child.projections)
+
+    def test_non_key_and_or_filters_stay_on_the_left(self, binder):
+        for where in ("Price>60.0", "(Symbol=`GOOG) or Size>15"):
+            text = f"aj[`Symbol`Time; select from trades where {where}; quotes]"
+            op, ctx = transformed(binder, text)
+            assert "key_filter_transfer" not in ctx.applications
+            assert not _quotes_filters(op)
+
+    def test_lj_filters_the_keyed_table(self, binder):
+        text = "(select from trades where Symbol=`IBM) lj ratings"
+        op, ctx = transformed(binder, text)
+        assert ctx.applications["key_filter_transfer"] == 1
+        ratings = [
+            n for n in walk(op)
+            if isinstance(n, XtraFilter) and isinstance(n.child, XtraGet)
+            and n.child.table == "ratings"
+        ]
+        assert len(ratings) == 1
 
 
 class TestFramework:

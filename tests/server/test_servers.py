@@ -6,6 +6,8 @@ against Hyper-Q fronting a PG-compatible backend, and sees the same
 results.
 """
 
+import gc
+
 import pytest
 
 from repro.errors import AuthenticationError, QError
@@ -231,3 +233,22 @@ class TestFullStack:
                         assert result == QAtom(QType.FLOAT, 101.0)
             finally:
                 gateway.close()
+
+
+class TestHeapFreeze:
+    """While a QIPC server serves, what the process held when it started
+    (the loaded tables) is frozen out of the garbage collector; the last
+    server to stop hands it back."""
+
+    def test_frozen_while_serving_and_thawed_after_stop(self):
+        assert gc.get_freeze_count() == 0
+        first = HyperQServer(engine=Engine()).start()
+        try:
+            assert gc.get_freeze_count() > 0
+            KdbServer().start().stop()
+            assert gc.get_freeze_count() > 0  # the first one still serves
+        finally:
+            first.stop()
+        assert gc.get_freeze_count() == 0
+        first.stop()  # stopping twice thaws nothing twice
+        assert gc.get_freeze_count() == 0

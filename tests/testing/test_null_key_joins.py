@@ -37,3 +37,17 @@ def test_lj_fills_the_null_keyed_row(harness):
     result = harness.check("l lj rk")
     assert result.passed, result.comparison.reason
     assert list(result.hq_value.column("b").items[:2]) == [10, 20]
+
+
+@pytest.mark.parametrize("query", [
+    "aj[`s`t; select from l where s=`; r]",
+    "(select from l where s=`) lj rk",
+    "aj[`s`t; select from l where s=`x; r]",
+])
+def test_a_filtered_key_filters_the_right_side_too(harness, query):
+    """The left side's key filter, NULL included, moves to the right side
+    (IS NOT DISTINCT FROM keeps the null-keyed rows) and answers like q."""
+    result = harness.check(query)
+    assert result.passed, result.comparison.reason
+    outcome = harness.hyperq.translate(query)
+    assert outcome.rule_applications["key_filter_transfer"] == 1
